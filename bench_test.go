@@ -119,7 +119,7 @@ func BenchmarkGenerate(b *testing.B) {
 func BenchmarkTable7Grid(b *testing.B) {
 	g := benchGraph(b, "Facebook")
 	rng := rand.New(rand.NewSource(1))
-	truth := core.ComputeProfile(g, core.ProfileOptions{}, rng)
+	truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 	alg, err := core.NewAlgorithm("PrivGraph")
 	if err != nil {
 		b.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkTable7Grid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof := core.ComputeProfile(syn, core.ProfileOptions{}, r)
+		prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
 		for _, q := range core.AllQueries() {
 			core.Score(q, truth, prof)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 		b.Run(dsName, func(b *testing.B) {
 			g := benchGraph(b, dsName)
 			rng := rand.New(rand.NewSource(2))
-			truth := core.ComputeProfile(g, core.ProfileOptions{}, rng)
+			truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 			alg, _ := core.NewAlgorithm("TmF")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -154,7 +154,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prof := core.ComputeProfile(syn, core.ProfileOptions{}, r)
+				prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
 				for _, q := range core.Fig2Queries() {
 					core.Score(q, truth, prof)
 				}
@@ -177,7 +177,7 @@ func BenchmarkComputeProfile(b *testing.B) {
 		name string
 		opt  core.ProfileOptions
 	}{
-		{"serial", core.ProfileOptions{Serial: true}},
+		{"serial", core.ProfileOptions{Workers: 1}},
 		{"parallel", core.ProfileOptions{}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -303,7 +303,7 @@ func BenchmarkQueries(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				core.ComputeProfile(g, core.ProfileOptions{}, rng)
+				core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 			}
 		})
 	}
@@ -418,7 +418,7 @@ func BenchmarkDatasets(b *testing.B) {
 	for _, name := range pgb.Datasets() {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := pgb.LoadDataset(name, benchScale, int64(i)); err != nil {
+				if _, err := pgb.Load(pgb.Source{Dataset: name, Scale: benchScale, Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}

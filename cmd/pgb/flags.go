@@ -8,24 +8,18 @@ import (
 
 // flags.go is the shared flag vocabulary of the pgb subcommands. Every
 // flag that appears on more than one subcommand is registered through
-// exactly one helper here, so its name, alias, default, and help text
-// cannot drift between commands:
+// exactly one helper here, so its name, default, and help text cannot
+// drift between commands:
 //
-//	flag       alias (deprecated)   commands                  meaning
-//	-jobs      -parallel            grid commands, serve      parallelism budget
-//	-snapshot                       grid commands, ingest,    snapshot store directory
-//	                                serve                     (written by `pgb ingest`)
-//	-data-dir  -data                serve                     run-manifest directory
-//
-// The deprecated aliases are kept as plain secondary registrations of
-// the same variable: both spellings parse, -h documents the alias as
-// deprecated, and removing an alias later is a one-line change here.
+//	flag       commands                        meaning
+//	-jobs      grid commands, serve            parallelism budget
+//	-snapshot  grid commands, ingest, serve    snapshot store directory
+//	                                           (written by `pgb ingest`)
+//	-data-dir  serve                           run-manifest directory
 
-// addJobsFlag registers -jobs and its deprecated -parallel alias.
+// addJobsFlag registers -jobs, the parallelism budget.
 func addJobsFlag(fs *flag.FlagSet, def int, help string) *int {
-	jobs := fs.Int("jobs", def, help)
-	fs.IntVar(jobs, "parallel", def, "deprecated alias for -jobs")
-	return jobs
+	return fs.Int("jobs", def, help)
 }
 
 // addSnapshotFlag registers -snapshot, the snapshot store directory.
@@ -34,11 +28,9 @@ func addSnapshotFlag(fs *flag.FlagSet, def string) *string {
 		"snapshot store directory (written by `pgb ingest`); dataset references found there load from their CSR snapshots instead of being regenerated")
 }
 
-// addDataDirFlag registers -data-dir and its deprecated -data alias.
+// addDataDirFlag registers -data-dir, the run-manifest directory.
 func addDataDirFlag(fs *flag.FlagSet, def string) *string {
-	dir := fs.String("data-dir", def, "directory for run manifests; manifests found at startup are adopted and resumed")
-	fs.StringVar(dir, "data", def, "deprecated alias for -data-dir")
-	return dir
+	return fs.String("data-dir", def, "directory for run manifests; manifests found at startup are adopted and resumed")
 }
 
 // openSnapshotStore opens the store named by a -snapshot flag; the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,25 +59,5 @@ func TestCmdIngestThenSnapshotGrid(t *testing.T) {
 func TestCmdIngestUnknownDataset(t *testing.T) {
 	if err := cmdIngest([]string{"-snapshot", t.TempDir(), "-datasets", "nope"}); err == nil {
 		t.Fatal("unknown dataset accepted")
-	}
-}
-
-// TestFlagAliases pins the deprecated spellings from the flags.go table.
-func TestFlagAliases(t *testing.T) {
-	gf := newGridFlags("test")
-	if err := gf.fs.Parse([]string{"-parallel", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if *gf.jobs != 3 {
-		t.Fatalf("-parallel did not alias -jobs: %d", *gf.jobs)
-	}
-
-	fs := flag.NewFlagSet("serve-test", flag.ContinueOnError)
-	dir := addDataDirFlag(fs, "default-dir")
-	if err := fs.Parse([]string{"-data", "elsewhere"}); err != nil {
-		t.Fatal(err)
-	}
-	if *dir != "elsewhere" {
-		t.Fatalf("-data did not alias -data-dir: %q", *dir)
 	}
 }

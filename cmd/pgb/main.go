@@ -22,8 +22,7 @@
 // -checkpoint FILE (durable JSONL run manifest), -resume FILE (continue
 // an interrupted checkpointed run), -snapshot DIR (resolve datasets
 // through an ingested snapshot store), -v (progress to stderr). Shared
-// flags are defined once in flags.go; see its table for the deprecated
-// aliases (-parallel for -jobs, -data for -data-dir).
+// flags are defined once in flags.go.
 package main
 
 import (
@@ -128,11 +127,11 @@ commands:
               cmd/fidelitygate against FIDELITY_BASELINE.json
   version     print the build identification (also GET /version)
 
-grid commands accept -jobs N (parallel cells; -parallel is a deprecated
-alias), -checkpoint FILE (durable JSONL run manifest; rerun with the
-same path to resume), -resume FILE (continue an interrupted run,
-restoring its configuration) and -snapshot DIR (resolve datasets through
-a store written by pgb ingest; results are identical either way).`)
+grid commands accept -jobs N (parallel cells), -checkpoint FILE
+(durable JSONL run manifest; rerun with the same path to resume),
+-resume FILE (continue an interrupted run, restoring its configuration)
+and -snapshot DIR (resolve datasets through a store written by pgb
+ingest; results are identical either way).`)
 }
 
 type gridFlags struct {

@@ -67,7 +67,7 @@ func cmdServe(args []string) error {
 		<-ctx.Done()
 		// Graceful drain: running jobs are cancelled between cells and
 		// their manifests keep everything finished so far; a later
-		// `pgb serve` over the same -data resumes them.
+		// `pgb serve` over the same -data-dir resumes them.
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(sctx)

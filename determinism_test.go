@@ -25,7 +25,7 @@ func generateAlgorithms() []string {
 // TestGenerateDeterministicPerAlgorithm: repeated serial calls at a
 // fixed seed are bit-identical for every algorithm.
 func TestGenerateDeterministicPerAlgorithm(t *testing.T) {
-	g, err := pgb.LoadDataset("ER", 0.05, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGenerateDeterministicPerAlgorithm(t *testing.T) {
 // result must equal the fully serial implementation draw for draw. This
 // pins the contract for every algorithm against the serial reference.
 func TestGenerateMatchesSerialReference(t *testing.T) {
-	g, err := pgb.LoadDataset("ER", 0.05, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestGenerateMatchesSerialReference(t *testing.T) {
 // requests — must reproduce their serial results exactly. A shared or
 // leaked RNG stream would make at least one concurrent result diverge.
 func TestGenerateConcurrentNoSharedRNG(t *testing.T) {
-	g, err := pgb.LoadDataset("ER", 0.05, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // ExampleGenerate shows the one-call path from a benchmark dataset to a
 // differentially private synthetic graph.
 func ExampleGenerate() {
-	g, _ := pgb.LoadDataset("BA", 0.02, 42) // 2%-scale Barabási-Albert
+	g, _ := pgb.Load(pgb.Source{Dataset: "BA", Scale: 0.02, Seed: 42}) // 2%-scale Barabási-Albert
 	syn, err := pgb.Generate("DGG", g, 5.0, 7)
 	if err != nil {
 		panic(err)
@@ -21,7 +21,7 @@ func ExampleGenerate() {
 
 // ExampleCompare scores a synthetic graph on the fifteen PGB queries.
 func ExampleCompare() {
-	g, _ := pgb.LoadDataset("ER", 0.02, 42)
+	g, _ := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.02, Seed: 42})
 	syn, _ := pgb.Generate("TmF", g, 10, 7)
 	report := pgb.Compare(g, syn, 7)
 	fmt.Println("queries scored:", len(report.Rows))

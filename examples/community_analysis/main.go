@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	g, err := pgb.LoadDataset("Facebook", 0.1, 99)
+	g, err := pgb.Load(pgb.Source{Dataset: "Facebook", Scale: 0.1, Seed: 99})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func main() {
 	// Load the (simulated) Facebook social graph at 10% scale — fast
 	// enough for a demo while keeping the social structure.
-	g, err := pgb.LoadDataset("Facebook", 0.1, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "Facebook", Scale: 0.1, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func TestClusteringAboveChungLuAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accB := stats.AvgClustering(bter)
-	accC := stats.AvgClustering(cl)
+	_, _, accB := stats.TriangleProfileParallel(bter, 1, nil)
+	_, _, accC := stats.TriangleProfileParallel(cl, 1, nil)
 	if accB <= accC {
 		t.Fatalf("BTER ACC %g not above Chung-Lu ablation %g", accB, accC)
 	}

@@ -187,7 +187,7 @@ func TestGeneratorKernelBudgetNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialProf := core.ComputeProfileSeeded(g, core.ProfileOptions{Serial: true}, 99)
+	serialProf := core.ComputeProfileSeeded(g, core.ProfileOptions{Workers: 1}, 99)
 
 	budget := par.NewBudget(2)
 	done := make(chan error, 2)

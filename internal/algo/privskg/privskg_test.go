@@ -45,7 +45,7 @@ func TestPowerLawInputKeepsSkew(t *testing.T) {
 
 func TestCountTrianglesMatchesStats(t *testing.T) {
 	g := gen.GNM(100, 400, rng(5))
-	if got, want := countTriangles(g), stats.Triangles(g); got != want {
+	if got, want := countTriangles(g), stats.TrianglesParallel(g, 1, nil); got != want {
 		t.Fatalf("countTriangles = %g, stats = %g", got, want)
 	}
 }

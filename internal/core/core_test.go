@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestQueryMetadata(t *testing.T) {
 
 func TestProfileSelfScoreIsPerfect(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.4, 0.02, rng(1))
-	p := ComputeProfile(g, ProfileOptions{}, rng(2))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(2).Int63())
 	for _, q := range AllQueries() {
 		v, higher := Score(q, p, p)
 		if higher {
@@ -57,7 +58,7 @@ func TestProfileSelfScoreIsPerfect(t *testing.T) {
 
 func TestProfileValues(t *testing.T) {
 	g := gen.GNM(200, 800, rng(3))
-	p := ComputeProfile(g, ProfileOptions{}, rng(4))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(4).Int63())
 	if p.NumEdges != 800 {
 		t.Fatalf("edges = %g", p.NumEdges)
 	}
@@ -69,6 +70,27 @@ func TestProfileValues(t *testing.T) {
 	}
 	if len(p.CommunityLabels) != 200 || len(p.EVC) != 200 {
 		t.Fatal("vector stats wrong length")
+	}
+}
+
+// The auto distance mode runs exact BFS up to ExactPathLimit nodes and
+// sampled BFS above it, bit for bit.
+func TestProfileAutoDistanceMode(t *testing.T) {
+	g := gen.GNM(200, 800, rng(5))
+	dist := func(limit int, mode DistanceMode) *Profile {
+		opt := ProfileOptions{Queries: []QueryID{QDiameter, QAvgPath, QDistanceDistribution}, ExactPathLimit: limit, PathSamples: 16, DistanceMode: mode}
+		return ComputeProfileSeeded(g, opt, 7)
+	}
+	for _, tc := range []struct {
+		limit int
+		want  DistanceMode
+	}{{200, DistanceExact}, {199, DistanceSampled}} {
+		if got, want := dist(tc.limit, DistanceAuto), dist(tc.limit, tc.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("n=200 limit %d: auto profile %+v, want the %s profile %+v", tc.limit, got, tc.want, want)
+		}
+	}
+	if reflect.DeepEqual(dist(200, DistanceExact), dist(200, DistanceSampled)) {
+		t.Fatal("exact and sampled profiles coincide; the test cannot tell the modes apart")
 	}
 }
 

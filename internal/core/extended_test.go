@@ -9,7 +9,7 @@ import (
 
 func TestExtendedCompareSelf(t *testing.T) {
 	g := gen.PlantedPartition(100, 3, 0.4, 0.02, rng(1))
-	p := ComputeProfile(g, ProfileOptions{}, rng(2))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(2).Int63())
 	rows := ExtendedCompare(p, p)
 	if len(rows) < 20 {
 		t.Fatalf("extended rows = %d, want >= 20", len(rows))
@@ -27,7 +27,7 @@ func TestExtendedCompareSelf(t *testing.T) {
 
 func TestExtendedCompareCoversCompanionMetrics(t *testing.T) {
 	g := gen.GNM(60, 150, rng(3))
-	p := ComputeProfile(g, ProfileOptions{}, rng(4))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(4).Int63())
 	rows := ExtendedCompare(p, p)
 	want := map[string]bool{"HD": false, "KS": false, "ARI": false, "AMI": false, "AvgF1": false, "MSE": false, "MRE": false}
 	for _, r := range rows {

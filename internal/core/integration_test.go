@@ -21,7 +21,7 @@ func TestEpsilonMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := spec.Load(0.04, 3)
-	truth := ComputeProfile(g, ProfileOptions{}, rand.New(rand.NewSource(4)))
+	truth := ComputeProfileSeeded(g, ProfileOptions{}, rand.New(rand.NewSource(4)).Int63())
 	queries := []QueryID{QNumEdges, QAvgDegree, QDegreeDistribution, QGlobalClustering}
 	const reps = 3
 	meanErr := func(algName string, eps float64) float64 {
@@ -36,7 +36,7 @@ func TestEpsilonMonotonicity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", algName, err)
 			}
-			prof := ComputeProfile(syn, ProfileOptions{}, r)
+			prof := ComputeProfileSeeded(syn, ProfileOptions{}, r.Int63())
 			for _, q := range queries {
 				v, _ := Score(q, truth, prof)
 				total += v
@@ -101,7 +101,7 @@ func TestCDPBeatsLDPOnEdgeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := spec.Load(0.04, 5)
-	truth := ComputeProfile(g, ProfileOptions{}, rand.New(rand.NewSource(6)))
+	truth := ComputeProfileSeeded(g, ProfileOptions{}, rand.New(rand.NewSource(6)).Int63())
 	errOf := func(name string) float64 {
 		alg, err := NewAlgorithm(name)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestCDPBeatsLDPOnEdgeCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof := ComputeProfile(syn, ProfileOptions{}, r)
+			prof := ComputeProfileSeeded(syn, ProfileOptions{}, r.Int63())
 			v, _ := Score(QNumEdges, truth, prof)
 			sum += v
 		}

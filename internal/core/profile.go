@@ -10,6 +10,7 @@ import (
 
 	"pgb/internal/community"
 	"pgb/internal/graph"
+	"pgb/internal/lru"
 	"pgb/internal/par"
 	"pgb/internal/stats"
 )
@@ -92,16 +93,11 @@ type ProfileOptions struct {
 	// need; nil computes every registered query. Results are identical to
 	// a full profile on the populated fields.
 	Queries []QueryID
-	// Serial disables all parallelism — the pass pool and the graph
-	// kernels inside passes. Results are byte-identical either way (each
-	// pass owns an independent seeded RNG stream and the kernels are
-	// worker-count-invariant); Serial exists for measurement baselines
-	// and debugging.
-	Serial bool
 	// Workers is the profile's single parallelism budget: it bounds the
 	// concurrent passes AND the shard workers inside the triangle/
 	// clustering and BFS kernels, which draw helpers from one shared
-	// allowance (DESIGN.md §2). 0 selects GOMAXPROCS.
+	// allowance (DESIGN.md §2). 0 selects GOMAXPROCS; 1 is the fully
+	// serial baseline. Results are byte-identical at every value.
 	Workers int
 	// Budget, when non-nil, is an externally owned worker allowance the
 	// profile draws every helper from — the grid runner threads one
@@ -112,12 +108,8 @@ type ProfileOptions struct {
 	Budget *par.Budget
 }
 
-// effectiveWorkers resolves the parallelism budget: Serial forces 1,
-// 0 selects GOMAXPROCS.
+// effectiveWorkers resolves the parallelism budget: 0 selects GOMAXPROCS.
 func (o ProfileOptions) effectiveWorkers() int {
-	if o.Serial {
-		return 1
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -159,14 +151,6 @@ type profileTask struct {
 	order int
 	seed  int64
 	run   func(rng *rand.Rand)
-}
-
-// ComputeProfile evaluates the selected queries on g, drawing the profile
-// seed from rng. Kept for callers that thread a *rand.Rand; new code
-// should prefer ComputeProfileSeeded, which makes the stream derivation
-// explicit and cacheable.
-func ComputeProfile(g *graph.Graph, opt ProfileOptions, rng *rand.Rand) *Profile {
-	return ComputeProfileSeeded(g, opt, rng.Int63())
 }
 
 // ComputeProfileSeeded evaluates the selected queries on g. Independent
@@ -284,7 +268,11 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 		case DistanceANF:
 			ds = stats.ANFDistancesParallel(g, rng, workers, budget)
 		default: // DistanceAuto and unrecognised values
-			ds = stats.DistancesParallel(g, opt.ExactPathLimit, opt.PathSamples, rng, workers, budget)
+			if g.N() <= opt.ExactPathLimit {
+				ds = stats.ExactDistancesParallel(g, workers, budget)
+			} else {
+				ds = stats.SampledDistancesParallel(g, opt.PathSamples, rng, workers, budget)
+			}
 		}
 		p.Diameter = ds.Diameter
 		p.AvgPath = ds.AvgPath
@@ -363,7 +351,7 @@ type profileCacheKey struct {
 }
 
 // optKey canonically encodes everything besides the graph that affects
-// the profile's value. Serial/Workers/Budget are excluded: they change
+// the profile's value. Workers/Budget are excluded: they change
 // only the schedule, never the result; the seed is normalised to zero
 // when no selected pass consumes RNG, so seed-invariant profiles share
 // one cache entry.
@@ -388,59 +376,24 @@ func (o ProfileOptions) optKey(seed int64) string {
 	return sb.String()
 }
 
-// profileCacheLimit bounds the memoization cache. True-graph profiles are
-// the target (one per dataset per option set); synthetic one-shot graphs
-// should use the uncached path.
-const profileCacheLimit = 64
-
-var profileCache = struct {
-	sync.Mutex
-	entries map[profileCacheKey]*Profile
-	order   []profileCacheKey
-}{entries: make(map[profileCacheKey]*Profile)}
+// profileCache memoizes ComputeProfileCached, bounded at 64 entries.
+// True-graph profiles are the target (one per dataset per option set);
+// synthetic one-shot graphs should use the uncached path.
+var profileCache = lru.New[profileCacheKey, *Profile](64)
 
 // ComputeProfileCached is ComputeProfileSeeded behind a process-wide
-// memoization cache keyed by graph fingerprint, options, and seed. Use it
-// for graphs whose profile is requested repeatedly — the benchmark
-// runner's true graphs, Compare baselines, and the verification appendix.
-// The returned profile is shared: callers must treat it as read-only.
+// LRU memo keyed by graph fingerprint, options, and seed. Use it for
+// graphs whose profile is requested repeatedly — the benchmark runner's
+// true graphs, Compare baselines, and the verification appendix. The
+// returned profile is shared: callers must treat it as read-only.
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
 	key := profileCacheKey{fp: g.Fingerprint(), opt: opt.withDefaults().optKey(seed)}
-	profileCache.Lock()
-	if p, ok := profileCache.entries[key]; ok {
-		touchProfileKey(key) // LRU: keep hot true-graph entries resident
-		profileCache.Unlock()
+	if p, ok := profileCache.Get(key); ok {
 		return p
 	}
-	profileCache.Unlock()
-
-	p := ComputeProfileSeeded(g, opt, seed)
-
-	profileCache.Lock()
-	defer profileCache.Unlock()
-	if existing, ok := profileCache.entries[key]; ok {
-		touchProfileKey(key)
-		return existing // another goroutine computed it first; keep one copy
-	}
-	if len(profileCache.order) >= profileCacheLimit {
-		oldest := profileCache.order[0]
-		profileCache.order = profileCache.order[1:]
-		delete(profileCache.entries, oldest)
-	}
-	profileCache.entries[key] = p
-	profileCache.order = append(profileCache.order, key)
-	return p
+	// Concurrent misses on one key both compute; Add keeps the first copy.
+	return profileCache.Add(key, ComputeProfileSeeded(g, opt, seed))
 }
 
-// touchProfileKey moves key to the most-recently-used end of the eviction
-// order. Callers must hold profileCache's lock.
-func touchProfileKey(key profileCacheKey) {
-	order := profileCache.order
-	for i, k := range order {
-		if k == key {
-			copy(order[i:], order[i+1:])
-			order[len(order)-1] = key
-			return
-		}
-	}
-}
+// ProfileCacheStats reports the profile memo's counters and size.
+func ProfileCacheStats() lru.Stats { return profileCache.Stats() }

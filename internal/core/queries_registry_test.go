@@ -86,8 +86,8 @@ func legacyScalarValues(q QueryID, t, s *Profile) (float64, float64) {
 func TestRegistryParityWithLegacySwitch(t *testing.T) {
 	truthGraph := gen.PlantedPartition(150, 5, 0.35, 0.03, rng(11))
 	synGraph := gen.GNM(150, truthGraph.M(), rng(12))
-	truth := ComputeProfileSeeded(truthGraph, ProfileOptions{Serial: true}, 21)
-	syn := ComputeProfileSeeded(synGraph, ProfileOptions{Serial: true}, 22)
+	truth := ComputeProfileSeeded(truthGraph, ProfileOptions{Workers: 1}, 21)
+	syn := ComputeProfileSeeded(synGraph, ProfileOptions{Workers: 1}, 22)
 
 	wantSymbol := map[QueryID]string{
 		QNumNodes: "|V|", QNumEdges: "|E|", QTriangles: "Tri", QAvgDegree: "d_avg",
@@ -143,7 +143,7 @@ func TestComputeProfileParallelMatchesSerial(t *testing.T) {
 	}
 	opt := ProfileOptions{PathSamples: 32}
 	serial := opt
-	serial.Serial = true
+	serial.Workers = 1
 
 	want := ComputeProfileSeeded(g, serial, 77)
 	for trial := 0; trial < 3; trial++ {
@@ -169,7 +169,7 @@ func TestComputeProfileWorkerCountInvariant(t *testing.T) {
 	}
 	base := ProfileOptions{PathSamples: 32}
 	serial := base
-	serial.Serial = true
+	serial.Workers = 1
 	want := ComputeProfileSeeded(g, serial, 99)
 	for _, workers := range []int{1, 2, 8} {
 		opt := base

@@ -190,7 +190,7 @@ func safeDiv(v float64, n int) float64 {
 }
 
 func clusteringByDegree(g *graph.Graph) map[int]float64 {
-	cc := stats.LocalClustering(g)
+	cc := stats.LocalClusteringParallel(g, 1, nil)
 	sum := map[int]float64{}
 	cnt := map[int]int{}
 	for u := 0; u < g.N(); u++ {

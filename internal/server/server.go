@@ -30,13 +30,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
+	"pgb/internal/lru"
 )
 
 // maxBodyBytes bounds request bodies; the dominant payload is an
@@ -93,9 +93,11 @@ func (o Options) withDefaults() Options {
 // Server is the HTTP service. Create with New, mount via Handler, stop
 // with Close.
 type Server struct {
-	opts  Options
-	mux   *http.ServeMux
-	cache *resultCache
+	opts Options
+	mux  *http.ServeMux
+	// cache maps request digests (core.ConfigDigest for runs, a
+	// fingerprint tuple for compares) to results (DESIGN.md §9.3).
+	cache *lru.Cache[string, any]
 	jobs  *jobManager
 	// sem bounds concurrent synchronous computations (generate/compare)
 	// so request handlers cannot oversubscribe the box under the job
@@ -118,7 +120,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		cache:   newResultCache(opts.CacheEntries),
+		cache:   lru.New[string, any](opts.CacheEntries),
 		sem:     make(chan struct{}, opts.Workers),
 		store:   opts.Store,
 		dsCache: newDatasetCache(),
@@ -280,62 +282,45 @@ func (s *Server) resolveRef(ref *graphRef) (*graph.Graph, error) {
 // datasetCache memoises dataset resolutions: loading is deterministic
 // in (name, scale, seed), and regenerating a dataset per request was
 // the dominant allocation source of the compare path (>90% of its
-// allocs). Entries are keyed by graph fingerprint — the content
-// address — with a reference→fingerprint memo in front, so a graph
-// reaches memory once no matter how it arrives: a ref resolved from a
-// snapshot and the same ref regenerated in RAM share one entry, as do
-// distinct refs that happen to denote an identical graph. Entries are
-// whole graphs, so the cache is kept small. The cache is per-Server
-// (not global): snapshot-resolved graphs may view mmap'd memory whose
-// lifetime is the server's own store, so cache and store retire
-// together at Close.
+// allocs). Graphs are keyed by fingerprint — the content address —
+// with a reference→fingerprint memo in front, so a graph reaches
+// memory once no matter how it arrives: a ref resolved from a snapshot
+// and the same ref regenerated in RAM share one entry, as do distinct
+// refs that happen to denote an identical graph. Both memos are LRUs of
+// 16 entries, so neither grows with the refs clients name. The cache is
+// per-Server (not global): snapshot-resolved graphs may view mmap'd
+// memory whose lifetime is the server's own store, so cache and store
+// retire together at Close.
 type datasetCache struct {
-	sync.Mutex
-	fps     map[graph.Ref]uint64
-	entries map[uint64]*graph.Graph
-	order   []uint64
+	refs   *lru.Cache[graph.Ref, uint64]
+	graphs *lru.Cache[uint64, *graph.Graph]
 }
 
 func newDatasetCache() *datasetCache {
-	return &datasetCache{
-		fps:     make(map[graph.Ref]uint64),
-		entries: make(map[uint64]*graph.Graph),
-	}
+	return &datasetCache{refs: lru.New[graph.Ref, uint64](16), graphs: lru.New[uint64, *graph.Graph](16)}
 }
-
-const datasetGraphCacheLimit = 16
 
 func (c *datasetCache) load(st graph.Store, spec datasets.Spec, scale float64, seed int64) (*graph.Graph, error) {
 	ref := datasets.RefFor(spec.Name, scale, seed)
-	c.Lock()
-	if fp, ok := c.fps[ref]; ok {
-		if g, ok := c.entries[fp]; ok {
-			c.Unlock()
+	if fp, ok := c.refs.Get(ref); ok {
+		if g, ok := c.graphs.Get(fp); ok {
 			return g, nil
 		}
 	}
-	c.Unlock()
-
 	g, _, err := datasets.LoadVia(st, spec, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-
 	fp := g.Fingerprint()
-	c.Lock()
-	defer c.Unlock()
-	c.fps[ref] = fp
-	if existing, ok := c.entries[fp]; ok {
-		return existing, nil
-	}
-	if len(c.order) >= datasetGraphCacheLimit {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
-	}
-	c.entries[fp] = g
-	c.order = append(c.order, fp)
-	return g, nil
+	c.refs.Add(ref, fp)
+	return c.graphs.Add(fp, g), nil
+}
+
+// stats counts every load once: a hit when both memos answered, a miss
+// when either did not.
+func (c *datasetCache) stats() lru.Stats {
+	r, g := c.refs.Stats(), c.graphs.Stats()
+	return lru.Stats{Hits: g.Hits, Misses: r.Misses + g.Misses, Entries: g.Entries}
 }
 
 // ---- meta / health / version ------------------------------------------
@@ -346,7 +331,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"jobs":              s.jobs.count(),
 		"runs_executed":     s.jobs.started.Load(),
 		"compares_executed": s.compares.Load(),
-		"cache_entries":     s.cache.len(),
+		"cache_entries":     s.cache.Len(),
+		"profile_cache":     core.ProfileCacheStats(),
+		"result_cache":      s.cache.Stats(),
+		"dataset_cache":     s.dsCache.stats(),
 	})
 }
 
@@ -503,7 +491,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		keySeed = 0
 	}
 	key := fmt.Sprintf("cmp|%016x|%016x|%d|%s|%v", truth.Fingerprint(), syn.Fingerprint(), keySeed, mode, queries)
-	if v, ok := s.cache.get(key); ok {
+	if v, ok := s.cache.Get(key); ok {
 		writeJSON(w, http.StatusOK, map[string]any{"rows": v, "cached": true})
 		return
 	}
@@ -519,7 +507,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		row.TrueValue, row.SynValue, _ = core.ScalarValues(q, pt, ps)
 		rows = append(rows, row)
 	}
-	s.cache.put(key, rows)
+	s.cache.Add(key, rows)
 	writeJSON(w, http.StatusOK, map[string]any{"rows": rows, "cached": false})
 }
 

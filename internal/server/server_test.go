@@ -17,6 +17,7 @@ import (
 
 	"pgb/internal/core"
 	"pgb/internal/graph"
+	"pgb/internal/lru"
 )
 
 // Two custom gate queries let the lifecycle tests hold a run at a known
@@ -325,6 +326,7 @@ func TestCompareCache(t *testing.T) {
 	if n := s.compares.Load(); n != 1 {
 		t.Fatalf("compares executed = %d, want 1", n)
 	}
+	before := resultCacheStats(t, ts.URL)
 
 	var second struct {
 		Rows   []compareRow `json:"rows"`
@@ -337,11 +339,26 @@ func TestCompareCache(t *testing.T) {
 	if n := s.compares.Load(); n != 1 {
 		t.Fatalf("cache hit recomputed: compares executed = %d, want 1", n)
 	}
+	if after := resultCacheStats(t, ts.URL); after.Hits != before.Hits+1 || after.Entries != before.Entries {
+		t.Fatalf("/healthz result_cache %+v after a repeated compare, want one more hit than %+v", after, before)
+	}
 	for i := range first.Rows {
 		if first.Rows[i] != second.Rows[i] {
 			t.Fatalf("cached row %d differs: %+v vs %+v", i, first.Rows[i], second.Rows[i])
 		}
 	}
+}
+
+// resultCacheStats reads the result_cache counters from /healthz.
+func resultCacheStats(t *testing.T, base string) lru.Stats {
+	t.Helper()
+	var health struct {
+		ResultCache lru.Stats `json:"result_cache"`
+	}
+	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+	return health.ResultCache
 }
 
 // TestRunLifecycle: submit → poll → SSE → JSON result → HTML report,

@@ -10,6 +10,27 @@ import (
 	"pgb/internal/graph"
 )
 
+// TestDatasetCacheBounded: resolving more distinct references than the
+// cache holds keeps both the ref memo and the graph map at their limit.
+func TestDatasetCacheBounded(t *testing.T) {
+	spec, err := datasets.ByName("ER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newDatasetCache()
+	for seed := int64(1); seed <= 40; seed++ {
+		if _, err := c.load(nil, spec, 0.05, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refs, graphs := c.refs.Len(), c.graphs.Len(); refs > 16 || graphs > 16 {
+		t.Fatalf("after 40 refs: ref memo %d, graphs %d entries; want both <= 16", refs, graphs)
+	}
+	if st := c.stats(); st.Misses != 40 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 40 misses and no hits", st)
+	}
+}
+
 // TestDatasetCacheFingerprintSharing: the dataset cache is keyed by
 // graph fingerprint, so a reference resolved from a snapshot and the
 // same graph generated in RAM occupy one entry — as do two different

@@ -43,11 +43,6 @@ const (
 	anfAlpha = 0.709
 )
 
-// ANFDistances is ANFDistancesParallel on one worker.
-func ANFDistances(g *graph.Graph, rng *rand.Rand) DistanceStats {
-	return ANFDistancesParallel(g, rng, 1, nil)
-}
-
 // ANFDistancesParallel estimates the path queries Q7–Q9 with HyperANF.
 // Diameter is the last round on which any register changed — exact
 // fixed-point detection, which lower-bounds the true diameter (a ball

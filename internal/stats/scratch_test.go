@@ -14,10 +14,9 @@ import (
 // workloads rather than a synthetic pool exercise.
 func TestScratchPoolConcurrentKernels(t *testing.T) {
 	g := randomGraph(6, 300)
-	wantTri := Triangles(g)
-	wantACC := AvgClustering(g)
+	wantTri, _, wantACC := TriangleProfileParallel(g, 1, nil)
 	wantDiam := ExactDiameter(g, rand.New(rand.NewSource(3)))
-	wantANF := ANFDistances(g, rand.New(rand.NewSource(17)))
+	wantANF := ANFDistancesParallel(g, rand.New(rand.NewSource(17)), 1, nil)
 
 	const goroutines = 8
 	const iters = 5
@@ -31,7 +30,7 @@ func TestScratchPoolConcurrentKernels(t *testing.T) {
 					t.Errorf("goroutine %d: triangles %g != %g", id, got, wantTri)
 					return
 				}
-				if got := AvgClusteringParallel(g, 2, nil); got != wantACC {
+				if _, _, got := TriangleProfileParallel(g, 2, nil); got != wantACC {
 					t.Errorf("goroutine %d: ACC %g != %g", id, got, wantACC)
 					return
 				}

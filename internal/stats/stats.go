@@ -37,16 +37,14 @@ func NumNodes(g *graph.Graph) float64 {
 // NumEdges is query Q2: |E|.
 func NumEdges(g *graph.Graph) float64 { return float64(g.M()) }
 
-// Triangles is query Q3: the number of triangles, computed by forward
-// neighbor-intersection over the degree-ordered orientation, O(m^{3/2}).
-func Triangles(g *graph.Graph) float64 { return TrianglesParallel(g, 1, nil) }
-
-// TrianglesParallel is Triangles sharded over contiguous node ranges on
-// up to workers goroutines (0 selects GOMAXPROCS); helper workers beyond
-// the calling goroutine are drawn from budget when non-nil (the shared
-// allowance of DESIGN.md §2). The result is bit-identical at every
-// worker count: each shard contributes an exact integer count and
-// integer addition is order-free.
+// TrianglesParallel is query Q3: the number of triangles, computed by
+// forward neighbor-intersection over the degree-ordered orientation,
+// O(m^{3/2}), sharded over contiguous node ranges on up to workers
+// goroutines (0 selects GOMAXPROCS); helper workers beyond the calling
+// goroutine are drawn from budget when non-nil (the shared allowance of
+// DESIGN.md §2). The result is bit-identical at every worker count: each
+// shard contributes an exact integer count and integer addition is
+// order-free.
 func TrianglesParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
 	n := g.N()
 	if n == 0 {
@@ -335,32 +333,21 @@ type DistanceStats struct {
 	Distribution []float64
 }
 
-// ExactDistances runs BFS from every node: O(nm). Suitable for graphs up
-// to a few thousand nodes.
-func ExactDistances(g *graph.Graph) DistanceStats {
-	return ExactDistancesParallel(g, 1, nil)
-}
-
-// ExactDistancesParallel is ExactDistances with the BFS sources spread
-// over up to workers goroutines (0 selects GOMAXPROCS; helpers come
-// from budget when non-nil). Bit-identical to serial at every worker
-// count — see bfsDistances.
+// ExactDistancesParallel runs BFS from every node: O(nm), suitable for
+// graphs up to a few thousand nodes. The BFS sources are spread over up
+// to workers goroutines (0 selects GOMAXPROCS; helpers come from budget
+// when non-nil). Bit-identical at every worker count — see bfsDistances.
 func ExactDistancesParallel(g *graph.Graph, workers int, budget *par.Budget) DistanceStats {
 	return bfsDistances(g, nil, workers, budget)
 }
 
-// SampledDistances estimates the path queries by running BFS from a
-// uniform sample of source nodes. The diameter estimate is the maximum
-// eccentricity over sampled sources (a lower bound, standard practice for
-// large-graph benchmarking).
-func SampledDistances(g *graph.Graph, samples int, rng *rand.Rand) DistanceStats {
-	return SampledDistancesParallel(g, samples, rng, 1, nil)
-}
-
-// SampledDistancesParallel is SampledDistances on a bounded worker pool.
-// The source sample is drawn from rng before any parallel work starts,
-// so rng consumption — and therefore the result — is identical at every
-// worker count.
+// SampledDistancesParallel estimates the path queries by running BFS
+// from a uniform sample of source nodes on a bounded worker pool. The
+// diameter estimate is the maximum eccentricity over sampled sources (a
+// lower bound, standard practice for large-graph benchmarking). Graphs
+// with at most samples nodes fall back to exact BFS. The source sample
+// is drawn from rng before any parallel work starts, so rng consumption
+// — and therefore the result — is identical at every worker count.
 func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
 	n := g.N()
 	if samples >= n {
@@ -372,20 +359,6 @@ func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, worke
 		sources[i] = int32(perm[i])
 	}
 	return bfsDistances(g, sources, workers, budget)
-}
-
-// Distances picks exact computation for small graphs and sampling above
-// the threshold, matching the harness defaults.
-func Distances(g *graph.Graph, exactLimit, samples int, rng *rand.Rand) DistanceStats {
-	return DistancesParallel(g, exactLimit, samples, rng, 1, nil)
-}
-
-// DistancesParallel is Distances on a bounded worker pool sharing budget.
-func DistancesParallel(g *graph.Graph, exactLimit, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
-	if g.N() <= exactLimit {
-		return ExactDistancesParallel(g, workers, budget)
-	}
-	return SampledDistancesParallel(g, samples, rng, workers, budget)
 }
 
 // bfsDistances runs one BFS per source on up to workers goroutines.
@@ -483,22 +456,10 @@ func bfsDistances(g *graph.Graph, sources []int32, workers int, budget *par.Budg
 	return st
 }
 
-// Wedges counts the connected triples (paths of length two) — the
-// denominator of the global clustering coefficient. Exposed separately so
-// callers that already hold the triangle count can form GCC without a
-// second O(m^{3/2}) triangle pass.
-func Wedges(g *graph.Graph) float64 {
-	wedges := 0.0
-	for u := 0; u < g.N(); u++ {
-		d := float64(g.Degree(int32(u)))
-		wedges += d * (d - 1) / 2
-	}
-	return wedges
-}
-
-// GlobalClusteringFrom forms the transitivity 3*triangles/wedges from
-// already-computed counts — the single definition of the GCC formula,
-// shared by GlobalClustering and callers that batch the triangle pass.
+// GlobalClusteringFrom is query Q10: the transitivity 3*triangles /
+// wedges (connected triples), formed from the counts
+// TriangleProfileParallel returns — the single definition of the GCC
+// formula.
 func GlobalClusteringFrom(triangles, wedges float64) float64 {
 	if wedges == 0 {
 		return 0
@@ -506,24 +467,14 @@ func GlobalClusteringFrom(triangles, wedges float64) float64 {
 	return 3 * triangles / wedges
 }
 
-// GlobalClustering is query Q10: 3*triangles / number of connected triples
-// (wedges), a.k.a. transitivity.
-func GlobalClustering(g *graph.Graph) float64 {
-	return GlobalClusteringFrom(Triangles(g), Wedges(g))
-}
-
-// LocalClustering returns the per-node clustering coefficient C_i =
-// e_i / C(d_i, 2); nodes with degree < 2 have C_i = 0.
-func LocalClustering(g *graph.Graph) []float64 {
-	return LocalClusteringParallel(g, 1, nil)
-}
-
-// LocalClusteringParallel is LocalClustering sharded over node ranges.
-// The per-node triangle counts come from the degree-ordered intersection
-// kernel (exact integers, order-free atomic accumulation), and each C_i
-// is then the same d_i-normalisation the mark-probe implementation
-// applied to the same integer, so the vector is bit-identical at every
-// worker count and to the legacy implementation.
+// LocalClusteringParallel returns the per-node clustering coefficient
+// C_i = e_i / C(d_i, 2), sharded over node ranges; nodes with degree < 2
+// have C_i = 0. The per-node triangle counts come from the
+// degree-ordered intersection kernel (exact integers, order-free atomic
+// accumulation), and each C_i is then the same d_i-normalisation the
+// mark-probe implementation applied to the same integer, so the vector
+// is bit-identical at every worker count and to the legacy
+// implementation.
 func LocalClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) []float64 {
 	n := g.N()
 	cc := make([]float64, n)
@@ -533,7 +484,11 @@ func LocalClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) []
 	s := getScratch()
 	defer s.Release()
 	cnt, rank := perNodeTriangles(g, s, workers, budget)
-	fillClustering(g, cnt, rank, cc)
+	for u := range cc {
+		if d := g.Degree(int32(u)); d >= 2 {
+			cc[u] = 2 * float64(cnt[rank[u]]) / (float64(d) * float64(d-1))
+		}
+	}
 	return cc
 }
 
@@ -561,21 +516,9 @@ func perNodeTriangles(g *graph.Graph, s *Scratch, workers int, budget *par.Budge
 	return cnt, rank
 }
 
-// fillClustering maps rank-space triangle counts to the per-node
-// clustering coefficients: C_u = 2·t_u / (d_u·(d_u−1)).
-func fillClustering(g *graph.Graph, cnt []int64, rank []int32, cc []float64) {
-	for u := range cc {
-		d := g.Degree(int32(u))
-		if d < 2 {
-			continue
-		}
-		links := cnt[rank[u]]
-		cc[u] = 2 * float64(links) / (float64(d) * float64(d-1))
-	}
-}
-
 // TriangleProfileParallel answers the whole triangle query group — Q3
-// (triangle count), Q10's numerator, and Q11 (average clustering) — from
+// (triangle count), Q10's numerator and denominator, and Q11 (average
+// clustering, the Watts-Strogatz mean of the local coefficients) — from
 // ONE pass of the intersection kernel: per-node counts give the global
 // total (Σ t_u = 3T, exactly, in integers) and the clustering
 // coefficients. The profile's triangle pass uses this instead of running
@@ -605,27 +548,6 @@ func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (t
 		sum += 2 * float64(cnt[rank[u]]) / (dd * (dd - 1))
 	}
 	return float64(tri3 / 3), wedges, sum / float64(n)
-}
-
-// AvgClustering is query Q11: the mean of the local clustering
-// coefficients (Watts-Strogatz ACC).
-func AvgClustering(g *graph.Graph) float64 {
-	return AvgClusteringParallel(g, 1, nil)
-}
-
-// AvgClusteringParallel computes the local coefficients in parallel and
-// reduces them serially in node order, so the floating-point sum — and
-// the mean — is bit-identical to the serial computation.
-func AvgClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	cc := LocalClusteringParallel(g, workers, budget)
-	s := 0.0
-	for _, c := range cc {
-		s += c
-	}
-	return s / float64(len(cc))
 }
 
 // Modularity is query Q13 given a partition (community label per node):

@@ -56,8 +56,11 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 		{"triangle", graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}), 1},
 	}
 	for _, c := range cases {
-		if got := Triangles(c.g); got != c.want {
-			t.Errorf("Triangles(%s) = %g, want %g", c.name, got, c.want)
+		if got := TrianglesParallel(c.g, 1, nil); got != c.want {
+			t.Errorf("TrianglesParallel(%s) = %g, want %g", c.name, got, c.want)
+		}
+		if got, _, _ := TriangleProfileParallel(c.g, 1, nil); got != c.want {
+			t.Errorf("TriangleProfileParallel(%s) = %g, want %g", c.name, got, c.want)
 		}
 	}
 }
@@ -97,7 +100,7 @@ func TestDegreeDistribution(t *testing.T) {
 }
 
 func TestExactDistancesPath(t *testing.T) {
-	ds := ExactDistances(path5())
+	ds := ExactDistancesParallel(path5(), 1, nil)
 	if ds.Diameter != 4 {
 		t.Fatalf("diameter = %g, want 4", ds.Diameter)
 	}
@@ -116,7 +119,7 @@ func TestExactDistancesPath(t *testing.T) {
 
 func TestDistancesDisconnected(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	ds := ExactDistances(g)
+	ds := ExactDistancesParallel(g, 1, nil)
 	if ds.Diameter != 1 {
 		t.Fatalf("diameter = %g, want 1 (finite pairs only)", ds.Diameter)
 	}
@@ -130,8 +133,8 @@ func TestSampledDistancesApproximatesExact(t *testing.T) {
 		edges[i] = graph.Canon(int32(i), int32((i+1)%100))
 	}
 	g := graph.FromEdges(100, edges)
-	exact := ExactDistances(g)
-	sampled := SampledDistances(g, 30, r)
+	exact := ExactDistancesParallel(g, 1, nil)
+	sampled := SampledDistancesParallel(g, 30, r, 1, nil)
 	if sampled.Diameter > exact.Diameter {
 		t.Fatalf("sampled diameter %g exceeds exact %g", sampled.Diameter, exact.Diameter)
 	}
@@ -140,35 +143,51 @@ func TestSampledDistancesApproximatesExact(t *testing.T) {
 	}
 }
 
+// Sampling at least as many sources as the graph has nodes falls back
+// to the exact sweep.
 func TestDistancesSwitchesModes(t *testing.T) {
 	g := path5()
-	exact := Distances(g, 10, 2, rng())
-	if exact.Diameter != 4 {
-		t.Fatal("exact mode should be used under the limit")
+	exact := ExactDistancesParallel(g, 1, nil)
+	got := SampledDistancesParallel(g, 10, rng(), 1, nil)
+	assertDistanceStatsEqual(t, "sampled above n", 1, got, exact)
+	if got.Diameter != 4 {
+		t.Fatal("exact mode should be used when samples cover every node")
 	}
 }
 
+// globalClustering is Q10 as the profile forms it.
+func globalClustering(g *graph.Graph) float64 {
+	tri, wedges, _ := TriangleProfileParallel(g, 1, nil)
+	return GlobalClusteringFrom(tri, wedges)
+}
+
+// avgClustering is Q11 as the profile reads it.
+func avgClustering(g *graph.Graph) float64 {
+	_, _, acc := TriangleProfileParallel(g, 1, nil)
+	return acc
+}
+
 func TestGlobalClustering(t *testing.T) {
-	if v := GlobalClustering(k4()); math.Abs(v-1) > 1e-12 {
+	if v := globalClustering(k4()); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("GCC(K4) = %g, want 1", v)
 	}
-	if v := GlobalClustering(star(5)); v != 0 {
+	if v := globalClustering(star(5)); v != 0 {
 		t.Fatalf("GCC(star) = %g, want 0", v)
 	}
 	// triangle plus pendant: 3 triangles*3=3... wedges: deg 2,2,3,1 →
 	// 1+1+3+0 = 5; GCC = 3·1/5 = 0.6
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
-	if v := GlobalClustering(g); math.Abs(v-0.6) > 1e-12 {
+	if v := globalClustering(g); math.Abs(v-0.6) > 1e-12 {
 		t.Fatalf("GCC = %g, want 0.6", v)
 	}
 }
 
 func TestLocalAndAvgClustering(t *testing.T) {
-	if v := AvgClustering(k4()); math.Abs(v-1) > 1e-12 {
+	if v := avgClustering(k4()); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("ACC(K4) = %g, want 1", v)
 	}
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
-	cc := LocalClustering(g)
+	cc := LocalClusteringParallel(g, 1, nil)
 	// node 2 has neighbors {0,1,3}; edges among them: {0,1} → 2/6... C = 2·1/(3·2) = 1/3
 	if math.Abs(cc[2]-1.0/3) > 1e-12 {
 		t.Fatalf("C(2) = %g, want 1/3", cc[2])
@@ -265,9 +284,17 @@ func randomGraph(seed int64, n int) *graph.Graph {
 func TestTrianglesAndClusteringParallelMatchSerial(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := randomGraph(seed, 300)
-		wantTri := Triangles(g)
-		wantCC := LocalClustering(g)
-		wantACC := AvgClustering(g)
+		wantTri := TrianglesParallel(g, 1, nil)
+		wantCC := LocalClusteringParallel(g, 1, nil)
+		_, wantWedges, wantACC := TriangleProfileParallel(g, 1, nil)
+		// ACC is the mean of the local coefficients, reduced in node order.
+		sum := 0.0
+		for _, c := range wantCC {
+			sum += c
+		}
+		if mean := sum / float64(len(wantCC)); mean != wantACC {
+			t.Fatalf("seed %d: ACC %g != mean local coefficient %g", seed, wantACC, mean)
+		}
 		for _, workers := range []int{1, 2, 8} {
 			for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
 				if got := TrianglesParallel(g, workers, budget); got != wantTri {
@@ -279,8 +306,10 @@ func TestTrianglesAndClusteringParallelMatchSerial(t *testing.T) {
 						t.Fatalf("seed %d workers %d: cc[%d] %g != serial %g", seed, workers, u, cc[u], wantCC[u])
 					}
 				}
-				if got := AvgClusteringParallel(g, workers, budget); got != wantACC {
-					t.Fatalf("seed %d workers %d: ACC %g != serial %g", seed, workers, got, wantACC)
+				tri, wedges, acc := TriangleProfileParallel(g, workers, budget)
+				if tri != wantTri || wedges != wantWedges || acc != wantACC {
+					t.Fatalf("seed %d workers %d: triangle profile (%g, %g, %g) != serial (%g, %g, %g)",
+						seed, workers, tri, wedges, acc, wantTri, wantWedges, wantACC)
 				}
 			}
 		}
@@ -292,8 +321,8 @@ func TestTrianglesAndClusteringParallelMatchSerial(t *testing.T) {
 func TestDistancesParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
 		g := randomGraph(seed, 250)
-		wantExact := ExactDistances(g)
-		wantSampled := SampledDistances(g, 40, rand.New(rand.NewSource(99)))
+		wantExact := ExactDistancesParallel(g, 1, nil)
+		wantSampled := SampledDistancesParallel(g, 40, rand.New(rand.NewSource(99)), 1, nil)
 		for _, workers := range []int{1, 2, 8} {
 			got := ExactDistancesParallel(g, workers, nil)
 			assertDistanceStatsEqual(t, "exact", workers, got, wantExact)
@@ -329,7 +358,7 @@ func TestQuickClusteringBounds(t *testing.T) {
 			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
-		gcc, acc := GlobalClustering(g), AvgClustering(g)
+		gcc, acc := globalClustering(g), avgClustering(g)
 		return gcc >= 0 && gcc <= 1 && acc >= 0 && acc <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -358,7 +387,8 @@ func TestQuickTrianglesAgainstNaive(t *testing.T) {
 				}
 			}
 		}
-		return Triangles(g) == naive
+		tri, _, _ := TriangleProfileParallel(g, 1, nil)
+		return TrianglesParallel(g, 1, nil) == naive && tri == naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -46,18 +46,17 @@ func TestTrianglesMatchMarkReference(t *testing.T) {
 		for _, n := range []int{50, 200, 500} {
 			g := randomGraph(seed, n)
 			want := markTrianglesRef(g)
-			if got := Triangles(g); got != float64(want) {
-				t.Errorf("seed %d n %d: Triangles = %g, mark reference = %d", seed, n, got, want)
-			}
-			if got := TrianglesParallel(g, 4, nil); got != float64(want) {
-				t.Errorf("seed %d n %d: TrianglesParallel = %g, mark reference = %d", seed, n, got, want)
+			for _, workers := range []int{1, 4} {
+				if got := TrianglesParallel(g, workers, nil); got != float64(want) {
+					t.Errorf("seed %d n %d workers %d: TrianglesParallel = %g, mark reference = %d", seed, n, workers, got, want)
+				}
 			}
 		}
 	}
 	// Degenerate shapes the random generator rarely produces.
 	for _, g := range []*graph.Graph{k4(), path5(), star(6), graph.FromEdges(0, nil), graph.FromEdges(3, nil)} {
-		if got, want := Triangles(g), markTrianglesRef(g); got != float64(want) {
-			t.Errorf("degenerate graph: Triangles = %g, mark reference = %d", got, want)
+		if got, want := TrianglesParallel(g, 1, nil), markTrianglesRef(g); got != float64(want) {
+			t.Errorf("degenerate graph: TrianglesParallel = %g, mark reference = %d", got, want)
 		}
 	}
 }

@@ -146,18 +146,6 @@ func Load(src Source) (*Graph, error) {
 	return g, err
 }
 
-// LoadDataset generates a benchmark dataset. scale in (0, 1] shrinks the
-// paper's node/edge targets proportionally (scale = 1 reproduces the
-// published sizes); generation is deterministic in seed.
-//
-// Deprecated: LoadDataset is the positional form of Load and cannot
-// name a Store; new code should call
-// Load(Source{Dataset: name, Scale: scale, Seed: seed}). The wrapper is
-// kept so existing callers compile unchanged.
-func LoadDataset(name string, scale float64, seed int64) (*Graph, error) {
-	return Load(Source{Dataset: name, Scale: scale, Seed: seed})
-}
-
 // Generate runs the named differentially private generation algorithm on
 // g with total privacy budget eps, deterministically in seed. The
 // returned graph spans the same node universe as g and the call satisfies
