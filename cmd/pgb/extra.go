@@ -76,49 +76,19 @@ func cmdLDP(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := datasets.ByName(*dsName)
+	res, err := core.Run(core.Config{
+		Algorithms: []string{"DGG", "LDPGen", "RNL"},
+		Datasets:   []string{*dsName},
+		Queries:    []core.QueryID{core.QNumEdges, core.QDegreeDistribution, core.QAvgClustering, core.QCommunityDetection},
+		Reps:       *reps,
+		Scale:      *scale,
+		Seed:       *seed,
+	})
 	if err != nil {
 		return err
 	}
-	g := spec.Load(*scale, *seed)
-	queries := []core.QueryID{core.QNumEdges, core.QDegreeDistribution, core.QAvgClustering, core.QCommunityDetection}
-	truth := core.ComputeProfileCached(g, core.ProfileOptions{Queries: queries}, *seed+1)
-	algs := []string{"DGG", "LDPGen", "RNL"}
-	fmt.Printf("Edge-LDP extension on %s (n=%d, m=%d); DGG is the Edge-CDP reference\n", *dsName, g.N(), g.M())
-	for _, q := range queries {
-		fmt.Printf("\n[%s (%s)]\n%-10s", q.String(), q.Metric(), "eps:")
-		for _, e := range core.Epsilons() {
-			fmt.Printf(" %9g", e)
-		}
-		fmt.Println()
-		for _, name := range algs {
-			alg, err := core.NewAlgorithm(name)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10s", name)
-			for _, e := range core.Epsilons() {
-				sum, n := 0.0, 0
-				for rep := 0; rep < *reps; rep++ {
-					genSeed := *seed + int64(rep)*71 + int64(e*1000)
-					r := rand.New(rand.NewSource(genSeed))
-					syn, err := alg.Generate(g, e, r)
-					if err != nil {
-						continue
-					}
-					prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{Queries: queries}, core.SubSeed(genSeed, 1))
-					v, _ := core.Score(q, truth, prof)
-					sum += v
-					n++
-				}
-				if n == 0 {
-					fmt.Printf(" %9s", "-")
-				} else {
-					fmt.Printf(" %9.4f", sum/float64(n))
-				}
-			}
-			fmt.Println()
-		}
-	}
+	s := res.DatasetSummaries[*dsName]
+	title := fmt.Sprintf("Edge-LDP extension on %s (n=%d, m=%d); DGG is the Edge-CDP reference", *dsName, s.Nodes, s.Edges)
+	fmt.Print(res.FormatSeries(title, res.Queries(), res.Config.Datasets))
 	return nil
 }

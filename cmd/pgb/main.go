@@ -8,7 +8,7 @@
 //	pgb memory   [flags]             Table X   (memory consumption)
 //	pgb complexity                   Table VIII (theoretical complexity)
 //	pgb fig2     [flags]             Fig. 2    (error vs ε series)
-//	pgb fig7     [flags]             Fig. 7    (DER comparison)
+//	pgb fig7     [flags]             Fig. 7    (DER comparison; grid flags apply)
 //	pgb verify   -alg {dpdk,tmf,privskg}   appendix verification
 //	pgb generate -alg A -dataset D -eps E  one synthetic graph to stdout
 //	pgb ingest   -snapshot DIR             persist datasets as CSR snapshots
@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -345,7 +346,12 @@ func cmdFig7(args []string) error {
 	if err := gf.fs.Parse(args); err != nil {
 		return err
 	}
-	out, err := core.Fig7(*gf.scale, *gf.reps, *gf.seed)
+	cfg, err := gf.config()
+	if err != nil {
+		return err
+	}
+	defer gf.close()
+	out, err := core.Fig7(cfg)
 	if err != nil {
 		return err
 	}
@@ -403,8 +409,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	rng := randNew(*seed + 1)
-	syn, err := alg.Generate(g, *eps, rng)
+	syn, err := alg.Generate(g, *eps, rand.New(rand.NewSource(*seed+1)))
 	if err != nil {
 		return err
 	}

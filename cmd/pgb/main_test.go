@@ -84,3 +84,14 @@ func TestCmdAblationUnknown(t *testing.T) {
 		t.Fatal("unknown ablation accepted")
 	}
 }
+
+// fig7 builds its configuration from the grid flags, so a bad axis value
+// is rejected rather than silently replaced by Fig. 7's defaults.
+func TestCmdFig7UsesGridFlags(t *testing.T) {
+	if err := cmdFig7([]string{"-algs", "nope", "-scale", "0.02", "-reps", "1"}); err == nil {
+		t.Fatal("unknown -algs accepted")
+	}
+	if err := cmdFig7([]string{"-eps", "abc"}); err == nil {
+		t.Fatal("bad -eps accepted")
+	}
+}

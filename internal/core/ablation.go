@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -12,7 +11,6 @@ import (
 	"pgb/internal/algo/privgraph"
 	"pgb/internal/algo/privhrg"
 	"pgb/internal/algo/tmf"
-	"pgb/internal/datasets"
 )
 
 // AblationVariant is one configuration of an algorithm under ablation.
@@ -67,6 +65,24 @@ var ablationQueries = []QueryID{QNumEdges, QTriangles, QDegreeDistribution, QAvg
 // RunAblation executes one named ablation on one dataset across the ε
 // grid and renders the per-variant error series.
 func RunAblation(name, dataset string, scale float64, reps int, seed int64) (string, error) {
+	cfg, resolve, err := ablationGrid(name, dataset)
+	if err != nil {
+		return "", err
+	}
+	cfg.Scale, cfg.Reps, cfg.Seed = scale, reps, seed
+	res, err := run(cfg, resolve)
+	if err != nil {
+		return "", err
+	}
+	s := res.DatasetSummaries[dataset]
+	title := fmt.Sprintf("Ablation %s on %s (n=%d, m=%d)", name, dataset, s.Nodes, s.Edges)
+	return res.FormatSeries(title, ablationQueries, cfg.Datasets), nil
+}
+
+// ablationGrid returns the grid of one named ablation on one dataset,
+// whose algorithm axis is the variant labels, and the resolver that maps
+// each label to a fresh generator of its variant.
+func ablationGrid(name, dataset string) (Config, func(string) (algo.Generator, error), error) {
 	variants, ok := Ablations()[name]
 	if !ok {
 		names := make([]string, 0, len(Ablations()))
@@ -74,47 +90,19 @@ func RunAblation(name, dataset string, scale float64, reps int, seed int64) (str
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		return "", fmt.Errorf("core: unknown ablation %q (available: %s)", name, strings.Join(names, ", "))
+		return Config{}, nil, fmt.Errorf("core: unknown ablation %q (available: %s)", name, strings.Join(names, ", "))
 	}
-	spec, err := datasets.ByName(dataset)
-	if err != nil {
-		return "", err
+	cfg := Config{Datasets: []string{dataset}, Queries: ablationQueries}
+	for _, v := range variants {
+		cfg.Algorithms = append(cfg.Algorithms, v.Label)
 	}
-	g := spec.Load(scale, seed)
-	truth := ComputeProfileCached(g, ProfileOptions{Queries: ablationQueries}, seed+1)
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ablation %s on %s (n=%d, m=%d)\n", name, dataset, g.N(), g.M())
-	for _, q := range ablationQueries {
-		fmt.Fprintf(&sb, "\n[%s (%s)]\n%-16s", q.String(), q.Metric(), "eps:")
-		for _, e := range Epsilons() {
-			fmt.Fprintf(&sb, " %9g", e)
-		}
-		sb.WriteByte('\n')
-		for _, v := range variants {
-			fmt.Fprintf(&sb, "%-16s", v.Label)
-			for _, e := range Epsilons() {
-				sum, n := 0.0, 0
-				for rep := 0; rep < reps; rep++ {
-					genSeed := seed + int64(rep)*101 + int64(e*1000)
-					r := rand.New(rand.NewSource(genSeed))
-					syn, err := v.Generator.Generate(g, e, r)
-					if err != nil {
-						continue
-					}
-					prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: ablationQueries}, SubSeed(genSeed, 1))
-					val, _ := Score(q, truth, prof)
-					sum += val
-					n++
-				}
-				if n == 0 {
-					fmt.Fprintf(&sb, " %9s", "-")
-				} else {
-					fmt.Fprintf(&sb, " %9.4f", sum/float64(n))
-				}
+	resolve := func(label string) (algo.Generator, error) {
+		for _, v := range Ablations()[name] {
+			if v.Label == label {
+				return v.Generator, nil
 			}
-			sb.WriteByte('\n')
 		}
+		return nil, fmt.Errorf("core: ablation %s has no variant %q", name, label)
 	}
-	return sb.String(), nil
+	return cfg, resolve, nil
 }

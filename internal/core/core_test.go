@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pgb/internal/gen"
+	"pgb/internal/metrics"
 )
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -51,8 +52,8 @@ func TestProfileSelfScoreIsPerfect(t *testing.T) {
 			t.Errorf("%s self-error = %g, want 0", q, v)
 		}
 	}
-	if !VerifyMetricsIdentity(p) {
-		t.Fatal("identity check failed")
+	if metrics.NMI(p.CommunityLabels, p.CommunityLabels) != 1 || metrics.RelativeError(p.NumEdges, p.NumEdges) != 0 {
+		t.Fatal("NMI/RE identity check failed")
 	}
 }
 
@@ -109,9 +110,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := NewAlgorithm("bogus"); err == nil {
 		t.Fatal("unknown algorithm accepted")
-	}
-	if len(DefaultAlgorithms()) != 6 {
-		t.Fatal("DefaultAlgorithms wrong size")
 	}
 }
 
@@ -284,7 +282,7 @@ func TestVerifyPrivSKG(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
-	out, err := Fig7(0.02, 1, 3)
+	out, err := Fig7(Config{Scale: 0.02, Reps: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

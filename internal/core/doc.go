@@ -17,8 +17,10 @@
 //     Config.Workers goroutines; checkpoint.go streams finished cells
 //     to a durable JSONL manifest and resumes interrupted runs
 //     (CheckpointConfig, Resume).
-//   - tables.go, export.go, html.go, verify.go, ablation.go and
-//     guidelines.go render Results into each artifact of the paper.
+//   - tables.go, export.go, html.go and guidelines.go render Results
+//     into each artifact of the paper; verify.go and ablation.go run the
+//     appendix series and the ablations as Run grids and render them
+//     with the same series formatter as Fig. 2.
 //
 // Determinism is the load-bearing invariant (DESIGN.md §2): a fixed
 // Config produces bit-identical query errors regardless of worker

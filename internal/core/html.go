@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"sort"
 )
 
 // WriteHTMLReport renders the full benchmark outcome as a standalone HTML
@@ -61,8 +60,7 @@ func buildHTMLData(r *Results) htmlData {
 
 	// Table VII
 	counts7 := r.BestCounts7()
-	eps := append([]float64(nil), r.Config.Epsilons...)
-	sort.Float64s(eps)
+	eps := r.sortedEpsilons()
 	t7 := htmlTable{
 		Title:  "Overall best counts (Table VII)",
 		Note:   "Entries count wins over the 15 queries; ties credit every best performer. Shaded = column best within the ε block.",
@@ -162,17 +160,11 @@ func buildHTMLData(r *Results) htmlData {
 			for _, alg := range r.Config.Algorithms {
 				row := []htmlCell{{Text: alg}}
 				for _, e := range eps {
-					c, ok := idx[cellKeyOf(alg, ds, e)]
-					if !ok || c.Err != nil {
-						row = append(row, htmlCell{Text: "–"})
-						continue
+					text := "–"
+					if v, ok := idx.value(alg, ds, e, q); ok {
+						text = fmt.Sprintf("%.4f", v)
 					}
-					v, evaluated := c.ErrorFor(q)
-					if !evaluated {
-						row = append(row, htmlCell{Text: "–"})
-						continue
-					}
-					row = append(row, htmlCell{Text: fmt.Sprintf("%.4f", v)})
+					row = append(row, htmlCell{Text: text})
 				}
 				ft.Rows = append(ft.Rows, row)
 			}

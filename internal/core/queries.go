@@ -333,3 +333,32 @@ func ScalarValues(q QueryID, truth, syn *Profile) (truthValue, synValue float64,
 	sv, sok := s.Scalar(syn)
 	return tv, sv, tok && sok
 }
+
+// CompareRow is one query's outcome of a truth-vs-synthetic comparison,
+// tagged for the /v1/compare wire format.
+type CompareRow struct {
+	Query        string  `json:"query"`      // paper symbol, e.g. "GCC"
+	Metric       string  `json:"metric"`     // "RE", "KL", "NMI" or "MAE"
+	TrueValue    float64 `json:"true_value"` // scalar queries only; 0 for distributions
+	SynValue     float64 `json:"syn_value"`
+	Error        float64 `json:"error"` // metric value; for NMI higher is better
+	HigherBetter bool    `json:"higher_better,omitempty"`
+}
+
+// CompareGraphs profiles truth and syn on opt.Queries and scores each
+// query, one row per query in opt.Queries order. The two profiles draw
+// from independent sub-seeds of seed; the truth profile is memoized, so
+// repeated comparisons against one baseline pay only for the synthetic
+// side.
+func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
+	pt := ComputeProfileCached(truth, opt, SubSeed(seed, 0))
+	ps := ComputeProfileSeeded(syn, opt, SubSeed(seed, 1))
+	rows := make([]CompareRow, 0, len(opt.Queries))
+	for _, q := range opt.Queries {
+		v, higher := Score(q, pt, ps)
+		row := CompareRow{Query: q.String(), Metric: q.Metric(), Error: v, HigherBetter: higher}
+		row.TrueValue, row.SynValue, _ = ScalarValues(q, pt, ps)
+		rows = append(rows, row)
+	}
+	return rows
+}

@@ -21,12 +21,6 @@ func AlgorithmNames() []string {
 	return []string{"DP-dK", "TmF", "PrivSKG", "PrivHRG", "PrivGraph", "DGG"}
 }
 
-// ExtensionNames returns the Edge-LDP mechanisms available through the
-// Remark-4 extension: they are benchmarkable with the same harness but
-// excluded from the headline Edge-CDP tables (comparing across privacy
-// definitions would violate design principle M1).
-func ExtensionNames() []string { return []string{"LDPGen", "RNL", "DER"} }
-
 // NewAlgorithm constructs a benchmark algorithm by name with its default
 // (paper) parameterisation. The extension mechanisms (DER for the
 // appendix, LDPGen and RNL for the Edge-LDP extension) are also
@@ -53,20 +47,6 @@ func NewAlgorithm(name string) (algo.Generator, error) {
 		return der.Default(), nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %q", name)
-}
-
-// DefaultAlgorithms returns the six benchmark mechanisms instantiated
-// with their paper parameterisation.
-func DefaultAlgorithms() []algo.Generator {
-	out := make([]algo.Generator, 0, 6)
-	for _, n := range AlgorithmNames() {
-		g, err := NewAlgorithm(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, g)
-	}
-	return out
 }
 
 // Epsilons returns the paper's privacy-budget grid P.

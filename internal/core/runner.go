@@ -200,7 +200,13 @@ func (r *Results) Queries() []QueryID {
 // cfg.CheckpointPath set, every finished cell is streamed to the JSONL
 // run manifest and an interrupted run resumes from it — see Resume for
 // the one-call form.
-func Run(cfg Config) (*Results, error) {
+func Run(cfg Config) (*Results, error) { return run(cfg, NewAlgorithm) }
+
+// run is Run with the algorithm axis resolved through resolve instead of
+// the registry: every name in cfg.Algorithms is checked with it up
+// front, and each cell calls it for a fresh generator. The ablations use
+// it to sweep variant labels through the same grid engine.
+func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, error) {
 	cfg = cfg.withDefaults()
 	ctx := cfg.Context
 	if ctx == nil {
@@ -219,7 +225,7 @@ func Run(cfg Config) (*Results, error) {
 	// algorithm name fails the run immediately instead of surfacing as
 	// one silent error cell per (dataset, epsilon).
 	for _, name := range cfg.Algorithms {
-		if _, err := NewAlgorithm(name); err != nil {
+		if _, err := resolve(name); err != nil {
 			return nil, err
 		}
 	}
@@ -307,7 +313,7 @@ func Run(cfg Config) (*Results, error) {
 			}
 		}
 	}
-	results := runGrid(cfg, cells, dss, done, onDone, &abort)
+	results := runGrid(cfg, resolve, cells, dss, done, onDone, &abort)
 	if writeErr != nil {
 		return nil, fmt.Errorf("core: writing checkpoint %s (run aborted): %w", cfg.CheckpointPath, writeErr)
 	}
@@ -321,8 +327,9 @@ func Run(cfg Config) (*Results, error) {
 	return &Results{Config: cfg, Cells: results, DatasetSummaries: summaries}, nil
 }
 
-// runCell generates Reps synthetic graphs and averages the query errors.
-func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
+// runCell generates Reps synthetic graphs with the generator resolve
+// returns for algName and averages the query errors.
+func runCell(cfg Config, resolve func(string) (algo.Generator, error), algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
 	nq := len(cfg.Queries)
 	res := CellResult{
 		Algorithm: algName,
@@ -332,7 +339,7 @@ func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile,
 		Errors:    make([]float64, nq),
 		StdDev:    make([]float64, nq),
 	}
-	generator, err := NewAlgorithm(algName)
+	generator, err := resolve(algName)
 	if err != nil {
 		res.Err = err
 		return res
@@ -376,18 +383,12 @@ func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile,
 	return res
 }
 
-// MeasureGenerate runs one serial generation, returning wall-clock
-// seconds and heap bytes allocated during the call (the Table IX /
-// Table X measurements).
-func MeasureGenerate(g algo.Generator, in *graph.Graph, eps float64, rng *rand.Rand) (sec, bytes float64, out *graph.Graph, err error) {
-	return MeasureGenerateWith(g, in, eps, rng, algo.Serial)
-}
-
-// MeasureGenerateWith is MeasureGenerate under an explicit worker
-// allowance: the grid runner threads its run-wide budget through so a
-// cell's generation stage shares the same allowance as its profile
-// kernels. Values are identical at any Params (DESIGN.md §10); only the
-// measurements observe the schedule.
+// MeasureGenerateWith runs one generation under the worker allowance p,
+// returning wall-clock seconds and heap bytes allocated during the call
+// (the Table IX / Table X measurements). The grid runner threads its
+// run-wide budget through so a cell's generation stage shares the same
+// allowance as its profile kernels. Values are identical at any Params
+// (DESIGN.md §10); only the measurements observe the schedule.
 func MeasureGenerateWith(g algo.Generator, in *graph.Graph, eps float64, rng *rand.Rand, p algo.Params) (sec, bytes float64, out *graph.Graph, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

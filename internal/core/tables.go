@@ -69,6 +69,16 @@ func (r *Results) index() cellIndex {
 	return idx
 }
 
+// value is the mean error the (alg, ds, eps) cell recorded for q; false
+// when the cell is absent, failed, or did not evaluate q.
+func (idx cellIndex) value(alg, ds string, eps float64, q QueryID) (float64, bool) {
+	c, ok := idx[cellKeyOf(alg, ds, eps)]
+	if !ok || c.Err != nil {
+		return 0, false
+	}
+	return c.ErrorFor(q)
+}
+
 // winners returns every algorithm achieving the best score on query q for
 // the given case. Ties all count — matching the paper's Definition 5,
 // whose published rows sum to more than 15 when several algorithms hit
@@ -113,9 +123,7 @@ func (r *Results) FormatTable7() string {
 		header += fmt.Sprintf(" %9s", ds)
 	}
 	sb.WriteString(header + "\n")
-	eps := append([]float64(nil), r.Config.Epsilons...)
-	sort.Float64s(eps)
-	for _, e := range eps {
+	for _, e := range r.sortedEpsilons() {
 		// column max per dataset for highlighting
 		colMax := make(map[string]int)
 		for _, ds := range r.Config.Datasets {
@@ -264,44 +272,55 @@ func Fig2Queries() []QueryID {
 // Fig2Datasets returns the four graphs shown in Fig. 2.
 func Fig2Datasets() []string { return []string{"Facebook", "HepPh", "Gnutella", "ER"} }
 
-// FormatFig2 renders the Fig. 2 error-vs-ε series: one block per
-// (query, dataset), one line per algorithm.
+// FormatFig2 renders the Fig. 2 error-vs-ε series.
 func (r *Results) FormatFig2() string {
+	return r.FormatSeries("Fig. 2 — error vs privacy budget", Fig2Queries(), Fig2Datasets())
+}
+
+// FormatSeries renders error-vs-ε series under title: one block per
+// (query, dataset) pair the run covers, one row per algorithm, "-" where
+// a cell failed or did not evaluate the query. The row labels are ten
+// characters wide, wider only when an algorithm label needs it.
+func (r *Results) FormatSeries(title string, queries []QueryID, datasets []string) string {
 	idx := r.index()
+	width := 10
+	for _, alg := range r.Config.Algorithms {
+		width = max(width, len(alg))
+	}
+	eps := r.sortedEpsilons()
 	var sb strings.Builder
-	sb.WriteString("Fig. 2 — error vs privacy budget\n")
-	eps := append([]float64(nil), r.Config.Epsilons...)
-	sort.Float64s(eps)
-	for _, q := range Fig2Queries() {
-		for _, ds := range Fig2Datasets() {
+	sb.WriteString(title + "\n")
+	for _, q := range queries {
+		for _, ds := range datasets {
 			if !contains(r.Config.Datasets, ds) {
 				continue
 			}
-			fmt.Fprintf(&sb, "\n[%s (%s) on %s]\n%-10s", q.String(), q.Metric(), ds, "eps:")
+			fmt.Fprintf(&sb, "\n[%s (%s) on %s]\n%-*s", q.String(), q.Metric(), ds, width, "eps:")
 			for _, e := range eps {
 				fmt.Fprintf(&sb, " %9g", e)
 			}
 			sb.WriteByte('\n')
 			for _, alg := range r.Config.Algorithms {
-				fmt.Fprintf(&sb, "%-10s", alg)
+				fmt.Fprintf(&sb, "%-*s", width, alg)
 				for _, e := range eps {
-					c, ok := idx[cellKeyOf(alg, ds, e)]
-					if !ok || c.Err != nil {
+					if v, ok := idx.value(alg, ds, e, q); ok {
+						fmt.Fprintf(&sb, " %9.4f", v)
+					} else {
 						fmt.Fprintf(&sb, " %9s", "-")
-						continue
 					}
-					v, evaluated := c.ErrorFor(q)
-					if !evaluated {
-						fmt.Fprintf(&sb, " %9s", "-")
-						continue
-					}
-					fmt.Fprintf(&sb, " %9.4f", v)
 				}
 				sb.WriteByte('\n')
 			}
 		}
 	}
 	return sb.String()
+}
+
+// sortedEpsilons returns the run's privacy budgets in ascending order.
+func (r *Results) sortedEpsilons() []float64 {
+	eps := append([]float64(nil), r.Config.Epsilons...)
+	sort.Float64s(eps)
+	return eps
 }
 
 func contains(list []string, s string) bool {

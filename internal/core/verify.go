@@ -8,7 +8,6 @@ import (
 
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
-	"pgb/internal/metrics"
 	"pgb/internal/stats"
 )
 
@@ -96,9 +95,14 @@ func verificationRow(g *graph.Graph, seed int64, cache bool) map[string]float64 
 // the ε grid, reporting KL divergence of the degree distribution and NMI
 // of community detection.
 func VerifyTmF(scale float64, reps int, seed int64) (string, error) {
-	return verifySeries("TmF", datasets.Facebook(), scale, reps, seed,
-		"Fig. 3/4 — TmF verification on (simulated) Facebook",
-		[]QueryID{QDegreeDistribution, QCommunityDetection})
+	return runSeries(Config{
+		Algorithms: []string{"TmF"},
+		Datasets:   []string{"Facebook"},
+		Queries:    []QueryID{QDegreeDistribution, QCommunityDetection},
+		Reps:       reps,
+		Scale:      scale,
+		Seed:       seed,
+	}, "Fig. 3/4 — TmF verification on (simulated) Facebook")
 }
 
 // VerifyPrivSKG reproduces Figs. 5 and 6: PrivSKG on (simulated) CA-GrQC,
@@ -231,98 +235,30 @@ func maxLen(a, b []int) int {
 	return len(b)
 }
 
-// verifySeries runs one algorithm over the ε grid on one dataset and
-// prints the error series for the given queries.
-func verifySeries(algName string, spec datasets.Spec, scale float64, reps int, seed int64, title string, queries []QueryID) (string, error) {
-	g := spec.Load(scale, seed)
-	truth := ComputeProfileCached(g, ProfileOptions{Queries: queries}, seed+1)
-	alg, err := NewAlgorithm(algName)
+// Fig7 reproduces the appendix DER comparison: TmF vs PrivGraph vs DER on
+// (simulated) Facebook and Wiki-Vote, reporting RE of the clustering
+// coefficient and of the diameter across the ε grid. Fig. 7's axes fill
+// the algorithm, dataset and query axes cfg leaves empty; every other
+// field runs as given.
+func Fig7(cfg Config) (string, error) {
+	if len(cfg.Algorithms) == 0 {
+		cfg.Algorithms = []string{"TmF", "PrivGraph", "DER"}
+	}
+	if len(cfg.Datasets) == 0 {
+		cfg.Datasets = []string{"Facebook", "Wiki"}
+	}
+	if len(cfg.Queries) == 0 {
+		cfg.Queries = []QueryID{QAvgClustering, QDiameter}
+	}
+	return runSeries(cfg, "Fig. 7 — DER vs TmF vs PrivGraph")
+}
+
+// runSeries runs cfg on the grid engine and renders every (query,
+// dataset) series of it under title.
+func runSeries(cfg Config, title string) (string, error) {
+	res, err := Run(cfg)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	fmt.Fprintf(&sb, "%-18s", "eps:")
-	for _, e := range Epsilons() {
-		fmt.Fprintf(&sb, " %9g", e)
-	}
-	sb.WriteByte('\n')
-	for _, q := range queries {
-		fmt.Fprintf(&sb, "%-18s", fmt.Sprintf("%s (%s)", q.String(), q.Metric()))
-		for _, e := range Epsilons() {
-			sum := 0.0
-			for rep := 0; rep < reps; rep++ {
-				genSeed := seed + int64(rep)*31 + int64(e*100)
-				r2 := rand.New(rand.NewSource(genSeed))
-				syn, err := alg.Generate(g, e, r2)
-				if err != nil {
-					return "", err
-				}
-				prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: queries}, SubSeed(genSeed, 1))
-				v, _ := Score(q, truth, prof)
-				sum += v
-			}
-			fmt.Fprintf(&sb, " %9.4f", sum/float64(reps))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String(), nil
-}
-
-// Fig7 reproduces the appendix DER comparison: TmF vs PrivGraph vs DER on
-// (simulated) Facebook and Wiki-Vote, reporting RE of the clustering
-// coefficient and of the diameter across the ε grid.
-func Fig7(scale float64, reps int, seed int64) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("Fig. 7 — DER vs TmF vs PrivGraph\n")
-	algs := []string{"TmF", "PrivGraph", "DER"}
-	fig7Queries := []QueryID{QAvgClustering, QDiameter}
-	for _, spec := range []datasets.Spec{datasets.Facebook(), datasets.WikiVote()} {
-		g := spec.Load(scale, seed)
-		truth := ComputeProfileCached(g, ProfileOptions{Queries: fig7Queries}, seed+1)
-		for _, q := range fig7Queries {
-			fmt.Fprintf(&sb, "\n[%s (RE) on %s]\n%-10s", q.String(), spec.Name, "eps:")
-			for _, e := range Epsilons() {
-				fmt.Fprintf(&sb, " %9g", e)
-			}
-			sb.WriteByte('\n')
-			for _, algName := range algs {
-				alg, err := NewAlgorithm(algName)
-				if err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&sb, "%-10s", algName)
-				for _, e := range Epsilons() {
-					sum := 0.0
-					ok := 0
-					for rep := 0; rep < reps; rep++ {
-						genSeed := seed + int64(rep)*37 + int64(e*100)
-						r2 := rand.New(rand.NewSource(genSeed))
-						syn, err := alg.Generate(g, e, r2)
-						if err != nil {
-							continue
-						}
-						prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: fig7Queries}, SubSeed(genSeed, 1))
-						v, _ := Score(q, truth, prof)
-						sum += v
-						ok++
-					}
-					if ok == 0 {
-						fmt.Fprintf(&sb, " %9s", "-")
-					} else {
-						fmt.Fprintf(&sb, " %9.4f", sum/float64(ok))
-					}
-				}
-				sb.WriteByte('\n')
-			}
-		}
-	}
-	return sb.String(), nil
-}
-
-// VerifyMetricsIdentity is a convenience check used by examples: it
-// verifies the metric identities on a profile compared against itself.
-func VerifyMetricsIdentity(p *Profile) bool {
-	return metrics.NMI(p.CommunityLabels, p.CommunityLabels) == 1 &&
-		metrics.RelativeError(p.NumEdges, p.NumEdges) == 0
+	return res.FormatSeries(title, res.Queries(), res.Config.Datasets), nil
 }

@@ -16,10 +16,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 // Spec describes one benchmark dataset: the published statistics it
@@ -341,42 +341,10 @@ type Summary struct {
 }
 
 // Summarize computes the headline statistics of a generated dataset.
+// ACC is the profile's Q11 average clustering, computed serially.
 func Summarize(s Spec, g *graph.Graph) Summary {
-	return Summary{Name: s.Name, Nodes: g.N(), Edges: g.M(), ACC: avgClustering(g), Type: s.Type}
-}
-
-// avgClustering duplicates stats.AvgClustering to keep datasets free of a
-// stats dependency (import direction: bench depends on both).
-func avgClustering(g *graph.Graph) float64 {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	mark := make([]bool, n)
-	total := 0.0
-	for u := 0; u < n; u++ {
-		nb := g.Neighbors(int32(u))
-		d := len(nb)
-		if d < 2 {
-			continue
-		}
-		for _, v := range nb {
-			mark[v] = true
-		}
-		links := 0
-		for _, v := range nb {
-			for _, w := range g.Neighbors(v) {
-				if w > v && mark[w] {
-					links++
-				}
-			}
-		}
-		for _, v := range nb {
-			mark[v] = false
-		}
-		total += 2 * float64(links) / (float64(d) * float64(d-1))
-	}
-	return total / float64(n)
+	_, _, acc := stats.TriangleProfileParallel(g, 1, nil)
+	return Summary{Name: s.Name, Nodes: g.N(), Edges: g.M(), ACC: acc, Type: s.Type}
 }
 
 func maxInt(a, b int) int {
@@ -394,18 +362,4 @@ func Names() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// SortedTypes returns the distinct dataset types, sorted.
-func SortedTypes() []string {
-	seen := map[string]struct{}{}
-	for _, s := range All() {
-		seen[s.Type] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

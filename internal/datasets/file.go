@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 // LoadFile reads a real graph dataset from disk in the SNAP/Network-
@@ -90,11 +91,12 @@ func FileSpec(name, path string) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
+	_, _, acc := stats.TriangleProfileParallel(g, 1, nil)
 	return Spec{
 		Name:       name,
 		PaperNodes: g.N(),
 		PaperEdges: g.M(),
-		PaperACC:   avgClustering(g),
+		PaperACC:   acc,
 		Type:       "File",
 		build: func(n, m int, _ *rand.Rand) *graph.Graph {
 			return g

@@ -430,16 +430,6 @@ type compareRequest struct {
 	DistanceMode string `json:"distance_mode,omitempty"`
 }
 
-// compareRow is one query's outcome on the wire.
-type compareRow struct {
-	Query        string  `json:"query"`
-	Metric       string  `json:"metric"`
-	TrueValue    float64 `json:"true_value"`
-	SynValue     float64 `json:"syn_value"`
-	Error        float64 `json:"error"`
-	HigherBetter bool    `json:"higher_better,omitempty"`
-}
-
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// As in handleGenerate, the slot covers body decode (inline graphs
 	// build their CSR inside UnmarshalJSON), graph resolution (dataset
@@ -497,16 +487,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	s.compares.Add(1)
 
-	opt := core.ProfileOptions{Queries: queries, DistanceMode: mode}
-	pt := core.ComputeProfileCached(truth, opt, core.SubSeed(req.Seed, 0))
-	ps := core.ComputeProfileSeeded(syn, opt, core.SubSeed(req.Seed, 1))
-	rows := make([]compareRow, 0, len(queries))
-	for _, q := range queries {
-		v, higher := core.Score(q, pt, ps)
-		row := compareRow{Query: q.String(), Metric: q.Metric(), Error: v, HigherBetter: higher}
-		row.TrueValue, row.SynValue, _ = core.ScalarValues(q, pt, ps)
-		rows = append(rows, row)
-	}
+	rows := core.CompareGraphs(truth, syn, req.Seed, core.ProfileOptions{Queries: queries, DistanceMode: mode})
 	s.cache.Add(key, rows)
 	writeJSON(w, http.StatusOK, map[string]any{"rows": rows, "cached": false})
 }

@@ -314,8 +314,8 @@ func TestCompareCache(t *testing.T) {
 		"queries":   []string{"|E|", "GCC", "d_avg"},
 	}
 	var first struct {
-		Rows   []compareRow `json:"rows"`
-		Cached bool         `json:"cached"`
+		Rows   []core.CompareRow `json:"rows"`
+		Cached bool              `json:"cached"`
 	}
 	if code := postJSON(t, ts.URL+"/v1/compare", req, &first); code != http.StatusOK {
 		t.Fatalf("compare status %d", code)
@@ -329,8 +329,8 @@ func TestCompareCache(t *testing.T) {
 	before := resultCacheStats(t, ts.URL)
 
 	var second struct {
-		Rows   []compareRow `json:"rows"`
-		Cached bool         `json:"cached"`
+		Rows   []core.CompareRow `json:"rows"`
+		Cached bool              `json:"cached"`
 	}
 	postJSON(t, ts.URL+"/v1/compare", req, &second)
 	if !second.Cached {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
 )
@@ -90,8 +91,8 @@ func TestCompareServedFromSnapshotParity(t *testing.T) {
 		"queries":   []string{"DegDist", "GCC", "CD"},
 	}
 	type compareResp struct {
-		Rows   []compareRow `json:"rows"`
-		Cached bool         `json:"cached"`
+		Rows   []core.CompareRow `json:"rows"`
+		Cached bool              `json:"cached"`
 	}
 
 	// Server over a plain data dir: both datasets generated in RAM.

@@ -191,15 +191,9 @@ type QueryReport struct {
 	Rows []QueryRow
 }
 
-// QueryRow is one query's outcome.
-type QueryRow struct {
-	Query        string  // paper symbol, e.g. "GCC"
-	Metric       string  // "RE", "KL", "NMI" or "MAE"
-	TrueValue    float64 // scalar queries only; 0 for distributions
-	SynValue     float64
-	Error        float64 // metric value; for NMI higher is better
-	HigherBetter bool
-}
+// QueryRow is one query's outcome: its symbol and metric, the true and
+// synthetic values (scalar queries only), and the error.
+type QueryRow = core.CompareRow
 
 // String renders the report as an aligned table.
 func (r QueryReport) String() string {
@@ -237,17 +231,7 @@ func CompareQueries(truth, syn *Graph, seed int64, queries []QueryID) QueryRepor
 	if queries == nil {
 		queries = core.AllQueries()
 	}
-	opt := core.ProfileOptions{Queries: queries}
-	pt := core.ComputeProfileCached(truth, opt, core.SubSeed(seed, 0))
-	ps := core.ComputeProfileSeeded(syn, opt, core.SubSeed(seed, 1))
-	var rep QueryReport
-	for _, q := range queries {
-		v, higher := core.Score(q, pt, ps)
-		row := QueryRow{Query: q.String(), Metric: q.Metric(), Error: v, HigherBetter: higher}
-		row.TrueValue, row.SynValue, _ = core.ScalarValues(q, pt, ps)
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep
+	return QueryReport{Rows: core.CompareGraphs(truth, syn, seed, core.ProfileOptions{Queries: queries})}
 }
 
 // QueryID identifies a benchmark query: 1..15 are the paper's fifteen,
