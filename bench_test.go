@@ -78,7 +78,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					rng := rand.New(rand.NewSource(int64(i)))
-					if _, err := alg.Generate(g, 1, rng); err != nil {
+					if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -90,10 +90,9 @@ func BenchmarkAlgorithms(b *testing.B) {
 // BenchmarkGenerate measures one generation per parallelized algorithm
 // at ε = 1 on a 4k-node BA graph — the per-algorithm unit the CI gate
 // pins (README "Benchmarking in CI") so generator regressions trip it.
-// Generation runs through algo.GenerateWith at the default worker count,
-// exactly as pgb.Generate and the grid runner execute it; outputs are
-// bit-identical to the serial path at any parallelism (DESIGN.md §10),
-// so ns/op and allocs/op are the only things that vary.
+// Generation runs at the default worker count (Params{}), exactly as
+// pgb.Generate executes it; outputs are bit-identical at any parallelism
+// (DESIGN.md §10), so ns/op and allocs/op are the only things that vary.
 func BenchmarkGenerate(b *testing.B) {
 	g := gen.BarabasiAlbert(4000, 8, rand.New(rand.NewSource(21)))
 	for _, algName := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF"} {
@@ -106,7 +105,7 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := algo.GenerateWith(alg, g, 1, rng, algo.Params{}); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -127,7 +126,7 @@ func BenchmarkTable7Grid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(int64(i)))
-		syn, err := alg.Generate(g, 1, r)
+		syn, err := alg.Generate(g, 1, r, algo.Params{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +149,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := rand.New(rand.NewSource(int64(i)))
-				syn, err := alg.Generate(g, 1, r)
+				syn, err := alg.Generate(g, 1, r, algo.Params{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -323,7 +322,7 @@ func BenchmarkTmFFilterAblation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,7 +343,7 @@ func BenchmarkDPdKSensitivity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -365,7 +364,7 @@ func BenchmarkDGGConstruction(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -388,7 +387,7 @@ func BenchmarkPrivGraphSplit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -405,7 +404,7 @@ func BenchmarkPrivHRGMCMC(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -445,7 +444,7 @@ func BenchmarkServerCompare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)))
+	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)), algo.Params{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -498,7 +497,7 @@ func BenchmarkCompareAlloc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)))
+	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)), algo.Params{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

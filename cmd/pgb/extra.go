@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 )
@@ -32,7 +33,7 @@ func cmdReport(args []string) error {
 	}
 	truth := core.ComputeProfileCached(g, core.ProfileOptions{}, *seed+1)
 	rng := rand.New(rand.NewSource(*seed + 2))
-	syn, err := alg.Generate(g, *eps, rng)
+	syn, err := alg.Generate(g, *eps, rng, algo.Params{})
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
@@ -409,7 +410,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	syn, err := alg.Generate(g, *eps, rand.New(rand.NewSource(*seed+1)))
+	syn, err := alg.Generate(g, *eps, rand.New(rand.NewSource(*seed+1)), algo.Params{})
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pgb"
+	"pgb/internal/algo"
 	"pgb/internal/core"
 )
 
@@ -55,11 +56,10 @@ func TestGenerateDeterministicPerAlgorithm(t *testing.T) {
 	}
 }
 
-// TestGenerateMatchesSerialReference: pgb.Generate dispatches the heavy
-// generators through their sharded parallel path at GOMAXPROCS workers
-// (DESIGN.md §10); the seeding contract demands this never shows — the
-// result must equal the fully serial implementation draw for draw. This
-// pins the contract for every algorithm against the serial reference.
+// TestGenerateMatchesSerialReference: pgb.Generate runs the heavy
+// generators' sharded passes at GOMAXPROCS workers (DESIGN.md §10); the
+// seeding contract demands this never shows — the result must equal the
+// one-worker run draw for draw, for every algorithm.
 func TestGenerateMatchesSerialReference(t *testing.T) {
 	g, err := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 42})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestGenerateMatchesSerialReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Generate(g, 1.0, rand.New(rand.NewSource(19)))
+			want, err := ref.Generate(g, 1.0, rand.New(rand.NewSource(19)), algo.Params{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,8 +24,11 @@ type Generator interface {
 	Name() string
 	// Generate produces a synthetic graph from g under budget eps.
 	// All randomness (both DP noise and construction sampling) is drawn
-	// from rng, so runs are reproducible from a seed.
-	Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error)
+	// from rng, so runs are reproducible from a seed. p bounds the
+	// workers of the generator's sharded passes; the output is
+	// bit-identical at every worker count (DESIGN.md §10), so p is a
+	// schedule, never a value change.
+	Generate(g *graph.Graph, eps float64, rng *rand.Rand, p Params) (*graph.Graph, error)
 	// Delta returns the δ of the (ε, δ) guarantee; 0 means pure ε-DP.
 	Delta() float64
 	// Complexity returns the theoretical time and space complexity
@@ -53,10 +56,6 @@ type Params struct {
 	Budget *par.Budget
 }
 
-// Serial is the Params of the fully serial path — what plain Generate
-// uses.
-var Serial = Params{Workers: 1}
-
 // effectiveWorkers resolves the Workers default.
 func (p Params) effectiveWorkers() int {
 	if p.Workers > 0 {
@@ -71,25 +70,4 @@ func (p Params) effectiveWorkers() int {
 // on n and grain, so passes with exact merges are worker-count-invariant.
 func (p Params) ForEach(n, grain int, fn func(lo, hi int)) {
 	par.ForEachBlock(p.Budget, p.effectiveWorkers(), n, grain, fn)
-}
-
-// ParallelGenerator is implemented by generators whose heavy passes are
-// sharded. GenerateParallel is Generate with an explicit worker
-// allowance; its output is bit-identical to Generate's for the same
-// (g, eps, rng seed) at every worker count — parallelism is purely a
-// schedule, never a value change (DESIGN.md §10).
-type ParallelGenerator interface {
-	Generator
-	GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, p Params) (*graph.Graph, error)
-}
-
-// GenerateWith runs gen under the given execution params, dispatching to
-// GenerateParallel when the generator shards and falling back to the
-// serial Generate otherwise. The result is a pure function of
-// (gen, g, eps, rng seed) either way.
-func GenerateWith(gen Generator, g *graph.Graph, eps float64, rng *rand.Rand, p Params) (*graph.Graph, error) {
-	if pg, ok := gen.(ParallelGenerator); ok {
-		return pg.GenerateParallel(g, eps, rng, p)
-	}
-	return gen.Generate(g, eps, rng)
 }

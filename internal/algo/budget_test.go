@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 )
@@ -57,7 +58,7 @@ func TestUtilityRecoveryAtLargeBudget(t *testing.T) {
 		var sum float64
 		const reps = 4
 		for rep := int64(0); rep < reps; rep++ {
-			syn, err := a.Generate(g, 1000, rand.New(rand.NewSource(rep)))
+			syn, err := a.Generate(g, 1000, rand.New(rand.NewSource(rep)), algo.Params{})
 			if err != nil {
 				t.Fatalf("%s: %v", a.Name(), err)
 			}

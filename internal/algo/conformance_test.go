@@ -1,6 +1,7 @@
 package algo_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"pgb/internal/algo/privhrg"
 	"pgb/internal/algo/privskg"
 	"pgb/internal/algo/tmf"
+	"pgb/internal/core"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 	"pgb/internal/par"
@@ -41,7 +43,7 @@ func TestConformanceValidOutput(t *testing.T) {
 	for _, a := range generators() {
 		for _, eps := range []float64{0.5, 10} {
 			r := rand.New(rand.NewSource(23))
-			syn, err := a.Generate(g, eps, r)
+			syn, err := a.Generate(g, eps, r, algo.Params{})
 			if err != nil {
 				t.Errorf("%s eps=%g: %v", a.Name(), eps, err)
 				continue
@@ -60,11 +62,11 @@ func TestConformanceValidOutput(t *testing.T) {
 func TestConformanceDeterminism(t *testing.T) {
 	g := testGraph(6)
 	for _, a := range generators() {
-		s1, err := a.Generate(g, 1, rand.New(rand.NewSource(77)))
+		s1, err := a.Generate(g, 1, rand.New(rand.NewSource(77)), algo.Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
-		s2, err := a.Generate(g, 1, rand.New(rand.NewSource(77)))
+		s2, err := a.Generate(g, 1, rand.New(rand.NewSource(77)), algo.Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -83,8 +85,8 @@ func TestConformanceDeterminism(t *testing.T) {
 }
 
 // Parallel execution is a schedule, not a value change: for every
-// generator, GenerateWith at workers 2 and 8 (shared budget included)
-// must produce a valid graph bit-identical to the serial Generate result
+// generator, Generate at workers 2 and 8 (shared budget included) must
+// produce a valid graph bit-identical to the one-worker result
 // — the conformance-level statement of the DESIGN.md §10 contract. The
 // graph is deliberately larger than the generators' shardGrain (256),
 // so the sharded passes really decompose into multiple blocks here —
@@ -93,13 +95,13 @@ func TestConformanceDeterminism(t *testing.T) {
 func TestConformanceParallelMatchesSerial(t *testing.T) {
 	g := gen.PlantedPartition(700, 4, 0.08, 0.01, rand.New(rand.NewSource(9)))
 	for _, a := range generators() {
-		serial, err := a.Generate(g, 1, rand.New(rand.NewSource(51)))
+		serial, err := a.Generate(g, 1, rand.New(rand.NewSource(51)), algo.Params{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		for _, workers := range []int{2, 8} {
 			for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
-				syn, err := algo.GenerateWith(a, g, 1, rand.New(rand.NewSource(51)),
+				syn, err := a.Generate(g, 1, rand.New(rand.NewSource(51)),
 					algo.Params{Workers: workers, Budget: budget})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", a.Name(), workers, err)
@@ -124,7 +126,7 @@ func TestConformanceHighBudgetEdgeCount(t *testing.T) {
 	m := float64(g.M())
 	for _, a := range generators() {
 		r := rand.New(rand.NewSource(31))
-		syn, err := a.Generate(g, 100, r)
+		syn, err := a.Generate(g, 100, r, algo.Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -169,13 +171,34 @@ func TestConformanceTinyGraphs(t *testing.T) {
 		}
 		for _, a := range generators() {
 			r := rand.New(rand.NewSource(3))
-			syn, err := a.Generate(g, 1, r)
+			syn, err := a.Generate(g, 1, r, algo.Params{})
 			if err != nil {
 				t.Errorf("%s n=%d: %v", a.Name(), n, err)
 				continue
 			}
 			if syn.N() != n {
 				t.Errorf("%s n=%d: output n=%d", a.Name(), n, syn.N())
+			}
+		}
+	}
+}
+
+// Every registered mechanism must refuse a budget that is not a finite
+// ε > 0 with an error, never answer with a graph: under NaN the plain
+// comparisons eps <= 0 and spent+eps > total are both false, so an
+// accountant that only made those tests let NaN and +Inf through.
+func TestConformanceRejectsInvalidEpsilon(t *testing.T) {
+	g := testGraph(3)
+	names := append(core.AlgorithmNames(), "DER", "LDPGen", "RNL")
+	for _, name := range names {
+		a, err := core.NewAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+			syn, err := a.Generate(g, eps, rand.New(rand.NewSource(1)), algo.Params{})
+			if err == nil {
+				t.Errorf("%s accepted eps=%g (output m=%d)", name, eps, syn.M())
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/graph"
 )
@@ -59,11 +60,11 @@ type region struct {
 	depth          int
 }
 
-// Generate implements algo.Generator. DER stays serial (no
-// algo.ParallelGenerator path): its quadtree descent draws noise at
-// every split, so the rng stream threads the whole recursion and there
-// is no deterministic hot pass worth sharding (DESIGN.md §10).
-func (d *DER) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
+// Generate implements algo.Generator. DER stays serial (it ignores its
+// Params): its quadtree descent draws noise at every split, so the rng
+// stream threads the whole recursion and there is no deterministic hot
+// pass worth sharding (DESIGN.md §10).
+func (d *DER) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	if err := acct.Spend(eps); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -38,7 +39,7 @@ func TestCountEdgesIn(t *testing.T) {
 
 func TestEdgeCountRoughlyPreserved(t *testing.T) {
 	g := gen.GNM(128, 500, rng(1))
-	syn, err := Default().Generate(g, 20, rng(2))
+	syn, err := Default().Generate(g, 20, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestDenseRegionFoundByQuadtree(t *testing.T) {
 		_ = b.AddEdge(int32(32+r.Intn(96)), int32(32+r.Intn(96)))
 	}
 	g := b.Build()
-	syn, err := Default().Generate(g, 10, rng(4))
+	syn, err := Default().Generate(g, 10, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ package dgg
 import (
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
@@ -47,11 +48,11 @@ func (d *DGG) Delta() float64 { return 0 }
 // Complexity implements algo.Generator (Table VIII).
 func (d *DGG) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
 
-// Generate implements algo.Generator. DGG stays serial (no
-// algo.ParallelGenerator path): one Laplace draw per node plus a
-// BTER/Chung-Lu construction that is rng-bound end to end leaves no
-// deterministic hot pass worth sharding (DESIGN.md §10).
-func (d *DGG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
+// Generate implements algo.Generator. DGG stays serial (it ignores its
+// Params): one Laplace draw per node plus a BTER/Chung-Lu construction
+// that is rng-bound end to end leaves no deterministic hot pass worth
+// sharding (DESIGN.md §10).
+func (d *DGG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	if err := acct.Spend(eps); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 	"pgb/internal/stats"
@@ -14,7 +15,7 @@ func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestDegreePreservationHighBudget(t *testing.T) {
 	g := gen.GNM(200, 800, rng(1))
-	syn, err := Default().Generate(g, 100, rng(2))
+	syn, err := Default().Generate(g, 100, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestClusteringAboveChungLuAblation(t *testing.T) {
 	// the BTER construction must retain more clustering than the
 	// Chung-Lu ablation on a clustered input
 	g := gen.CliqueCover(300, 70, 4, 6, 0.1, rng(3))
-	bter, err := Default().Generate(g, 20, rng(4))
+	bter, err := Default().Generate(g, 20, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(Options{UseChungLu: true}).Generate(g, 20, rng(4))
+	cl, err := New(Options{UseChungLu: true}).Generate(g, 20, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestNoiseScalesWithEpsilon(t *testing.T) {
 	trueVar := stats.DegreeVariance(g)
 	distortions := 0.0
 	for rep := int64(0); rep < 5; rep++ {
-		syn, err := Default().Generate(g, 0.05, rng(10+rep))
+		syn, err := Default().Generate(g, 0.05, rng(10+rep), algo.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestNoiseScalesWithEpsilon(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	syn, err := Default().Generate(graph.New(20), 1, rng(6))
+	syn, err := Default().Generate(graph.New(20), 1, rng(6), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

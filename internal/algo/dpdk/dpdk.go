@@ -82,19 +82,13 @@ func (d *DPdK) Delta() float64 {
 // Complexity implements algo.Generator (Table VIII).
 func (d *DPdK) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (d *DPdK) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return d.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. The representation
-// stage — the degree histogram (dK-1) or the joint degree matrix (dK-2)
-// — is a node-sharded counting pass over the adjacency with exact
-// integer merges (atomic adds into flat arenas), so the output is
-// bit-identical to Generate's at any worker count. The Laplace draws and
-// the stub-matching construction stay on rng in the serial order.
-func (d *DPdK) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// Generate implements algo.Generator. The representation stage — the
+// degree histogram (dK-1) or the joint degree matrix (dK-2) — is a
+// node-sharded counting pass over the adjacency with exact integer
+// merges (atomic adds into flat arenas), so the output is bit-identical
+// at any worker count. The Laplace draws and the stub-matching
+// construction stay on rng in the serial order.
+func (d *DPdK) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	if err := acct.Spend(eps); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/stats"
 )
@@ -31,7 +32,7 @@ func TestDK1IsPureDP(t *testing.T) {
 func TestDK1PreservesDegreeDistribution(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, rng(1))
 	a := New(Options{Model: DK1})
-	syn, err := a.Generate(g, 50, rng(2))
+	syn, err := a.Generate(g, 50, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestDK1PreservesDegreeDistribution(t *testing.T) {
 
 func TestDK2PreservesJointDegreeShape(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, rng(3))
-	syn, err := Default().Generate(g, 50, rng(4))
+	syn, err := Default().Generate(g, 50, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestSmoothBeatsGlobalSensitivity(t *testing.T) {
 	var smoothErr, globalErr float64
 	const reps = 5
 	for i := int64(0); i < reps; i++ {
-		s, err := Default().Generate(g, 2, rng(100+i))
+		s, err := Default().Generate(g, 2, rng(100+i), algo.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		smoothErr += math.Abs(float64(s.M() - g.M()))
-		gl, err := New(Options{GlobalSensitivity: true}).Generate(g, 2, rng(100+i))
+		gl, err := New(Options{GlobalSensitivity: true}).Generate(g, 2, rng(100+i), algo.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestSmoothBeatsGlobalSensitivity(t *testing.T) {
 
 func TestLargeEpsConvergence(t *testing.T) {
 	g := gen.GNM(150, 400, rng(6))
-	syn, err := Default().Generate(g, 2000, rng(7))
+	syn, err := Default().Generate(g, 2000, rng(7), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 //     must therefore reproduce the legacy draw sequence exactly — every
 //     DP noise and sampling draw stays on the caller's rng in serial
 //     order; shards only compute deterministic values with exact merges.
-//  2. Worker-count invariance: GenerateWith at workers 1, 2 and 8
+//  2. Worker-count invariance: Generate at workers 1, 2 and 8
 //     (with and without a shared par.Budget) produces that same
 //     fingerprint.
 
@@ -96,8 +96,8 @@ func identityGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// TestGenerateGoldenIdentity: serial Generate reproduces the pre-change
-// fingerprints, and GenerateWith matches them at workers 1, 2 and 8.
+// TestGenerateGoldenIdentity: Generate reproduces the pre-change
+// fingerprints at workers 1, 2 and 8, with and without a shared budget.
 func TestGenerateGoldenIdentity(t *testing.T) {
 	graphs := identityGraphs(t)
 	//pgb:deterministic t.Run subtests are independent; goldens are compared per algorithm
@@ -110,18 +110,10 @@ func TestGenerateGoldenIdentity(t *testing.T) {
 			}
 			for _, tc := range cases {
 				g := graphs[tc.graphName]
-				serial, err := a.Generate(g, tc.eps, rand.New(rand.NewSource(tc.seed)))
-				if err != nil {
-					t.Fatalf("%s eps=%g seed=%d: %v", tc.graphName, tc.eps, tc.seed, err)
-				}
-				if got := serial.Fingerprint(); got != tc.want {
-					t.Errorf("%s eps=%g seed=%d: serial Generate fingerprint %#016x, golden %#016x",
-						tc.graphName, tc.eps, tc.seed, got, tc.want)
-				}
 				for _, workers := range []int{1, 2, 8} {
 					for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
 						p := algo.Params{Workers: workers, Budget: budget}
-						syn, err := algo.GenerateWith(a, g, tc.eps, rand.New(rand.NewSource(tc.seed)), p)
+						syn, err := a.Generate(g, tc.eps, rand.New(rand.NewSource(tc.seed)), p)
 						if err != nil {
 							t.Fatalf("%s eps=%g seed=%d workers=%d: %v", tc.graphName, tc.eps, tc.seed, workers, err)
 						}
@@ -138,8 +130,8 @@ func TestGenerateGoldenIdentity(t *testing.T) {
 
 // TestGenerateParallelWorkerInvarianceLarger exercises the sharded paths
 // on a graph big enough that every parallel generator actually splits
-// into multiple blocks, comparing workers 2 and 8 against the serial
-// result (no golden needed — serial is the reference).
+// into multiple blocks, comparing workers 2 and 8 against the
+// one-worker result (no golden needed — that run is the reference).
 func TestGenerateParallelWorkerInvarianceLarger(t *testing.T) {
 	g := gen.PlantedPartition(1200, 6, 0.05, 0.004, rand.New(rand.NewSource(17)))
 	for _, name := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF"} {
@@ -149,15 +141,12 @@ func TestGenerateParallelWorkerInvarianceLarger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := a.Generate(g, 1, rand.New(rand.NewSource(3)))
+			want, err := a.Generate(g, 1, rand.New(rand.NewSource(3)), algo.Params{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := a.(algo.ParallelGenerator); !ok {
-				t.Fatalf("%s does not implement algo.ParallelGenerator", name)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				syn, err := algo.GenerateWith(a, g, 1, rand.New(rand.NewSource(3)), algo.Params{Workers: workers})
+			for _, workers := range []int{2, 8} {
+				syn, err := a.Generate(g, 1, rand.New(rand.NewSource(3)), algo.Params{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +172,7 @@ func TestGeneratorKernelBudgetNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialSyn, err := a.Generate(g, 1, rand.New(rand.NewSource(41)))
+	serialSyn, err := a.Generate(g, 1, rand.New(rand.NewSource(41)), algo.Params{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +184,7 @@ func TestGeneratorKernelBudgetNesting(t *testing.T) {
 	var prof *core.Profile
 	go func() {
 		var err error
-		syn, err = algo.GenerateWith(a, g, 1, rand.New(rand.NewSource(41)), algo.Params{Workers: 4, Budget: budget})
+		syn, err = a.Generate(g, 1, rand.New(rand.NewSource(41)), algo.Params{Workers: 4, Budget: budget})
 		done <- err
 	}()
 	go func() {

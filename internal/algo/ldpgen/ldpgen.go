@@ -75,20 +75,14 @@ func (l *LDPGen) Delta() float64 { return 0 }
 // dominates.
 func (l *LDPGen) Complexity() (string, string) { return "O(n k)", "O(n k)" }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return l.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. Every user's
-// reports are simulated from her adjacency list; the server side sees
-// only the noisy vectors. The deterministic heavy passes — the two
-// per-user degree-vector scans and the k-means distance loops — are
-// node-sharded across p's workers; every Laplace draw and every sampling
-// decision stays on rng in the serial order, so the output is
-// bit-identical to Generate's at any worker count.
-func (l *LDPGen) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Params) (*graph.Graph, error) {
+// Generate implements algo.Generator. Every user's reports are
+// simulated from her adjacency list; the server side sees only the
+// noisy vectors. The deterministic heavy passes — the two per-user
+// degree-vector scans and the k-means distance loops — are node-sharded
+// across p's workers; every Laplace draw and every sampling decision
+// stays on rng in the serial order, so the output is bit-identical at
+// any worker count.
+func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * l.opt.Phase1Fraction
 	eps2 := eps - eps1

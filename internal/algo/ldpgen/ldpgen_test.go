@@ -22,7 +22,7 @@ func TestKMeansSeparatesObviousClusters(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		vecs = append(vecs, []float64{100, 100})
 	}
-	assign := kmeans(vecs, 2, 20, rng(1), algo.Serial)
+	assign := kmeans(vecs, 2, 20, rng(1), algo.Params{Workers: 1})
 	for i := 1; i < 20; i++ {
 		if assign[i] != assign[0] {
 			t.Fatal("first cluster split")
@@ -38,7 +38,7 @@ func TestKMeansSeparatesObviousClusters(t *testing.T) {
 
 func TestKMeansDegenerate(t *testing.T) {
 	vecs := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	assign := kmeans(vecs, 5, 10, rng(2), algo.Serial) // k > n clamps
+	assign := kmeans(vecs, 5, 10, rng(2), algo.Params{Workers: 1}) // k > n clamps
 	if len(assign) != 3 {
 		t.Fatalf("len = %d", len(assign))
 	}
@@ -47,7 +47,7 @@ func TestKMeansDegenerate(t *testing.T) {
 func TestGenerateValidAndSized(t *testing.T) {
 	g := gen.PlantedPartition(200, 4, 0.3, 0.02, rng(3))
 	a := Default()
-	syn, err := a.Generate(g, 5, rng(4))
+	syn, err := a.Generate(g, 5, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGenerateValidAndSized(t *testing.T) {
 func TestCommunitySignalAtHighBudget(t *testing.T) {
 	g := gen.PlantedPartition(200, 2, 0.4, 0.005, rng(5))
 	truth := community.Louvain(g, rng(6))
-	syn, err := Default().Generate(g, 50, rng(7))
+	syn, err := Default().Generate(g, 50, rng(7), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCommunitySignalAtHighBudget(t *testing.T) {
 }
 
 func TestTinyGraph(t *testing.T) {
-	syn, err := Default().Generate(graph.New(2), 1, rng(9))
+	syn, err := Default().Generate(graph.New(2), 1, rng(9), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestOptionDefaults(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := gen.PlantedPartition(100, 3, 0.3, 0.02, rng(10))
-	a, err := Default().Generate(g, 2, rng(42))
+	a, err := Default().Generate(g, 2, rng(42), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Default().Generate(g, 2, rng(42))
+	b, err := Default().Generate(g, 2, rng(42), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestPathologicalInputs(t *testing.T) {
 		for _, a := range generators() {
 			for _, eps := range []float64{0.1, 5} {
 				r := rand.New(rand.NewSource(9))
-				syn, err := a.Generate(g, eps, r)
+				syn, err := a.Generate(g, eps, r, algo.Params{})
 				if err != nil {
 					t.Errorf("%s on %s eps=%g: %v", a.Name(), gname, eps, err)
 					continue
@@ -71,7 +71,7 @@ func TestQuickGeneratorsAlwaysValid(t *testing.T) {
 		g := gen.GNP(n, 0.08, r)
 		eps := 0.1 + float64(rawEps%100)/10
 		a := gens[int(uint64(seed)%uint64(len(gens)))]
-		syn, err := a.Generate(g, eps, r)
+		syn, err := a.Generate(g, eps, r, algo.Params{})
 		if err != nil {
 			return false
 		}

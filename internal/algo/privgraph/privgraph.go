@@ -74,20 +74,14 @@ func (p *PrivGraph) Delta() float64 { return 0 }
 // Complexity implements algo.Generator (Table VIII).
 func (p *PrivGraph) Complexity() (string, string) { return "O(n^2)", "O(m + n)" }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return p.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. The phase-2
-// statistics scan — intra-community degrees and inter-community edge
-// counts over every adjacency — is node-sharded across prm's workers
-// into flat arenas with exact integer merges (atomic counts), so the
-// output is bit-identical to Generate's at any worker count; the
-// randomized-response draws, Louvain post-processing, Laplace noise and
-// construction sampling all stay on rng in the serial order.
-func (p *PrivGraph) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// Generate implements algo.Generator. The phase-2 statistics scan —
+// intra-community degrees and inter-community edge counts over every
+// adjacency — is node-sharded across prm's workers into flat arenas
+// with exact integer merges (atomic counts), so the output is
+// bit-identical at any worker count; the randomized-response draws,
+// Louvain post-processing, Laplace noise and construction sampling all
+// stay on rng in the serial order.
+func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * p.opt.Split[0]
 	eps2 := eps * p.opt.Split[1]

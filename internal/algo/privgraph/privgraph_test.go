@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/community"
 	"pgb/internal/gen"
 	"pgb/internal/metrics"
@@ -31,7 +32,7 @@ func TestSplitNormalisation(t *testing.T) {
 func TestCommunityPreservation(t *testing.T) {
 	g := gen.PlantedPartition(150, 3, 0.5, 0.01, rng(1))
 	truth := community.Louvain(g, rng(2))
-	syn, err := Default().Generate(g, 20, rng(3))
+	syn, err := Default().Generate(g, 20, rng(3), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestCommunityPreservation(t *testing.T) {
 func TestModularityRetention(t *testing.T) {
 	g := gen.PlantedPartition(150, 4, 0.5, 0.02, rng(5))
 	truthMod := community.Louvain(g, rng(6)).Modularity
-	syn, err := Default().Generate(g, 10, rng(7))
+	syn, err := Default().Generate(g, 10, rng(7), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestModularityRetention(t *testing.T) {
 
 func TestEdgeCountTracking(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.4, 0.03, rng(9))
-	syn, err := Default().Generate(g, 20, rng(10))
+	syn, err := Default().Generate(g, 20, rng(10), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestEdgeCountTracking(t *testing.T) {
 
 func TestSmallEpsilonDegradesGracefully(t *testing.T) {
 	g := gen.PlantedPartition(100, 3, 0.4, 0.02, rng(11))
-	syn, err := Default().Generate(g, 0.1, rng(12))
+	syn, err := Default().Generate(g, 0.1, rng(12), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRandomizeEdgesDensifiesAtLowEps(t *testing.T) {
 
 func TestDegreeShapeWithinCommunities(t *testing.T) {
 	g := gen.PlantedPartition(150, 3, 0.5, 0.01, rng(16))
-	syn, err := Default().Generate(g, 50, rng(17))
+	syn, err := Default().Generate(g, 50, rng(17), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

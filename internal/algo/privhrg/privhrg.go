@@ -245,21 +245,15 @@ func (d *dendrogram) pairs(r int32) float64 {
 	return float64(d.nLeaves[d.left[r]]) * float64(d.nLeaves[d.right[r]])
 }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return p.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. The MCMC chain is
-// inherently sequential (each Metropolis step conditions on the last),
-// so PrivHRG shards the deterministic counting inside it instead: the
-// initial LCA recount and each step's cross-subtree edge count split
-// across prm's workers with exact integer merges. Every rng draw — the
-// chain's proposals and acceptances, the Laplace noise, the construction
+// Generate implements algo.Generator. The MCMC chain is inherently
+// sequential (each Metropolis step conditions on the last), so PrivHRG
+// shards the deterministic counting inside it instead: the initial LCA
+// recount and each step's cross-subtree edge count split across prm's
+// workers with exact integer merges. Every rng draw — the chain's
+// proposals and acceptances, the Laplace noise, the construction
 // sampling — stays on the calling goroutine in the serial order, so the
-// output is bit-identical to Generate's at any worker count.
-func (p *PrivHRG) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// output is bit-identical at any worker count.
+func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * p.opt.StructureFraction
 	eps2 := eps - eps1

@@ -17,7 +17,7 @@ func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestDendrogramInvariants(t *testing.T) {
 	g := gen.GNM(50, 120, rng(1))
-	d := newDendrogram(g, rng(2), algo.Serial)
+	d := newDendrogram(g, rng(2), algo.Params{Workers: 1})
 	// every internal node's leaf count equals |left| + |right|
 	for u := int32(g.N()); u < int32(2*g.N()-1); u++ {
 		if d.nLeaves[u] != d.nLeaves[d.left[u]]+d.nLeaves[d.right[u]] {
@@ -43,7 +43,7 @@ func TestMCMCPreservesEdgeAccounting(t *testing.T) {
 	// consistent). We verify via the output edge count instead of
 	// internals: huge eps → noisy counts ≈ true counts.
 	g := gen.PlantedPartition(100, 4, 0.4, 0.02, rng(3))
-	syn, err := Default().Generate(g, 100, rng(4))
+	syn, err := Default().Generate(g, 100, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCommunitySignalSurvives(t *testing.T) {
 	// chance at a generous budget
 	g := gen.PlantedPartition(80, 2, 0.6, 0.01, rng(5))
 	truth := community.Louvain(g, rng(6))
-	syn, err := New(Options{MCMCSteps: 20000}).Generate(g, 50, rng(7))
+	syn, err := New(Options{MCMCSteps: 20000}).Generate(g, 50, rng(7), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSampleBinomialBounds(t *testing.T) {
 func TestTinyGraphs(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3} {
 		g := graph.New(n)
-		syn, err := Default().Generate(g, 1, rng(10))
+		syn, err := Default().Generate(g, 1, rng(10), algo.Params{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -15,6 +15,7 @@ package privskg
 import (
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
@@ -53,12 +54,11 @@ func (p *PrivSKG) Delta() float64 { return p.opt.Delta }
 // computation over the moment estimator dominates).
 func (p *PrivSKG) Complexity() (string, string) { return "O(n^2 m)", "O(n^2)" }
 
-// Generate implements algo.Generator. PrivSKG stays serial (no
-// algo.ParallelGenerator path): it perturbs three scalar moments and
-// fits a 2×2 Kronecker initiator — microseconds of work before an
-// rng-bound sampling construction, nothing worth sharding (DESIGN.md
-// §10).
-func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
+// Generate implements algo.Generator. PrivSKG stays serial (it ignores
+// its Params): it perturbs three scalar moments and fits a 2×2
+// Kronecker initiator — microseconds of work before an rng-bound
+// sampling construction, nothing worth sharding (DESIGN.md §10).
+func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	epsEach := eps / 3
 	for i := 0; i < 3; i++ {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/stats"
 )
@@ -22,7 +23,7 @@ func TestDelta(t *testing.T) {
 
 func TestEdgeCountTracking(t *testing.T) {
 	g := gen.GNM(256, 1000, rng(1))
-	syn, err := Default().Generate(g, 10, rng(2))
+	syn, err := Default().Generate(g, 10, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestEdgeCountTracking(t *testing.T) {
 
 func TestPowerLawInputKeepsSkew(t *testing.T) {
 	g := gen.BarabasiAlbert(512, 4, rng(3))
-	syn, err := Default().Generate(g, 5, rng(4))
+	syn, err := Default().Generate(g, 5, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCountTrianglesMatchesStats(t *testing.T) {
 
 func TestSmallBudgetStillRuns(t *testing.T) {
 	g := gen.GNM(128, 400, rng(6))
-	syn, err := Default().Generate(g, 0.1, rng(7))
+	syn, err := Default().Generate(g, 0.1, rng(7), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

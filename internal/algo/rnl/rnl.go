@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/graph"
 )
@@ -41,11 +42,10 @@ func (r *RNL) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
 // failure remains visible: the cap is far above any useful utility level.
 const MaxOutputFactor = 8
 
-// Generate implements algo.Generator. RNL stays serial (no
-// algo.ParallelGenerator path): randomized neighbor lists draw one
-// response per adjacency bit, so the hot loop is the rng stream itself
-// (DESIGN.md §10).
-func (r *RNL) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
+// Generate implements algo.Generator. RNL stays serial (it ignores its
+// Params): randomized neighbor lists draw one response per adjacency
+// bit, so the hot loop is the rng stream itself (DESIGN.md §10).
+func (r *RNL) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	if err := acct.Spend(eps); err != nil {
 		return nil, err

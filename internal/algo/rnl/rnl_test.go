@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -13,7 +14,7 @@ func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestHighBudgetRecoversGraph(t *testing.T) {
 	g := gen.GNM(120, 400, rng(1))
-	syn, err := Default().Generate(g, 20, rng(2))
+	syn, err := Default().Generate(g, 20, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestDensificationAtLowBudget(t *testing.T) {
 	// the failure mode PGB's G1/G2 principles describe: RR on a sparse
 	// graph densifies massively at small ε
 	g := gen.GNM(150, 300, rng(3))
-	syn, err := Default().Generate(g, 0.5, rng(4))
+	syn, err := Default().Generate(g, 0.5, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestDensificationAtLowBudget(t *testing.T) {
 }
 
 func TestTinyGraph(t *testing.T) {
-	syn, err := Default().Generate(graph.New(1), 1, rng(5))
+	syn, err := Default().Generate(graph.New(1), 1, rng(5), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,23 +69,17 @@ func (t *TmF) Delta() float64 { return 0 }
 // filter itself is O(m) time).
 func (t *TmF) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return t.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. TmF's hot loop IS
-// its noise stream — one Laplace draw per true edge (per matrix cell in
-// the naive ablation), order-pinned to rng — so the draws stay serial and
-// the sharded work is everything deterministic around them: the naive
+// Generate implements algo.Generator. TmF's hot loop IS its noise
+// stream — one Laplace draw per true edge (per matrix cell in the naive
+// ablation), order-pinned to rng — so the draws stay serial and the
+// sharded work is everything deterministic around them: the naive
 // path's adjacency-membership scan and the top-m̃ selection filter. The
 // full sort of passing cells is replaced by an O(p) quickselect for the
 // m̃-th score plus a sharded keep-filter; boundary ties are broken in
 // scan order (the legacy unstable sort broke them arbitrarily; scores
 // are continuous draws, so ties have probability zero). Output is
-// bit-identical to Generate's at any worker count.
-func (t *TmF) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// bit-identical at any worker count.
+func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps2 := eps * t.opt.EdgeCountFraction // edge count
 	eps1 := eps - eps2                    // cell noise

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -26,7 +27,7 @@ func TestOptionsDefaulting(t *testing.T) {
 
 func TestHighBudgetRecoversEdges(t *testing.T) {
 	g := gen.GNM(150, 500, rng(1))
-	syn, err := Default().Generate(g, 50, rng(2))
+	syn, err := Default().Generate(g, 50, rng(2), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestHighBudgetRecoversEdges(t *testing.T) {
 
 func TestLowBudgetLosesEdges(t *testing.T) {
 	g := gen.GNM(150, 500, rng(3))
-	syn, err := Default().Generate(g, 0.1, rng(4))
+	syn, err := Default().Generate(g, 0.1, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestLowBudgetLosesEdges(t *testing.T) {
 
 func TestEdgeCountTracksNoisyM(t *testing.T) {
 	g := gen.GNM(100, 300, rng(5))
-	syn, err := Default().Generate(g, 5, rng(6))
+	syn, err := Default().Generate(g, 5, rng(6), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestNaiveMatchesFilterShape(t *testing.T) {
 	// comparable retention at the same budget (the filter is an exact
 	// algorithmic shortcut, not an approximation of a different mechanism).
 	g := gen.GNM(80, 200, rng(7))
-	filt, err := Default().Generate(g, 2, rng(8))
+	filt, err := Default().Generate(g, 2, rng(8), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := New(Options{NaiveFullMatrix: true}).Generate(g, 2, rng(8))
+	naive, err := New(Options{NaiveFullMatrix: true}).Generate(g, 2, rng(8), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func retention(truth, syn *graph.Graph) float64 {
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.New(10)
-	syn, err := Default().Generate(g, 1, rng(9))
+	syn, err := Default().Generate(g, 1, rng(9), algo.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

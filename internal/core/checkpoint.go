@@ -67,7 +67,7 @@ type manifestCell struct {
 }
 
 func headerFor(cfg Config) manifestHeader {
-	popt := cfg.Profile.withDefaults()
+	popt := ProfileOptions{}.withDefaults()
 	h := manifestHeader{
 		Version:        checkpointVersion,
 		Algorithms:     cfg.Algorithms,
@@ -81,32 +81,36 @@ func headerFor(cfg Config) manifestHeader {
 		ExactPathLimit: popt.ExactPathLimit,
 		PathSamples:    popt.PathSamples,
 		EVCIterations:  popt.EVCIterations,
-		ExactDiameter:  popt.ExactDiameter,
-		DistanceMode:   string(cfg.profileOptions().DistanceMode),
+		DistanceMode:   string(cfg.DistanceMode),
 	}
 	h.Digest = h.digest()
 	return h
 }
 
+// ErrManifestTuning is returned by CheckpointConfig for a manifest whose
+// profile tuning (exact_path_limit, path_samples, evc_iterations,
+// exact_diameter) differs from the defaults: a Config can no longer set
+// those knobs, so the run it records cannot be reproduced.
+var ErrManifestTuning = errors.New("core: manifest profile tuning differs from the defaults")
+
 // config reconstructs the Config a manifest was written under.
-func (h manifestHeader) config() Config {
-	return Config{
-		Algorithms: h.Algorithms,
-		Datasets:   h.Datasets,
-		Epsilons:   h.Epsilons,
-		Queries:    queryIDs(h.Queries),
-		Reps:       h.Reps,
-		Scale:      h.Scale,
-		Seed:       h.Seed,
-		Workers:    h.Workers,
-		Profile: ProfileOptions{
-			ExactPathLimit: h.ExactPathLimit,
-			PathSamples:    h.PathSamples,
-			EVCIterations:  h.EVCIterations,
-			ExactDiameter:  h.ExactDiameter,
-			DistanceMode:   DistanceMode(h.DistanceMode),
-		},
+func (h manifestHeader) config() (Config, error) {
+	if def := (ProfileOptions{}).withDefaults(); h.ExactPathLimit != def.ExactPathLimit ||
+		h.PathSamples != def.PathSamples || h.EVCIterations != def.EVCIterations || h.ExactDiameter {
+		return Config{}, fmt.Errorf("%w: exact_path_limit %d, path_samples %d, evc_iterations %d, exact_diameter %t",
+			ErrManifestTuning, h.ExactPathLimit, h.PathSamples, h.EVCIterations, h.ExactDiameter)
 	}
+	return Config{
+		Algorithms:   h.Algorithms,
+		Datasets:     h.Datasets,
+		Epsilons:     h.Epsilons,
+		Queries:      queryIDs(h.Queries),
+		Reps:         h.Reps,
+		Scale:        h.Scale,
+		Seed:         h.Seed,
+		Workers:      h.Workers,
+		DistanceMode: DistanceMode(h.DistanceMode),
+	}, nil
 }
 
 // digest is an FNV-64a fingerprint of every field that affects cell
@@ -321,7 +325,10 @@ func CheckpointConfig(path string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	cfg := h.config()
+	cfg, err := h.config()
+	if err != nil {
+		return Config{}, fmt.Errorf("core: checkpoint %s: %w", path, err)
+	}
 	cfg.CheckpointPath = path
 	return cfg, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -298,5 +300,104 @@ func TestCheckpointFailedCellRoundTrip(t *testing.T) {
 	back := cellRecord(res).result()
 	if back.Err == nil || back.Err.Error() != res.Err.Error() {
 		t.Fatalf("error round-trip: %v", back.Err)
+	}
+}
+
+// TestResumeCommittedManifests resumes copies of run manifests written
+// by an earlier build (testdata/manifest-v1*.jsonl: a default grid and
+// an anf-distance grid on three queries). The restored configuration
+// must carry the header's digest, every recorded cell must be restored
+// rather than recomputed, and the manifest must come back unchanged.
+func TestResumeCommittedManifests(t *testing.T) {
+	paths, err := filepath.Glob("testdata/manifest-v1*.jsonl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed manifests: %v", err)
+	}
+	for _, src := range paths {
+		t.Run(filepath.Base(src), func(t *testing.T) {
+			raw, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			h, cells, _, err := loadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := CheckpointConfig(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ConfigDigest(cfg); got != h.Digest {
+				t.Fatalf("ConfigDigest of the restored config = %s, header digest %s", got, h.Digest)
+			}
+			var pc progressCounter
+			cfg.Progress = pc.fn
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc.computed() != 0 {
+				t.Fatalf("resume recomputed %d cells (progress: %q)", pc.computed(), pc.lines)
+			}
+			if len(res.Cells) != len(cells) {
+				t.Fatalf("resumed %d cells, manifest holds %d", len(res.Cells), len(cells))
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(raw) {
+				t.Fatal("resuming a complete manifest rewrote it")
+			}
+		})
+	}
+}
+
+// TestCheckpointConfigRefusesTuning: a header whose profile tuning is
+// not the default cannot be reproduced by a Config, so CheckpointConfig
+// refuses it with ErrManifestTuning instead of resuming a different run.
+func TestCheckpointConfigRefusesTuning(t *testing.T) {
+	raw, err := os.ReadFile("testdata/manifest-v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range [][2]string{
+		{`"path_samples":64`, `"path_samples":32`},
+		{`"exact_path_limit":2000`, `"exact_path_limit":10`},
+		{`"evc_iterations":60`, `"evc_iterations":100`},
+		{`"evc_iterations":60`, `"evc_iterations":60,"exact_diameter":true`},
+	} {
+		tuned := strings.Replace(string(raw), edit[0], edit[1], 1)
+		if tuned == string(raw) {
+			t.Fatalf("edit %q did not apply", edit[0])
+		}
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, []byte(tuned), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CheckpointConfig(path); !errors.Is(err, ErrManifestTuning) {
+			t.Errorf("%s: CheckpointConfig error = %v, want ErrManifestTuning", edit[1], err)
+		}
+	}
+}
+
+// TestRunRejectsInvalidEpsilon: a non-finite or non-positive budget on
+// the ε axis fails the whole run before any dataset loads.
+func TestRunRejectsInvalidEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		var pc progressCounter
+		cfg := checkpointConfig("")
+		cfg.Epsilons = []float64{1, eps}
+		cfg.Progress = pc.fn
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("eps=%g: run succeeded", eps)
+		}
+		if len(pc.lines) != 0 {
+			t.Errorf("eps=%g: run did work before failing: %q", eps, pc.lines)
+		}
 	}
 }

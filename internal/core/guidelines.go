@@ -113,8 +113,8 @@ func FormatRecommendations(s Scenario, recs []Recommendation) string {
 // RecommendFromResults ranks algorithms from a measured Results grid:
 // it restricts the grid to the ε nearest the scenario's requirement and
 // to the scenario's queries, then orders algorithms by total wins. This
-// is the benchmark-as-a-service mode: rerun the grid on a stand-in (or
-// the analyst's own graph via datasets.FileSpec) and read off the ranking.
+// is the benchmark-as-a-service mode: rerun the grid on a stand-in for
+// the analyst's graph and read off the ranking.
 func RecommendFromResults(r *Results, s Scenario) []Recommendation {
 	// nearest benchmark ε
 	bestEps := r.Config.Epsilons[0]

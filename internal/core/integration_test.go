@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/datasets"
 )
 
@@ -32,7 +33,7 @@ func TestEpsilonMonotonicity(t *testing.T) {
 		total := 0.0
 		for rep := int64(0); rep < reps; rep++ {
 			r := rand.New(rand.NewSource(100 + rep))
-			syn, err := alg.Generate(g, eps, r)
+			syn, err := alg.Generate(g, eps, r, algo.Params{})
 			if err != nil {
 				t.Fatalf("%s: %v", algName, err)
 			}
@@ -110,7 +111,7 @@ func TestCDPBeatsLDPOnEdgeCount(t *testing.T) {
 		sum := 0.0
 		for rep := int64(0); rep < 3; rep++ {
 			r := rand.New(rand.NewSource(50 + rep))
-			syn, err := alg.Generate(g, 1, r)
+			syn, err := alg.Generate(g, 1, r, algo.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -236,16 +236,6 @@ func RegisterQuery(s QuerySpec) (QueryID, error) {
 	return registry.register(s)
 }
 
-// MustRegisterQuery is RegisterQuery, panicking on error — convenient for
-// package-level registration of custom query suites.
-func MustRegisterQuery(s QuerySpec) QueryID {
-	id, err := RegisterQuery(s)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // QuerySpecOf returns the registered spec for q.
 func QuerySpecOf(q QueryID) (QuerySpec, bool) { return registry.spec(q) }
 

@@ -12,6 +12,7 @@ import (
 
 	"pgb/internal/algo"
 	"pgb/internal/datasets"
+	"pgb/internal/dp"
 	"pgb/internal/graph"
 	"pgb/internal/par"
 )
@@ -44,11 +45,9 @@ type Config struct {
 	// GenBytes) vary, as they observe the shared process.
 	Workers int
 	// DistanceMode selects the Q7–Q9 estimator for every cell profile
-	// (auto/exact/sampled/anf); it is a convenience alias for
-	// Profile.DistanceMode, which wins when both are set. See
-	// ParseDistanceMode for validation of user input.
+	// (auto/exact/sampled/anf); the other profile knobs keep their
+	// defaults. See ParseDistanceMode for validation of user input.
 	DistanceMode DistanceMode
-	Profile      ProfileOptions
 	// CheckpointPath, when non-empty, streams every finished cell to a
 	// JSONL run manifest at that path (DESIGN.md §5). If the file already
 	// exists and was written by the same configuration, the run resumes:
@@ -125,22 +124,11 @@ func (c Config) withDefaults() Config {
 // normalize first so their view matches Run's.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
-// profileOptions is the per-cell profile configuration: the caller's
-// tuning knobs restricted to the selected queries, drawing parallelism
-// from the run's single worker budget unless explicitly overridden.
+// profileOptions is the per-cell profile configuration: the selected
+// queries and distance estimator at default tuning, drawing parallelism
+// from the run's single worker budget.
 func (c Config) profileOptions() ProfileOptions {
-	opt := c.Profile
-	opt.Queries = c.Queries
-	if opt.DistanceMode == DistanceAuto {
-		opt.DistanceMode = c.DistanceMode
-	}
-	if opt.Workers == 0 {
-		opt.Workers = c.Workers
-	}
-	if opt.Budget == nil {
-		opt.Budget = c.budget
-	}
-	return opt
+	return ProfileOptions{Queries: c.Queries, DistanceMode: c.DistanceMode, Workers: c.Workers, Budget: c.budget}
 }
 
 // CellResult is the outcome of one (algorithm, dataset, ε) cell,
@@ -182,7 +170,7 @@ func (c *CellResult) ErrorFor(q QueryID) (value float64, ok bool) {
 type Results struct {
 	Config Config
 	Cells  []CellResult
-	// TrueProfiles and DatasetSummaries are keyed by dataset name.
+	// DatasetSummaries is keyed by dataset name.
 	DatasetSummaries map[string]datasets.Summary
 }
 
@@ -222,11 +210,16 @@ func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, er
 		}
 	}
 	// Every grid axis is validated before any work starts: a typo'd
-	// algorithm name fails the run immediately instead of surfacing as
-	// one silent error cell per (dataset, epsilon).
+	// algorithm name or a NaN budget fails the run immediately instead of
+	// surfacing as one error cell per (dataset, epsilon).
 	for _, name := range cfg.Algorithms {
 		if _, err := resolve(name); err != nil {
 			return nil, err
+		}
+	}
+	for _, eps := range cfg.Epsilons {
+		if err := dp.CheckEpsilon(eps); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
 	cells := gridCells(cfg)
@@ -393,7 +386,7 @@ func MeasureGenerateWith(g algo.Generator, in *graph.Graph, eps float64, rng *ra
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now() //pgb:walltime the wall clock is the measurement itself; sec never feeds values or digests
-	out, err = algo.GenerateWith(g, in, eps, rng, p)
+	out, err = g.Generate(in, eps, rng, p)
 	sec = time.Since(start).Seconds() //pgb:walltime the wall clock is the measurement itself; sec never feeds values or digests
 	runtime.ReadMemStats(&after)
 	bytes = float64(after.TotalAlloc - before.TotalAlloc)

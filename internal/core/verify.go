@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"pgb/internal/algo"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
 	"pgb/internal/stats"
@@ -29,7 +30,7 @@ func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
 		for rep := 0; rep < reps; rep++ {
 			genSeed := seed + int64(i*1000+rep)
 			r2 := rand.New(rand.NewSource(genSeed))
-			syn, err := alg.Generate(g, eps, r2)
+			syn, err := alg.Generate(g, eps, r2, algo.Params{})
 			if err != nil {
 				return "", err
 			}
@@ -116,7 +117,7 @@ func VerifyPrivSKG(scale float64, seed int64) (string, error) {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(seed + 5))
-	syn, err := alg.Generate(g, 0.2, rng)
+	syn, err := alg.Generate(g, 0.2, rng, algo.Params{})
 	if err != nil {
 		return "", err
 	}

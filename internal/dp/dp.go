@@ -1,6 +1,6 @@
 // Package dp implements the differential-privacy primitives PGB's
-// generation algorithms are built from: the Laplace, geometric and
-// exponential mechanisms, randomized response, smooth-sensitivity
+// generation algorithms are built from: the Laplace mechanism,
+// randomized-response flip probabilities, smooth-sensitivity
 // calibration (Nissim, Raskhodnikova & Smith 2007), and a privacy-budget
 // accountant enforcing sequential composition.
 //
@@ -84,110 +84,9 @@ func LaplaceVectorInto(rng *rand.Rand, dst, values []float64, sensitivity, epsil
 	return dst
 }
 
-// Geometric draws from the two-sided (discrete) geometric distribution with
-// parameter alpha = exp(-epsilon/sensitivity), the discrete analogue of the
-// Laplace mechanism. Used where integer outputs are required.
-func Geometric(rng *rand.Rand, sensitivity, epsilon float64) int64 {
-	if epsilon <= 0 {
-		panic("dp: non-positive epsilon")
-	}
-	if sensitivity <= 0 {
-		// A non-positive sensitivity silently breaks the distribution:
-		// alpha = e^{-eps/sens} ≥ 1 makes every magnitude equally (or
-		// increasingly) likely and the zero-mass formula negative.
-		panic("dp: non-positive sensitivity")
-	}
-	alpha := math.Exp(-epsilon / sensitivity)
-	// Sample magnitude from one-sided geometric, then a sign; mass at zero
-	// is (1-alpha)/(1+alpha).
-	u := rng.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass splits evenly over +k and -k, k >= 1, with
-	// P(|X| = k) = p0 * alpha^k. Float64 may return exactly 0, whose log
-	// is -Inf; redraw rather than clamp so the tail stays geometric.
-	u = rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	k := int64(1 + math.Floor(math.Log(u)/math.Log(alpha)))
-	if k < 1 {
-		k = 1
-	}
-	if rng.Intn(2) == 0 {
-		return k
-	}
-	return -k
-}
-
-// GeometricBatch fills dst with independent two-sided geometric draws at
-// the given sensitivity and epsilon — the allocation-free batch form of
-// Geometric for sharded passes that need a block of integer noise. Draws
-// are identical to len(dst) sequential Geometric calls on the same rng.
-func GeometricBatch(rng *rand.Rand, dst []int64, sensitivity, epsilon float64) []int64 {
-	for i := range dst {
-		dst[i] = Geometric(rng, sensitivity, epsilon)
-	}
-	return dst
-}
-
-// Exponential implements the exponential mechanism over a finite candidate
-// set: it returns the index of the chosen candidate, where candidate i is
-// selected with probability proportional to exp(epsilon*score[i]/(2*sens)).
-// Scores are shifted by their maximum before exponentiation for numerical
-// stability.
-func Exponential(rng *rand.Rand, scores []float64, sensitivity, epsilon float64) int {
-	if len(scores) == 0 {
-		panic("dp: exponential mechanism with no candidates")
-	}
-	if epsilon <= 0 {
-		panic("dp: non-positive epsilon")
-	}
-	if sensitivity <= 0 {
-		panic("dp: non-positive sensitivity")
-	}
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	weights := make([]float64, len(scores))
-	total := 0.0
-	for i, s := range scores {
-		w := math.Exp(epsilon * (s - maxS) / (2 * sensitivity))
-		weights[i] = w
-		total += w
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(scores) - 1
-}
-
-// RandomizedResponse flips a boolean with the standard Warner mechanism:
-// the true value is kept with probability e^ε/(e^ε+1). Satisfies ε-DP for
-// a single bit.
-func RandomizedResponse(rng *rand.Rand, bit bool, epsilon float64) bool {
-	if epsilon <= 0 {
-		panic("dp: non-positive epsilon")
-	}
-	pKeep := math.Exp(epsilon) / (math.Exp(epsilon) + 1)
-	if rng.Float64() < pKeep {
-		return bit
-	}
-	return !bit
-}
-
-// FlipProbability returns the probability that RandomizedResponse flips
-// its input at the given epsilon: 1/(e^ε+1).
+// FlipProbability returns the flip probability 1/(e^ε+1) of Warner's
+// randomized response: a bit kept with probability e^ε/(e^ε+1) and
+// flipped otherwise satisfies ε-DP for that bit.
 func FlipProbability(epsilon float64) float64 {
 	return 1 / (math.Exp(epsilon) + 1)
 }
@@ -238,6 +137,21 @@ func Beta(epsilon, delta float64) float64 {
 	return epsilon / (2 * math.Log(2/delta))
 }
 
+// CheckEpsilon accepts only a finite ε > 0 — the one validity test of a
+// privacy budget, shared by the accountant, the public API and the
+// server, which prefix the message with their own context. It is
+// written so NaN fails: under NaN every ordered comparison is false, so
+// a plain eps <= 0 test lets it through.
+func CheckEpsilon(eps float64) error {
+	if !(eps > 0) {
+		return fmt.Errorf("privacy budget must be positive, got %g", eps)
+	}
+	if math.IsInf(eps, 1) {
+		return fmt.Errorf("privacy budget must be finite, got %g", eps)
+	}
+	return nil
+}
+
 // Accountant tracks privacy-budget consumption under sequential
 // composition. Spend returns an error if the request would exceed the
 // total budget; algorithms use it to prove (in tests) that their stage-wise
@@ -252,10 +166,11 @@ func NewAccountant(epsilon float64) *Accountant {
 	return &Accountant{total: epsilon}
 }
 
-// Spend consumes eps from the budget.
+// Spend consumes eps from the budget. A spend that fails CheckEpsilon is
+// refused, so a NaN or infinite budget never reaches the noise scales.
 func (a *Accountant) Spend(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("dp: non-positive spend %g", eps)
+	if err := CheckEpsilon(eps); err != nil {
+		return fmt.Errorf("dp: %w", err)
 	}
 	// Tolerate float rounding at the boundary.
 	if a.spent+eps > a.total*(1+1e-9) {

@@ -145,53 +145,6 @@ func HavelHakimi(degrees []int) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// ConfigurationModel realises a degree sequence by random stub matching,
-// discarding self-loops and multi-edges (the "erased" configuration
-// model). Degrees are therefore approximate but the joint structure is
-// uniform-random.
-func ConfigurationModel(degrees []int, rng *rand.Rand) *graph.Graph {
-	n := len(degrees)
-	var stubs []int32
-	for u, d := range degrees {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, int32(u))
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	edges := make([]graph.Edge, 0, len(stubs)/2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		edges = append(edges, graph.Canon(stubs[i], stubs[i+1]))
-	}
-	return graph.FromEdges(n, edges)
-}
-
-// JointDegreeMatrix holds the dK-2 statistics of a graph: JDM[j][k] is
-// the number of edges between a degree-j and a degree-k node (each edge
-// counted once; diagonal entries count same-degree edges once).
-type JointDegreeMatrix struct {
-	MaxDegree int
-	Counts    map[[2]int]float64 // key is (j, k) with j <= k
-}
-
-// JDMOf extracts the joint degree matrix from a graph.
-func JDMOf(g *graph.Graph) *JointDegreeMatrix {
-	jdm := &JointDegreeMatrix{MaxDegree: g.MaxDegree(), Counts: make(map[[2]int]float64)}
-	for u := 0; u < g.N(); u++ {
-		du := g.Degree(int32(u))
-		for _, v := range g.Neighbors(int32(u)) {
-			if int32(u) < v {
-				dv := g.Degree(v)
-				j, k := du, dv
-				if j > k {
-					j, k = k, j
-				}
-				jdm.Counts[[2]int{j, k}]++
-			}
-		}
-	}
-	return jdm
-}
-
 // JDMEntry is one joint-degree-matrix cell: Count edges between a
 // degree-J and a degree-K node, J <= K.
 type JDMEntry struct {
@@ -199,37 +152,15 @@ type JDMEntry struct {
 	Count float64
 }
 
-// BuildFrom2K constructs a graph targeting a (possibly noisy) joint degree
-// matrix: it derives the implied degree sequence, sanitises it, then uses
-// degree-class stub matching so edges connect the prescribed degree
-// classes. Residual stubs are matched randomly. This is the construction
-// stage of DP-dK's 2K model.
-func BuildFrom2K(jdm *JointDegreeMatrix, n int, rng *rand.Rand) *graph.Graph {
-	// Sorted key order everywhere a map would otherwise be iterated:
-	// float accumulation and edge placement must not depend on Go's
-	// randomised map order, or the construction loses seed-determinism.
-	keys := make([][2]int, 0, len(jdm.Counts))
-	for k := range jdm.Counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	entries := make([]JDMEntry, 0, len(keys))
-	for _, key := range keys {
-		entries = append(entries, JDMEntry{J: key[0], K: key[1], Count: jdm.Counts[key]})
-	}
-	return BuildFrom2KEntries(entries, n, rng)
-}
-
-// BuildFrom2KEntries is BuildFrom2K on a flat entry list already in
-// ascending (J, K) order — the representation DP-dK's arena-based JDM
-// pass produces directly. Entry order is the draw order of the stub
-// matching, so callers must supply the sorted order for results to match
-// BuildFrom2K on the equivalent map.
+// BuildFrom2KEntries constructs a graph targeting a (possibly noisy)
+// joint degree matrix, given as a flat entry list in ascending (J, K)
+// order — the representation DP-dK's arena-based JDM pass produces
+// directly. It derives the implied degree sequence, sanitises it, then
+// uses degree-class stub matching so edges connect the prescribed degree
+// classes; residual stubs are matched randomly. This is the construction
+// stage of DP-dK's 2K model. Entry order is the draw order of the stub
+// matching, so callers must supply the sorted order for deterministic
+// results.
 func BuildFrom2KEntries(entries []JDMEntry, n int, rng *rand.Rand) *graph.Graph {
 	// Derive per-degree-class stub demand: class j needs Σ_k count(j,k)
 	// endpoints (diagonal contributes 2 per edge).

@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,13 +91,6 @@ func TestChungLuZeroWeights(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(100, 3, 0.1, rng())
-	if g.M() < 250 || g.M() > 300 {
-		t.Fatalf("WS edges = %d, want ~300", g.M())
-	}
-}
-
 func TestGrid2D(t *testing.T) {
 	g := Grid2D(10, 10, 0, 0, rng())
 	if g.M() != 180 { // 2·10·9
@@ -163,31 +157,31 @@ func TestHavelHakimiRealizesSequence(t *testing.T) {
 	}
 }
 
-func TestConfigurationModelApproximatesDegrees(t *testing.T) {
-	d := make([]int, 200)
-	for i := range d {
-		d[i] = 4
-	}
-	g := ConfigurationModel(d, rng())
-	// erased configuration model: most stubs survive
-	if g.M() < 350 || g.M() > 400 {
-		t.Fatalf("config model edges = %d, want ~400", g.M())
-	}
-}
-
 func TestJDMRoundTrip(t *testing.T) {
 	r := rng()
 	g := GNM(60, 150, r)
-	jdm := JDMOf(g)
+	// the graph's joint degree matrix as sorted (J, K) entries
+	counts := map[[2]int]float64{}
+	for e := range g.EdgeSeq() {
+		j, k := g.Degree(e.U), g.Degree(e.V)
+		counts[[2]int{min(j, k), max(j, k)}]++
+	}
+	var entries []JDMEntry
 	total := 0.0
-	//pgb:deterministic JDM counts are integer-valued, so float addition is exact and commutative
-	for _, c := range jdm.Counts {
+	for key, c := range counts { //pgb:deterministic entries are sorted below; counts are integer-valued, so the sum is exact
+		entries = append(entries, JDMEntry{J: key[0], K: key[1], Count: c})
 		total += c
 	}
+	sort.Slice(entries, func(a, b int) bool {
+		if entries[a].J != entries[b].J {
+			return entries[a].J < entries[b].J
+		}
+		return entries[a].K < entries[b].K
+	})
 	if int(total) != g.M() {
 		t.Fatalf("JDM total = %g, want %d", total, g.M())
 	}
-	rebuilt := BuildFrom2K(jdm, 60, r)
+	rebuilt := BuildFrom2KEntries(entries, 60, r)
 	if rebuilt.M() == 0 {
 		t.Fatal("2K rebuild produced empty graph")
 	}
@@ -391,7 +385,6 @@ func TestQuickGeneratorsValid(t *testing.T) {
 			GNM(n, n, r),
 			GNP(n, 0.1, r),
 			BarabasiAlbert(n, 2, r),
-			WattsStrogatz(n, 2, 0.2, r),
 			PlantedPartition(n, 3, 0.3, 0.05, r),
 			CliqueCover(n, 5, 3, 5, 0.2, r),
 		}

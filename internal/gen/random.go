@@ -227,32 +227,6 @@ func quickSortDesc(order []int, w []float64, lo, hi int) {
 	}
 }
 
-// WattsStrogatz returns a small-world ring lattice with n nodes, k
-// neighbors per side (degree 2k) and rewiring probability beta.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *graph.Graph {
-	if n < 3 || k < 1 {
-		return graph.FromEdges(n, nil)
-	}
-	s := graph.NewEdgeSet(n, n*k)
-	for u := 0; u < n; u++ {
-		for d := 1; d <= k; d++ {
-			v := (u + d) % n
-			if rng.Float64() < beta {
-				// rewire to a random non-neighbor
-				for tries := 0; tries < 16; tries++ {
-					w := int32(rng.Intn(n))
-					if int(w) != u && !s.Has(int32(u), w) {
-						v = int(w)
-						break
-					}
-				}
-			}
-			s.Add(int32(u), int32(v))
-		}
-	}
-	return s.Build()
-}
-
 // Grid2D returns an rows×cols lattice graph (used to simulate road
 // networks such as Minnesota). extraEdges random chords are added and
 // dropProb fraction of lattice edges removed, to roughen the mesh.

@@ -2,12 +2,9 @@ package graph
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList: the native edge-list parser must never panic, and
-// accepted graphs must validate and survive a write/read round trip.
 // FuzzFromEdgesMatchesBuilder: the direct-CSR FromEdges construction
 // must agree with the Builder reference for arbitrary byte-derived edge
 // lists — same fingerprint, same validation outcome. Each consecutive
@@ -36,35 +33,6 @@ func FuzzFromEdgesMatchesBuilder(f *testing.F) {
 		}
 		if g.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("fingerprint mismatch: %x vs %x", g.Fingerprint(), ref.Fingerprint())
-		}
-	})
-}
-
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("# nodes=3 edges=1\n0 1\n")
-	f.Add("0 1\n2 3\n")
-	f.Add("# nodes=abc\n1 2\n")
-	f.Add("")
-	f.Add("x y\n")
-	f.Add("1 1\n1 2 3 4\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails invariants: %v", err)
-		}
-		var sb strings.Builder
-		if err := WriteEdgeList(&sb, g); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadEdgeList(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("round trip parse: %v", err)
-		}
-		if back.N() != g.N() || back.M() != g.M() {
-			t.Fatalf("round trip changed graph: %v vs %v", back, g)
 		}
 	})
 }

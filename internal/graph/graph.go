@@ -145,16 +145,6 @@ func (g *Graph) Density() float64 {
 	return 2 * float64(g.m) / (float64(g.n) * float64(g.n-1))
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		n:   g.n,
-		m:   g.m,
-		off: slices.Clone(g.off),
-		nbr: slices.Clone(g.nbr),
-	}
-}
-
 // Validate checks structural invariants: consistent offsets, sorted
 // adjacency, symmetry, no self-loops, no duplicates, and consistent edge
 // count. It is used by tests and by algorithm post-conditions.
@@ -244,19 +234,6 @@ func (b *Builder) HasEdge(u, v int32) bool {
 	}
 	_, ok := b.adj[u][v]
 	return ok
-}
-
-// RemoveEdge deletes the undirected edge {u, v} if present.
-func (b *Builder) RemoveEdge(u, v int32) {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		return
-	}
-	if b.adj[u] != nil {
-		delete(b.adj[u], v)
-	}
-	if b.adj[v] != nil {
-		delete(b.adj[v], u)
-	}
 }
 
 // M returns the current number of distinct edges.
@@ -419,22 +396,6 @@ func (s *EdgeSet) M() int { return len(s.edges) }
 
 // Build finalizes the accumulated edges into an immutable CSR Graph.
 func (s *EdgeSet) Build() *Graph { return FromEdges(s.n, s.edges) }
-
-// FromAdjacency constructs a graph from raw (possibly unsorted,
-// possibly asymmetric) adjacency lists; edges are symmetrized.
-func FromAdjacency(adj [][]int32) *Graph {
-	total := 0
-	for _, nb := range adj {
-		total += len(nb)
-	}
-	edges := make([]Edge, 0, total)
-	for u, nb := range adj {
-		for _, v := range nb {
-			edges = append(edges, Canon(int32(u), v))
-		}
-	}
-	return FromEdges(len(adj), edges)
-}
 
 // Subgraph returns the induced subgraph on the given nodes, relabelled to
 // 0..len(nodes)-1 in the given order.

@@ -63,23 +63,6 @@ func TestBuilderRange(t *testing.T) {
 	}
 }
 
-func TestBuilderRemoveEdge(t *testing.T) {
-	b := NewBuilder(3)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(1, 2)
-	b.RemoveEdge(1, 0)
-	if b.HasEdge(0, 1) {
-		t.Fatal("edge 0-1 should be removed")
-	}
-	if b.M() != 1 {
-		t.Fatalf("M = %d, want 1", b.M())
-	}
-	b.RemoveEdge(0, 2) // absent: no-op
-	if b.M() != 1 {
-		t.Fatalf("M after removing absent edge = %d, want 1", b.M())
-	}
-}
-
 func TestDegreesAndNeighbors(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
 	want := []int{3, 2, 2, 1}
@@ -133,19 +116,6 @@ func TestDensity(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}})
-	c := g.Clone()
-	if c.N() != g.N() || c.M() != g.M() || !c.HasEdge(0, 1) {
-		t.Fatal("clone mismatch")
-	}
-	// mutating the clone's neighbor arena must not affect the original
-	c.nbr[0] = 2
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone shares memory with original")
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
 	sub := g.Subgraph([]int32{1, 2, 3})
@@ -166,16 +136,6 @@ func TestComponents(t *testing.T) {
 	lc := g.LargestComponent()
 	if len(lc) != 3 {
 		t.Fatalf("largest component size = %d, want 3", len(lc))
-	}
-}
-
-func TestFromAdjacencySymmetrizes(t *testing.T) {
-	g := FromAdjacency([][]int32{{1, 2}, {}, {}})
-	if !g.HasEdge(1, 0) || !g.HasEdge(2, 0) {
-		t.Fatal("adjacency not symmetrized")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteEdgeList writes the graph as "u v" lines preceded by a header
-// comment recording n and m. The format round-trips with ReadEdgeList.
+// comment recording n and m.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.N(), g.M()); err != nil {
@@ -22,59 +20,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the format written by WriteEdgeList. Lines starting
-// with '#' are comments; the first comment may carry "nodes=N". If no node
-// count is declared, the node count is 1 + the largest endpoint seen.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	n := -1
-	var edges []Edge
-	maxID := int32(-1)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			for _, tok := range strings.Fields(line) {
-				if strings.HasPrefix(tok, "nodes=") {
-					v, err := strconv.Atoi(strings.TrimPrefix(tok, "nodes="))
-					if err == nil {
-						n = v
-					}
-				}
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: malformed edge line %q", line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: bad endpoint %q: %w", fields[0], err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: bad endpoint %q: %w", fields[1], err)
-		}
-		e := Canon(int32(u), int32(v))
-		if e.V > maxID {
-			maxID = e.V
-		}
-		if e.U > maxID {
-			maxID = e.U
-		}
-		edges = append(edges, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		n = int(maxID) + 1
-	}
-	return FromEdges(n, edges), nil
 }

@@ -250,33 +250,6 @@ func ReadSnapshotFile(path string) (*Graph, error) {
 	return ReadSnapshot(f)
 }
 
-// SnapshotInfo reads and validates only the fixed header of the
-// snapshot at path — O(1), used to answer fingerprint and shape queries
-// without loading the payload.
-func SnapshotInfo(path string) (SnapshotHeader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SnapshotHeader{}, err
-	}
-	defer f.Close()
-	var buf [snapshotHeaderSize]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return SnapshotHeader{}, fmt.Errorf("graph: reading snapshot header: %w", err)
-	}
-	h, err := decodeSnapshotHeader(buf[:])
-	if err != nil {
-		return SnapshotHeader{}, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return SnapshotHeader{}, err
-	}
-	if want := snapshotHeaderSize + h.payloadSize(); st.Size() < want {
-		return SnapshotHeader{}, fmt.Errorf("graph: snapshot truncated: %d bytes, payload needs %d", st.Size(), want)
-	}
-	return h, nil
-}
-
 // forcePlainSnapshot disables the mmap fast path; tests set it to
 // exercise the plain-read fallback through OpenSnapshot itself.
 var forcePlainSnapshot = false

@@ -63,14 +63,6 @@ func TestSnapshotRoundTripMmap(t *testing.T) {
 	g := snapTestGraph(t, 500, 2500, 1)
 	path := writeSnapTemp(t, g)
 
-	info, err := SnapshotInfo(path)
-	if err != nil {
-		t.Fatalf("SnapshotInfo: %v", err)
-	}
-	if info.N != int64(g.N()) || info.M != int64(g.M()) || info.Fingerprint != g.Fingerprint() {
-		t.Fatalf("header mismatch: %+v vs n=%d m=%d fp=%016x", info, g.N(), g.M(), g.Fingerprint())
-	}
-
 	got, closer, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshot: %v", err)

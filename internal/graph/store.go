@@ -51,9 +51,8 @@ type Store interface {
 	// Has reports whether Open(ref) would succeed, without loading.
 	Has(ref Ref) bool
 	// FingerprintOf returns the stored graph's fingerprint without
-	// loading its payload; ok is false when ref is absent. It is the
-	// cache key the server's dataset LRU shares between snapshot-
-	// resolved and freshly generated graphs.
+	// loading its payload; ok is false when ref is absent. `pgb ingest`
+	// uses it to report an already-ingested dataset.
 	FingerprintOf(ref Ref) (fp uint64, ok bool)
 }
 
@@ -309,18 +308,6 @@ func (s *SnapshotStore) FingerprintOf(ref Ref) (uint64, bool) {
 	defer s.mu.Unlock()
 	fp, ok := s.index[ref.Key()]
 	return fp, ok
-}
-
-// Refs returns the keys of every indexed reference, unordered — the
-// inventory `pgb ingest -list` prints.
-func (s *SnapshotStore) Refs() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.index))
-	for k, fp := range s.index {
-		out[k] = fp
-	}
-	return out
 }
 
 // Close releases every open snapshot mapping. Graphs previously

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // interval.go holds the sample-aggregation helpers behind the fidelity
@@ -71,24 +72,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// MinMax returns the smallest and largest element of xs; (0, 0) for an
-// empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // ToleranceInterval summarises a sample of measurements (one per pinned
 // seed, in the fidelity gate) into the interval a future measurement of
 // the same quantity must fall into. The half-width is the largest of:
@@ -111,8 +94,7 @@ func ToleranceInterval(xs []float64, relFloor, absFloor float64) (Interval, erro
 		return Interval{}, fmt.Errorf("metrics: non-finite sample in %v", xs)
 	}
 	m := Mean(xs)
-	lo, hi := MinMax(xs)
-	tol := hi - lo
+	tol := slices.Max(xs) - slices.Min(xs)
 	if r := relFloor * math.Abs(m); r > tol {
 		tol = r
 	}

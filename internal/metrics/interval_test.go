@@ -13,15 +13,12 @@ func TestMeanStdDevMinMax(t *testing.T) {
 	if sd := StdDev(xs); sd != 2 {
 		t.Fatalf("StdDev = %g, want 2 (population)", sd)
 	}
-	lo, hi := MinMax(xs)
-	if lo != 2 || hi != 9 {
-		t.Fatalf("MinMax = (%g, %g), want (2, 9)", lo, hi)
+	// with no floors the half-width is the sample range max − min = 7
+	if iv, err := ToleranceInterval(xs, 0, 0); err != nil || iv.Lo != -2 || iv.Hi != 12 {
+		t.Fatalf("ToleranceInterval = %+v, %v; want [-2, 12] from min 2, max 9", iv, err)
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{3}) != 0 {
 		t.Fatal("empty/singleton aggregates should be 0")
-	}
-	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
-		t.Fatal("MinMax of empty should be (0, 0)")
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
+	"pgb/internal/dp"
 	"pgb/internal/graph"
 	"pgb/internal/lru"
 )
@@ -388,8 +389,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown_algorithm", "%v", err)
 		return
 	}
-	if req.Eps <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "privacy budget must be positive, got %g", req.Eps)
+	if err := dp.CheckEpsilon(req.Eps); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
 	g, err := s.resolveRef(&req.Source)
@@ -401,7 +402,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// deterministic passes at GOMAXPROCS; the result is bit-identical to
 	// the serial path (DESIGN.md §10), so the response — fingerprint
 	// included — never depends on the schedule.
-	syn, err := algo.GenerateWith(alg, g, req.Eps, newSeededRNG(req.Seed), algo.Params{})
+	syn, err := alg.Generate(g, req.Eps, newSeededRNG(req.Seed), algo.Params{})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "generation_failed", "%v", err)
 		return
@@ -530,8 +531,8 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, e := range req.Epsilons {
-		if e <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "privacy budget must be positive, got %g", e)
+		if err := dp.CheckEpsilon(e); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 			return
 		}
 	}

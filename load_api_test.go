@@ -100,6 +100,21 @@ func TestPublicAPIErrorsNeverPanic(t *testing.T) {
 			})
 			return err
 		}},
+		{"generate-nan-eps", func() error {
+			_, err := pgb.Generate("TmF", small, math.NaN(), 1)
+			return err
+		}},
+		{"generate-inf-eps", func() error {
+			_, err := pgb.Generate("DGG", small, math.Inf(1), 1)
+			return err
+		}},
+		{"run-nan-eps", func() error {
+			_, err := pgb.RunBenchmark(pgb.BenchmarkConfig{
+				Algorithms: []string{"TmF"}, Datasets: []string{"ER"},
+				Epsilons: []float64{1, math.NaN()}, Reps: 1, Scale: 0.05, Seed: 1,
+			})
+			return err
+		}},
 		{"run-unknown-dataset", func() error {
 			_, err := pgb.RunBenchmark(pgb.BenchmarkConfig{
 				Algorithms: []string{"TmF"}, Datasets: []string{"nope"},

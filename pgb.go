@@ -52,6 +52,7 @@ import (
 	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
+	"pgb/internal/dp"
 	"pgb/internal/graph"
 )
 
@@ -177,11 +178,11 @@ func Generate(algorithm string, g *Graph, eps float64, seed int64) (*Graph, erro
 	if g == nil {
 		return nil, fmt.Errorf("pgb: Generate needs a non-nil input graph")
 	}
-	if eps <= 0 {
-		return nil, fmt.Errorf("pgb: privacy budget must be positive, got %g", eps)
+	if err := dp.CheckEpsilon(eps); err != nil {
+		return nil, fmt.Errorf("pgb: %w", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return algo.GenerateWith(alg, g, eps, rng, algo.Params{})
+	return alg.Generate(g, eps, rng, algo.Params{})
 }
 
 // QueryReport holds the utility comparison of a synthetic graph against
