@@ -49,3 +49,24 @@ func TestScratchPoolConcurrentKernels(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Pooled arenas come back holding whatever the last kernel left in
+// them. Dirty the pool with the ANF register planes and the triangle
+// tables of a larger graph, then run both BFS sweeps on a smaller graph:
+// the answers must equal the reference on fresh slices, which is what a
+// fresh process computes. A sweep that read pool contents instead of
+// clearing its planes would diverge here.
+func TestDistancesIgnoreStaleScratch(t *testing.T) {
+	big := randomGraph(21, 1500)
+	small := sparseGraph(22, 150, 2.5)
+	wantExact := refExact(small)
+	perm := rand.New(rand.NewSource(5)).Perm(small.N())
+	wantSampled := refDistances(small, perm[:70])
+	for round := 0; round < 3; round++ {
+		ANFDistancesParallel(big, rand.New(rand.NewSource(17)), 2, nil)
+		TriangleProfileParallel(big, 2, nil)
+		assertDistanceStatsEqual(t, "exact after dirty pool", 2, ExactDistancesParallel(small, 2, nil), wantExact)
+		got := SampledDistancesParallel(small, 70, rand.New(rand.NewSource(5)), 2, nil)
+		assertDistanceStatsEqual(t, "sampled after dirty pool", 2, got, wantSampled)
+	}
+}
