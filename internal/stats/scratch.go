@@ -4,9 +4,11 @@ import "sync"
 
 // Scratch is a reusable arena for the kernels' working arrays: BFS
 // distance/queue vectors, triangle orientation tables, per-node counts,
-// histograms, and HyperANF register planes. Kernels draw one Scratch per
-// concurrent worker from a process-wide pool, so a grid run stops paying
-// one O(n) allocation set per cell per kernel invocation.
+// histograms, HyperANF register planes, and the three one-word-per-node
+// MS-BFS bit planes (seen, frontier, next; the first two share the ANF
+// register arrays). Kernels draw one Scratch per concurrent worker from
+// a process-wide pool, so a grid run stops paying one O(n) allocation
+// set per cell per kernel invocation.
 //
 // Ownership rules (DESIGN.md §11): a Scratch belongs to exactly one
 // goroutine between getScratch and Release; the arrays it hands out are
@@ -21,7 +23,7 @@ type Scratch struct {
 	i64a, i64b             []int64
 	mark                   []bool
 	f64a                   []float64
-	u64a, u64b             []uint64
+	u64a, u64b, u64c       []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -70,3 +72,7 @@ func (s *Scratch) floats(n int) []float64 {
 }
 func (s *Scratch) regsA(n int) []uint64 { s.u64a = grow(s.u64a, n); return s.u64a }
 func (s *Scratch) regsB(n int) []uint64 { s.u64b = grow(s.u64b, n); return s.u64b }
+func (s *Scratch) bitPlanes(n int) (seen, frontier, next []uint64) {
+	s.u64a, s.u64b, s.u64c = grow(s.u64a, n), grow(s.u64b, n), grow(s.u64c, n)
+	return s.u64a, s.u64b, s.u64c
+}

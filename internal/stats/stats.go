@@ -11,6 +11,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -333,21 +334,23 @@ type DistanceStats struct {
 	Distribution []float64
 }
 
-// ExactDistancesParallel runs BFS from every node: O(nm), suitable for
-// graphs up to a few thousand nodes. The BFS sources are spread over up
-// to workers goroutines (0 selects GOMAXPROCS; helpers come from budget
-// when non-nil). Bit-identical at every worker count — see bfsDistances.
+// ExactDistancesParallel runs BFS from every node, 64 sources at a time
+// (see bfsDistances): ⌈n/64⌉·(D+1)·(n+2m) word operations for a graph of
+// diameter D. The source batches are spread over up to workers
+// goroutines (0 selects GOMAXPROCS; helpers come from budget when
+// non-nil). Bit-identical at every worker count — see bfsDistances.
 func ExactDistancesParallel(g *graph.Graph, workers int, budget *par.Budget) DistanceStats {
 	return bfsDistances(g, nil, workers, budget)
 }
 
 // SampledDistancesParallel estimates the path queries by running BFS
-// from a uniform sample of source nodes on a bounded worker pool. The
-// diameter estimate is the maximum eccentricity over sampled sources (a
-// lower bound, standard practice for large-graph benchmarking). Graphs
-// with at most samples nodes fall back to exact BFS. The source sample
-// is drawn from rng before any parallel work starts, so rng consumption
-// — and therefore the result — is identical at every worker count.
+// from a uniform sample of source nodes, 64 sources at a time, on a
+// bounded worker pool. The diameter estimate is the maximum eccentricity
+// over sampled sources (a lower bound, standard practice for large-graph
+// benchmarking). Graphs with at most samples nodes fall back to exact
+// BFS. The source sample is drawn from rng before any parallel work
+// starts, so rng consumption — and therefore the result — is identical
+// at every worker count.
 func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
 	n := g.N()
 	if samples >= n {
@@ -361,12 +364,19 @@ func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, worke
 	return bfsDistances(g, sources, workers, budget)
 }
 
-// bfsDistances runs one BFS per source on up to workers goroutines.
-// Worker-count invariance (DESIGN.md §2): every accumulator is an exact
-// integer — max eccentricity, pair count, distance-sum, histogram — and
-// integer max/sum are order-free, so merging per-worker partials yields
-// the same totals as the serial sweep, and the final floating-point
-// divisions see identical operands.
+// bfsDistances runs an exact multi-source bit-parallel BFS (MS-BFS; Then
+// et al., "The More the Merrier", VLDB 2015) from sources (nil: every
+// node). Sources are cut into batches of one machine word — 64 — and
+// workers claim whole batches. Within a batch, source i owns bit i of
+// every plane word, so one sweep over the CSR advances all 64 searches
+// by one level, and the popcounts of the newly reached words are the
+// exact number of (source, target) pairs at that distance.
+//
+// Worker-count invariance (DESIGN.md §2): the only accumulator is the
+// integer histogram of pair counts per distance, merged by integer
+// addition, which is order-free. Diameter, pair count and distance sum
+// are read off the merged histogram, so the final floating-point
+// divisions see identical operands at every worker count.
 func bfsDistances(g *graph.Graph, sources []int32, workers int, budget *par.Budget) DistanceStats {
 	n := g.N()
 	if n == 0 {
@@ -378,75 +388,40 @@ func bfsDistances(g *graph.Graph, sources []int32, workers int, budget *par.Budg
 			sources[i] = int32(i)
 		}
 	}
-	workers = normWorkers(workers, len(sources))
+	batches := (len(sources) + 63) / 64
+	workers = normWorkers(workers, batches)
 	var (
-		mu       sync.Mutex
-		maxDist  int32
-		sumDist  int64
-		numPairs int64
-		hist     []int64
+		mu   sync.Mutex
+		hist []int64 // hist[d]: (source, target) pairs at distance d
 	)
-	claim := par.Queue(len(sources))
+	claim := par.Queue(batches)
 	budget.Do(workers-1, func() {
 		s := getScratch()
 		defer s.Release()
-		dist := s.dist(n)
-		queue := s.queue(n)[:0]
-		var lmax int32
-		var lsum, lpairs int64
+		seen, frontier, next := s.bitPlanes(n)
 		var lhist []int64
-		for i, ok := claim(); ok; i, ok = claim() {
-			s := sources[i]
-			for j := range dist {
-				dist[j] = -1
-			}
-			dist[s] = 0
-			// head-indexed FIFO: re-slicing queue[1:] would shed capacity
-			// and reallocate every sweep
-			queue = queue[:0]
-			queue = append(queue, s)
-			for head := 0; head < len(queue); head++ {
-				u := queue[head]
-				du := dist[u]
-				for _, v := range g.Neighbors(u) {
-					if dist[v] < 0 {
-						dist[v] = du + 1
-						queue = append(queue, v)
-					}
-				}
-			}
-			for u := 0; u < n; u++ {
-				d := dist[u]
-				if d <= 0 {
-					continue // unreachable or self
-				}
-				if d > lmax {
-					lmax = d
-				}
-				lsum += int64(d)
-				lpairs++
-				for int(d) >= len(lhist) {
-					lhist = append(lhist, 0)
-				}
-				lhist[d]++
-			}
+		for b, ok := claim(); ok; b, ok = claim() {
+			batch := sources[b*64 : min(b*64+64, len(sources))]
+			lhist = msbfs(g, batch, seen, frontier, next, lhist)
 		}
 		mu.Lock()
-		if lmax > maxDist {
-			maxDist = lmax
-		}
-		sumDist += lsum
-		numPairs += lpairs
 		for len(hist) < len(lhist) {
 			hist = append(hist, 0)
 		}
-		for i, c := range lhist {
-			hist[i] += c
+		for d, c := range lhist {
+			hist[d] += c
 		}
 		mu.Unlock()
 	})
-	st := DistanceStats{Diameter: float64(maxDist)}
+	var sumDist, numPairs int64
+	for d, c := range hist {
+		sumDist += int64(d) * c
+		numPairs += c
+	}
+	st := DistanceStats{}
 	if numPairs > 0 {
+		// hist only grows on a level that reached someone
+		st.Diameter = float64(len(hist) - 1)
 		st.AvgPath = float64(sumDist) / float64(numPairs)
 		st.Distribution = make([]float64, len(hist))
 		for i, c := range hist {
@@ -454,6 +429,49 @@ func bfsDistances(g *graph.Graph, sources []int32, workers int, budget *par.Budg
 		}
 	}
 	return st
+}
+
+// msbfs runs one BFS from each of up to 64 distinct sources at once and
+// adds the number of (source, target) pairs at each distance d ≥ 1 to
+// hist[d], growing hist only for levels that reach at least one pair.
+// Bit i of seen[v] records that source i has reached v, frontier[v] that
+// it reached v on the previous level. Each level is one pull over the
+// CSR — next[v] = OR of frontier over N(v), minus seen[v] — skipping
+// nodes every source has already reached. All three planes (length
+// g.N()) are fully initialised here, so stale contents never matter.
+func msbfs(g *graph.Graph, batch []int32, seen, frontier, next []uint64, hist []int64) []int64 {
+	clear(seen)
+	clear(frontier)
+	for i, s := range batch {
+		seen[s] |= 1 << i
+		frontier[s] |= 1 << i
+	}
+	full := ^uint64(0) >> (64 - len(batch))
+	for d := 1; ; d++ {
+		var reached int64
+		for v, sv := range seen {
+			if sv == full {
+				next[v] = 0
+				continue
+			}
+			var acc uint64
+			for _, u := range g.Neighbors(int32(v)) {
+				acc |= frontier[u]
+			}
+			nv := acc &^ sv
+			next[v] = nv
+			seen[v] = sv | nv
+			reached += int64(bits.OnesCount64(nv))
+		}
+		if reached == 0 {
+			return hist
+		}
+		for len(hist) <= d {
+			hist = append(hist, 0)
+		}
+		hist[d] += reached
+		frontier, next = next, frontier
+	}
 }
 
 // GlobalClusteringFrom is query Q10: the transitivity 3*triangles /
