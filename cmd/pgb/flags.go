@@ -6,16 +6,19 @@ import (
 	"pgb/internal/graph"
 )
 
-// flags.go is the shared flag vocabulary of the pgb subcommands. Every
-// flag that appears on more than one subcommand is registered through
-// exactly one helper here, so its name, default, and help text cannot
-// drift between commands:
+// flags.go registers the pgb flags whose name and help text must not
+// drift between subcommands, each through exactly one helper:
 //
 //	flag       commands                        meaning
 //	-jobs      grid commands, serve            parallelism budget
 //	-snapshot  grid commands, ingest, serve    snapshot store directory
 //	                                           (written by `pgb ingest`)
 //	-data-dir  serve                           run-manifest directory
+//
+// -scale, -seed, -reps and -v also appear on several subcommands, but
+// their defaults and help differ per command (verify runs at scale
+// 0.25, the grid commands at 0.1), so each command registers them
+// itself.
 
 // addJobsFlag registers -jobs, the parallelism budget.
 func addJobsFlag(fs *flag.FlagSet, def int, help string) *int {

@@ -20,29 +20,15 @@ import (
 	"pgb/internal/graph"
 )
 
-// Options configures DER.
-type Options struct {
-	// MaxDepth bounds quadtree recursion; <= 0 selects ⌈log2 n⌉.
-	MaxDepth int
-	// MinRegion stops splitting below this side length. Default 16.
-	MinRegion int
-}
+// minRegion stops quadtree splitting once both sides of a region are at
+// most this long.
+const minRegion = 16
 
 // DER is the quadtree exploration baseline.
-type DER struct {
-	opt Options
-}
-
-// New returns a DER generator with the given options.
-func New(opt Options) *DER {
-	if opt.MinRegion <= 0 {
-		opt.MinRegion = 16
-	}
-	return &DER{opt: opt}
-}
+type DER struct{}
 
 // Default returns DER with the paper's parameterisation.
-func Default() *DER { return New(Options{}) }
+func Default() *DER { return &DER{} }
 
 // Name implements algo.Generator.
 func (d *DER) Name() string { return "DER" }
@@ -73,10 +59,7 @@ func (d *DER) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Param
 	if n < 2 {
 		return graph.New(n), nil
 	}
-	maxDepth := d.opt.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = int(math.Ceil(math.Log2(float64(n))))
-	}
+	maxDepth := int(math.Ceil(math.Log2(float64(n))))
 	// Geometric budget split across levels: level i gets eps·(1/2)^(i+1),
 	// with the tail assigned to the deepest level so the total is exactly ε.
 	levelEps := make([]float64, maxDepth+1)
@@ -106,7 +89,7 @@ func (d *DER) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Param
 		// is homogeneous enough that splitting is uninformative.
 		density := noisy / cells
 		stop := reg.depth >= maxDepth ||
-			(rows <= d.opt.MinRegion && cols <= d.opt.MinRegion) ||
+			(rows <= minRegion && cols <= minRegion) ||
 			density <= 0 || density >= 0.9
 		if stop {
 			placeUniform(b, reg, noisy, rng)

@@ -75,12 +75,3 @@ func TestDenseRegionFoundByQuadtree(t *testing.T) {
 		t.Fatalf("only %.2f of reconstructed edges in the dense block", frac)
 	}
 }
-
-func TestMinRegionDefaulting(t *testing.T) {
-	if New(Options{}).opt.MinRegion != 16 {
-		t.Fatal("MinRegion not defaulted")
-	}
-	if New(Options{MinRegion: 4}).opt.MinRegion != 4 {
-		t.Fatal("MinRegion override ignored")
-	}
-}

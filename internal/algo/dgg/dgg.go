@@ -20,9 +20,6 @@ import (
 
 // Options configures DGG.
 type Options struct {
-	// Rho scales the within-block BTER connectivity; <= 0 selects the
-	// default (0.9).
-	Rho float64
 	// UseChungLu replaces the BTER construction with plain Chung-Lu —
 	// the ablation dropping the clustering-preserving blocks.
 	UseChungLu bool
@@ -71,5 +68,5 @@ func (d *DGG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Param
 		}
 		return gen.ChungLu(w, rng), nil
 	}
-	return gen.BTER(target, d.opt.Rho, rng), nil
+	return gen.BTER(target, rng), nil
 }

@@ -38,12 +38,13 @@ const (
 	DK2 Model = 2
 )
 
+// delta is the (ε, δ) relaxation parameter of DK2's smooth-sensitivity
+// calibration.
+const delta = 0.01
+
 // Options configures DP-dK.
 type Options struct {
 	Model Model
-	// Delta is the (ε, δ) relaxation parameter for the smooth-sensitivity
-	// calibration of DK2; PGB uses 0.01.
-	Delta float64
 	// GlobalSensitivity forces DK2 to use the pessimistic global bound
 	// instead of smooth sensitivity — the ablation in DESIGN.md §7.
 	GlobalSensitivity bool
@@ -59,9 +60,6 @@ func New(opt Options) *DPdK {
 	if opt.Model != DK1 {
 		opt.Model = DK2
 	}
-	if opt.Delta <= 0 {
-		opt.Delta = 0.01
-	}
 	return &DPdK{opt: opt}
 }
 
@@ -74,7 +72,7 @@ func (d *DPdK) Name() string { return "DP-dK" }
 // Delta implements algo.Generator.
 func (d *DPdK) Delta() float64 {
 	if d.opt.Model == DK2 && !d.opt.GlobalSensitivity {
-		return d.opt.Delta
+		return delta
 	}
 	return 0
 }
@@ -205,7 +203,7 @@ func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.
 		// bounded by 4·(d_max + t + 1) (an edge flip moves the two endpoint
 		// degrees, relocating at most their incident JDM entries).
 		dmax := float64(maxDeg)
-		beta := dp.Beta(eps, d.opt.Delta)
+		beta := dp.Beta(eps, delta)
 		s := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 			ls := 4 * (dmax + float64(t) + 1)
 			cap4n := 4 * float64(n)

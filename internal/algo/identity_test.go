@@ -134,7 +134,7 @@ func TestGenerateGoldenIdentity(t *testing.T) {
 // one-worker result (no golden needed — that run is the reference).
 func TestGenerateParallelWorkerInvarianceLarger(t *testing.T) {
 	g := gen.PlantedPartition(1200, 6, 0.05, 0.004, rand.New(rand.NewSource(17)))
-	for _, name := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF"} {
+	for _, name := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF", "PrivSKG"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			a, err := core.NewAlgorithm(name)

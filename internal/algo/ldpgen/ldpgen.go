@@ -37,33 +37,14 @@ import (
 // every merge — is identical at any parallelism (DESIGN.md §10).
 const shardGrain = 256
 
-// Options configures LDPGen.
-type Options struct {
-	// InitialGroups is k0, the random grouping of phase 1; <= 0 selects
-	// the paper's default heuristic max(2, n/200) capped at 16.
-	InitialGroups int
-	// Clusters is k1, the learned cluster count; <= 0 selects
-	// max(2, √(n)/4) capped at 32.
-	Clusters int
-	// Phase1Fraction is the ε share of phase 1. Default 0.5.
-	Phase1Fraction float64
-}
+// phase1Fraction is the ε share of phase 1; phase 2 spends the rest.
+const phase1Fraction = 0.5
 
 // LDPGen is the two-phase Edge-LDP generator.
-type LDPGen struct {
-	opt Options
-}
-
-// New returns an LDPGen generator with the given options.
-func New(opt Options) *LDPGen {
-	if opt.Phase1Fraction <= 0 || opt.Phase1Fraction >= 1 {
-		opt.Phase1Fraction = 0.5
-	}
-	return &LDPGen{opt: opt}
-}
+type LDPGen struct{}
 
 // Default returns LDPGen with the paper's parameterisation.
-func Default() *LDPGen { return New(Options{}) }
+func Default() *LDPGen { return &LDPGen{} }
 
 // Name implements algo.Generator.
 func (l *LDPGen) Name() string { return "LDPGen" }
@@ -84,7 +65,7 @@ func (l *LDPGen) Complexity() (string, string) { return "O(n k)", "O(n k)" }
 // any worker count.
 func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
-	eps1 := eps * l.opt.Phase1Fraction
+	eps1 := eps * phase1Fraction
 	eps2 := eps - eps1
 	if err := acct.Spend(eps1); err != nil {
 		return nil, err
@@ -96,14 +77,10 @@ func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Pa
 	if n < 4 {
 		return graph.New(n), nil
 	}
-	k0 := l.opt.InitialGroups
-	if k0 <= 0 {
-		k0 = clampInt(n/200, 2, 16)
-	}
-	k1 := l.opt.Clusters
-	if k1 <= 0 {
-		k1 = clampInt(int(math.Sqrt(float64(n))/4), 2, 32)
-	}
+	// k0 random groups of phase 1 (the paper's heuristic) and k1 learned
+	// clusters of phase 2.
+	k0 := clampInt(n/200, 2, 16)
+	k1 := clampInt(int(math.Sqrt(float64(n))/4), 2, 32)
 
 	// Phase 1: noisy degree vectors toward k0 random groups. The raw
 	// group-count scan is deterministic and node-sharded into one flat
@@ -178,7 +155,7 @@ func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Pa
 			deg[i] = intraDeg[u]
 		}
 		target := gen.SanitizeDegrees(deg)
-		sub := gen.BTER(target, 0, rng)
+		sub := gen.BTER(target, rng)
 		for _, e := range sub.Edges() {
 			b.Add(ms[e.U], ms[e.V])
 		}

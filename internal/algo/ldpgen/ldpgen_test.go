@@ -86,10 +86,6 @@ func TestTinyGraph(t *testing.T) {
 }
 
 func TestOptionDefaults(t *testing.T) {
-	a := New(Options{Phase1Fraction: 2})
-	if a.opt.Phase1Fraction != 0.5 {
-		t.Fatal("fraction not defaulted")
-	}
 	if Default().Delta() != 0 {
 		t.Fatal("LDPGen should be pure eps-LDP")
 	}

@@ -30,14 +30,15 @@ import (
 // the decomposition never depends on the worker count.
 const shardGrain = 256
 
+// structureFraction is the share of ε spent sampling the dendrogram (ε1);
+// the rest perturbs edge counts (ε2).
+const structureFraction = 0.5
+
 // Options configures PrivHRG.
 type Options struct {
 	// MCMCSteps is the number of Metropolis steps; <= 0 selects
 	// min(40·n, 60000).
 	MCMCSteps int
-	// StructureFraction is the share of ε spent sampling the dendrogram
-	// (ε1); the rest perturbs edge counts (ε2). Default 0.5.
-	StructureFraction float64
 }
 
 // PrivHRG is the hierarchical-random-graph generator.
@@ -46,12 +47,7 @@ type PrivHRG struct {
 }
 
 // New returns a PrivHRG generator with the given options.
-func New(opt Options) *PrivHRG {
-	if opt.StructureFraction <= 0 || opt.StructureFraction >= 1 {
-		opt.StructureFraction = 0.5
-	}
-	return &PrivHRG{opt: opt}
-}
+func New(opt Options) *PrivHRG { return &PrivHRG{opt: opt} }
 
 // Default returns PrivHRG with the paper's parameterisation.
 func Default() *PrivHRG { return New(Options{}) }
@@ -255,7 +251,7 @@ func (d *dendrogram) pairs(r int32) float64 {
 // output is bit-identical at any worker count.
 func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
-	eps1 := eps * p.opt.StructureFraction
+	eps1 := eps * structureFraction
 	eps2 := eps - eps1
 	if err := acct.Spend(eps1); err != nil {
 		return nil, err

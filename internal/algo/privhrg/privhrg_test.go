@@ -107,12 +107,3 @@ func TestTinyGraphs(t *testing.T) {
 		}
 	}
 }
-
-func TestStructureFractionDefaulting(t *testing.T) {
-	for _, f := range []float64{0, -1, 1, 5} {
-		a := New(Options{StructureFraction: f})
-		if a.opt.StructureFraction != 0.5 {
-			t.Fatalf("fraction %g not defaulted", f)
-		}
-	}
-}

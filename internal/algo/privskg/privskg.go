@@ -19,46 +19,33 @@ import (
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
-// Options configures PrivSKG.
-type Options struct {
-	// Delta is the (ε, δ) relaxation for the smooth-sensitivity noise;
-	// PGB uses 0.01.
-	Delta float64
-}
+// delta is the (ε, δ) relaxation of the smooth-sensitivity noise.
+const delta = 0.01
 
 // PrivSKG is the private stochastic Kronecker generator.
-type PrivSKG struct {
-	opt Options
-}
-
-// New returns a PrivSKG generator with the given options.
-func New(opt Options) *PrivSKG {
-	if opt.Delta <= 0 {
-		opt.Delta = 0.01
-	}
-	return &PrivSKG{opt: opt}
-}
+type PrivSKG struct{}
 
 // Default returns PrivSKG with δ = 0.01 as benchmarked in PGB.
-func Default() *PrivSKG { return New(Options{}) }
+func Default() *PrivSKG { return &PrivSKG{} }
 
 // Name implements algo.Generator.
 func (p *PrivSKG) Name() string { return "PrivSKG" }
 
 // Delta implements algo.Generator.
-func (p *PrivSKG) Delta() float64 { return p.opt.Delta }
+func (p *PrivSKG) Delta() float64 { return delta }
 
 // Complexity implements algo.Generator (Table VIII: the smooth-sensitivity
 // computation over the moment estimator dominates).
 func (p *PrivSKG) Complexity() (string, string) { return "O(n^2 m)", "O(n^2)" }
 
-// Generate implements algo.Generator. PrivSKG stays serial (it ignores
-// its Params): it perturbs three scalar moments and fits a 2×2
-// Kronecker initiator — microseconds of work before an rng-bound
-// sampling construction, nothing worth sharding (DESIGN.md §10).
-func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
+// Generate implements algo.Generator. The triangle moment is the one
+// sharded pass: stats.TrianglesParallel on prm's workers, an exact
+// integer count at any worker count. The three Laplace draws and the
+// rng-bound Kronecker sampling stay serial (DESIGN.md §10).
+func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	epsEach := eps / 3
 	for i := 0; i < 3; i++ {
@@ -68,7 +55,7 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.P
 	}
 	n := g.N()
 	dmax := float64(g.MaxDegree())
-	beta := dp.Beta(epsEach, p.opt.Delta)
+	beta := dp.Beta(epsEach, delta)
 
 	// Moment 1: edge count — global sensitivity 1.
 	edges := dp.LaplaceMechanism(rng, float64(g.M()), 1, epsEach)
@@ -92,7 +79,7 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.P
 
 	// Moment 3: triangle count. Local sensitivity at distance t is
 	// bounded by the max common-neighbor count + t ≤ d_max + t.
-	tri := countTriangles(g)
+	tri := stats.TrianglesParallel(g, prm.Workers, prm.Budget)
 	sTri := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 		ls := dmax + float64(t)
 		if max := float64(n); ls > max {
@@ -113,36 +100,4 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.P
 		target = maxEdges
 	}
 	return gen.SampleKronecker(init, k, n, target, rng), nil
-}
-
-// countTriangles is a local forward-intersection count (duplicated from
-// stats to keep algo packages free of a stats dependency).
-func countTriangles(g *graph.Graph) float64 {
-	n := g.N()
-	count := 0.0
-	mark := make([]bool, n)
-	for u := 0; u < n; u++ {
-		nb := g.Neighbors(int32(u))
-		for _, v := range nb {
-			if v > int32(u) {
-				mark[v] = true
-			}
-		}
-		for _, v := range nb {
-			if v <= int32(u) {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				if w > v && mark[w] {
-					count++
-				}
-			}
-		}
-		for _, v := range nb {
-			if v > int32(u) {
-				mark[v] = false
-			}
-		}
-	}
-	return count
 }

@@ -30,12 +30,13 @@ import (
 // decomposition never depends on the worker count.
 const shardGrain = 4096
 
+// edgeCountFraction is the share of ε spent on the noisy edge count m̃;
+// the rest perturbs matrix cells. The paper's implementation uses a small
+// constant share.
+const edgeCountFraction = 0.1
+
 // Options configures TmF.
 type Options struct {
-	// EdgeCountFraction is the share of ε spent on the noisy edge count
-	// m̃; the rest perturbs matrix cells. The paper's implementation uses
-	// a small constant share. Default 0.1.
-	EdgeCountFraction float64
 	// NaiveFullMatrix disables the high-pass filter and adds explicit
 	// Laplace noise to every cell — the O(n²) baseline TmF improves on.
 	// Exposed for the filter ablation bench; infeasible above ~5k nodes.
@@ -48,12 +49,7 @@ type TmF struct {
 }
 
 // New returns a TmF generator with the given options.
-func New(opt Options) *TmF {
-	if opt.EdgeCountFraction <= 0 || opt.EdgeCountFraction >= 1 {
-		opt.EdgeCountFraction = 0.1
-	}
-	return &TmF{opt: opt}
-}
+func New(opt Options) *TmF { return &TmF{opt: opt} }
 
 // Default returns TmF with the paper's parameterisation.
 func Default() *TmF { return New(Options{}) }
@@ -81,8 +77,8 @@ func (t *TmF) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
 // bit-identical at any worker count.
 func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
-	eps2 := eps * t.opt.EdgeCountFraction // edge count
-	eps1 := eps - eps2                    // cell noise
+	eps2 := eps * edgeCountFraction // edge count
+	eps1 := eps - eps2              // cell noise
 	if err := acct.Spend(eps2); err != nil {
 		return nil, err
 	}

@@ -12,19 +12,6 @@ import (
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestOptionsDefaulting(t *testing.T) {
-	for _, f := range []float64{0, -1, 1, 2} {
-		a := New(Options{EdgeCountFraction: f})
-		if a.opt.EdgeCountFraction != 0.1 {
-			t.Fatalf("fraction %g not defaulted: %g", f, a.opt.EdgeCountFraction)
-		}
-	}
-	a := New(Options{EdgeCountFraction: 0.25})
-	if a.opt.EdgeCountFraction != 0.25 {
-		t.Fatal("valid fraction overridden")
-	}
-}
-
 func TestHighBudgetRecoversEdges(t *testing.T) {
 	g := gen.GNM(150, 500, rng(1))
 	syn, err := Default().Generate(g, 50, rng(2), algo.Params{})

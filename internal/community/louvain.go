@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 // Result holds a detected partition: Labels[u] is the community of node u,
@@ -119,7 +120,7 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Result {
 	return Result{
 		Labels:         labels,
 		NumCommunities: len(remap),
-		Modularity:     modularityOf(g, labels),
+		Modularity:     stats.Modularity(g, labels),
 	}
 }
 
@@ -257,33 +258,4 @@ func aggregate(w *wgraph, comm []int, k int) *wgraph {
 	}
 	out.off, out.nbr, out.wt = off, nbr, wts
 	return out
-}
-
-func modularityOf(g *graph.Graph, labels []int) float64 {
-	m := float64(g.M())
-	if m == 0 {
-		return 0
-	}
-	maxL := 0
-	for _, l := range labels {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	intra := make([]float64, maxL+1)
-	degSum := make([]float64, maxL+1)
-	for u := 0; u < g.N(); u++ {
-		lu := labels[u]
-		degSum[lu] += float64(g.Degree(int32(u)))
-		for _, v := range g.Neighbors(int32(u)) {
-			if int32(u) < v && labels[v] == lu {
-				intra[lu]++
-			}
-		}
-	}
-	q := 0.0
-	for c := range intra {
-		q += intra[c]/m - (degSum[c]/(2*m))*(degSum[c]/(2*m))
-	}
-	return q
 }

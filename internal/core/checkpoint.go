@@ -67,7 +67,6 @@ type manifestCell struct {
 }
 
 func headerFor(cfg Config) manifestHeader {
-	popt := ProfileOptions{}.withDefaults()
 	h := manifestHeader{
 		Version:        checkpointVersion,
 		Algorithms:     cfg.Algorithms,
@@ -78,9 +77,9 @@ func headerFor(cfg Config) manifestHeader {
 		Scale:          cfg.Scale,
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
-		ExactPathLimit: popt.ExactPathLimit,
-		PathSamples:    popt.PathSamples,
-		EVCIterations:  popt.EVCIterations,
+		ExactPathLimit: exactPathLimit,
+		PathSamples:    pathSamples,
+		EVCIterations:  evcIterations,
 		DistanceMode:   string(cfg.DistanceMode),
 	}
 	h.Digest = h.digest()
@@ -89,14 +88,14 @@ func headerFor(cfg Config) manifestHeader {
 
 // ErrManifestTuning is returned by CheckpointConfig for a manifest whose
 // profile tuning (exact_path_limit, path_samples, evc_iterations,
-// exact_diameter) differs from the defaults: a Config can no longer set
+// exact_diameter) differs from the profile constants: a Config cannot set
 // those knobs, so the run it records cannot be reproduced.
 var ErrManifestTuning = errors.New("core: manifest profile tuning differs from the defaults")
 
 // config reconstructs the Config a manifest was written under.
 func (h manifestHeader) config() (Config, error) {
-	if def := (ProfileOptions{}).withDefaults(); h.ExactPathLimit != def.ExactPathLimit ||
-		h.PathSamples != def.PathSamples || h.EVCIterations != def.EVCIterations || h.ExactDiameter {
+	if h.ExactPathLimit != exactPathLimit || h.PathSamples != pathSamples ||
+		h.EVCIterations != evcIterations || h.ExactDiameter {
 		return Config{}, fmt.Errorf("%w: exact_path_limit %d, path_samples %d, evc_iterations %d, exact_diameter %t",
 			ErrManifestTuning, h.ExactPathLimit, h.PathSamples, h.EVCIterations, h.ExactDiameter)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pgb/internal/gen"
+	"pgb/internal/graph"
 	"pgb/internal/metrics"
 )
 
@@ -74,24 +75,24 @@ func TestProfileValues(t *testing.T) {
 	}
 }
 
-// The auto distance mode runs exact BFS up to ExactPathLimit nodes and
+// The auto distance mode runs exact BFS up to exactPathLimit nodes and
 // sampled BFS above it, bit for bit.
 func TestProfileAutoDistanceMode(t *testing.T) {
-	g := gen.GNM(200, 800, rng(5))
-	dist := func(limit int, mode DistanceMode) *Profile {
-		opt := ProfileOptions{Queries: []QueryID{QDiameter, QAvgPath, QDistanceDistribution}, ExactPathLimit: limit, PathSamples: 16, DistanceMode: mode}
+	dist := func(g *graph.Graph, mode DistanceMode) *Profile {
+		opt := ProfileOptions{Queries: []QueryID{QDiameter, QAvgPath, QDistanceDistribution}, DistanceMode: mode}
 		return ComputeProfileSeeded(g, opt, 7)
 	}
 	for _, tc := range []struct {
-		limit int
-		want  DistanceMode
-	}{{200, DistanceExact}, {199, DistanceSampled}} {
-		if got, want := dist(tc.limit, DistanceAuto), dist(tc.limit, tc.want); !reflect.DeepEqual(got, want) {
-			t.Errorf("n=200 limit %d: auto profile %+v, want the %s profile %+v", tc.limit, got, tc.want, want)
+		n    int
+		want DistanceMode
+	}{{exactPathLimit, DistanceExact}, {exactPathLimit + 1, DistanceSampled}} {
+		g := gen.GNM(tc.n, 3*tc.n, rng(5))
+		if got, want := dist(g, DistanceAuto), dist(g, tc.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: auto profile differs from the %s profile", tc.n, tc.want)
 		}
-	}
-	if reflect.DeepEqual(dist(200, DistanceExact), dist(200, DistanceSampled)) {
-		t.Fatal("exact and sampled profiles coincide; the test cannot tell the modes apart")
+		if reflect.DeepEqual(dist(g, DistanceExact), dist(g, DistanceSampled)) {
+			t.Fatalf("n=%d: exact and sampled profiles coincide; the test cannot tell the modes apart", tc.n)
+		}
 	}
 }
 

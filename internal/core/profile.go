@@ -43,7 +43,7 @@ type DistanceMode string
 
 const (
 	// DistanceAuto is the default: exact all-pairs BFS up to
-	// ExactPathLimit nodes, sampled BFS above it.
+	// exactPathLimit nodes, sampled BFS above it.
 	DistanceAuto DistanceMode = ""
 	// DistanceExact forces all-pairs BFS at any size.
 	DistanceExact DistanceMode = "exact"
@@ -68,24 +68,29 @@ func ParseDistanceMode(s string) (DistanceMode, error) {
 	return DistanceAuto, fmt.Errorf("unknown distance mode %q (want auto, exact, sampled, or anf)", s)
 }
 
+// Tuning of the expensive queries. The checkpoint header writes all
+// three and CheckpointConfig refuses a manifest that differs
+// (DESIGN.md §5).
+const (
+	// exactPathLimit is the node count up to which the auto distance mode
+	// runs all-pairs BFS; larger graphs use sampled BFS.
+	exactPathLimit = 2000
+	// pathSamples is the BFS source sample size of sampled distances.
+	pathSamples = 64
+	// evcIterations bounds the eigenvector-centrality power iteration.
+	evcIterations = 60
+)
+
 // ProfileOptions tunes the expensive queries and the execution of the
 // profile computation itself.
 type ProfileOptions struct {
-	// ExactPathLimit is the node count up to which all-pairs BFS is exact;
-	// larger graphs use sampled BFS. Default 2000.
-	ExactPathLimit int
-	// PathSamples is the BFS source sample size for large graphs.
-	// Default 64.
-	PathSamples int
-	// EVCIterations bounds power iteration. Default 60.
-	EVCIterations int
 	// ExactDiameter replaces the sampled diameter lower bound with the
 	// exact iFUB computation on the largest component — used by the
 	// verification appendix, where diameter is compared in absolute
 	// terms rather than relative across algorithms.
 	ExactDiameter bool
-	// DistanceMode selects the Q7–Q9 estimator: auto (exact below
-	// ExactPathLimit, sampled above), exact, sampled, or anf. Unknown
+	// DistanceMode selects the Q7–Q9 estimator: auto (exact up to
+	// exactPathLimit nodes, sampled above), exact, sampled, or anf. Unknown
 	// values behave like auto; validate boundary input with
 	// ParseDistanceMode.
 	DistanceMode DistanceMode
@@ -114,19 +119,6 @@ func (o ProfileOptions) effectiveWorkers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o ProfileOptions) withDefaults() ProfileOptions {
-	if o.ExactPathLimit <= 0 {
-		o.ExactPathLimit = 2000
-	}
-	if o.PathSamples <= 0 {
-		o.PathSamples = 64
-	}
-	if o.EVCIterations <= 0 {
-		o.EVCIterations = 60
-	}
-	return o
 }
 
 // SubSeed derives an independent deterministic RNG stream from a base
@@ -164,7 +156,6 @@ type profileTask struct {
 // worker-count-invariant, so the result is identical for a fixed seed
 // regardless of parallelism.
 func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	opt = opt.withDefaults()
 	workers := opt.effectiveWorkers()
 	budget := opt.Budget
 	if budget == nil && workers > 1 {
@@ -264,14 +255,14 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 		case DistanceExact:
 			ds = stats.ExactDistancesParallel(g, workers, budget)
 		case DistanceSampled:
-			ds = stats.SampledDistancesParallel(g, opt.PathSamples, rng, workers, budget)
+			ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
 		case DistanceANF:
 			ds = stats.ANFDistancesParallel(g, rng, workers, budget)
 		default: // DistanceAuto and unrecognised values
-			if g.N() <= opt.ExactPathLimit {
+			if g.N() <= exactPathLimit {
 				ds = stats.ExactDistancesParallel(g, workers, budget)
 			} else {
-				ds = stats.SampledDistancesParallel(g, opt.PathSamples, rng, workers, budget)
+				ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
 			}
 		}
 		p.Diameter = ds.Diameter
@@ -287,7 +278,7 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 		p.Modularity = cd.Modularity
 	})
 	add(GroupCentrality, CostMedium, func(*rand.Rand) {
-		p.EVC = stats.EigenvectorCentrality(g, opt.EVCIterations, 0)
+		p.EVC = stats.EigenvectorCentrality(g, evcIterations, 0)
 	})
 
 	if len(custom) > 0 {
@@ -360,7 +351,7 @@ func (o ProfileOptions) optKey(seed int64) string {
 		seed = 0
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "l%d s%d i%d x%t m%s seed%d q", o.ExactPathLimit, o.PathSamples, o.EVCIterations, o.ExactDiameter, o.DistanceMode, seed)
+	fmt.Fprintf(&sb, "x%t m%s seed%d q", o.ExactDiameter, o.DistanceMode, seed)
 	if o.Queries == nil {
 		fmt.Fprintf(&sb, "all%d", len(RegisteredQueries()))
 	} else {
@@ -387,7 +378,7 @@ var profileCache = lru.New[profileCacheKey, *Profile](64)
 // true graphs, Compare baselines, and the verification appendix. The
 // returned profile is shared: callers must treat it as read-only.
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	key := profileCacheKey{fp: g.Fingerprint(), opt: opt.withDefaults().optKey(seed)}
+	key := profileCacheKey{fp: g.Fingerprint(), opt: opt.optKey(seed)}
 	if p, ok := profileCache.Get(key); ok {
 		return p
 	}

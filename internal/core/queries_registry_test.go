@@ -141,7 +141,7 @@ func TestComputeProfileParallelMatchesSerial(t *testing.T) {
 	if g.N() <= 2000 {
 		t.Fatal("test graph must exceed the exact-BFS limit")
 	}
-	opt := ProfileOptions{PathSamples: 32}
+	opt := ProfileOptions{}
 	serial := opt
 	serial.Workers = 1
 
@@ -167,7 +167,7 @@ func TestComputeProfileWorkerCountInvariant(t *testing.T) {
 	if g.N() <= 2000 {
 		t.Fatal("test graph must exceed the exact-BFS limit")
 	}
-	base := ProfileOptions{PathSamples: 32}
+	base := ProfileOptions{}
 	serial := base
 	serial.Workers = 1
 	want := ComputeProfileSeeded(g, serial, 99)

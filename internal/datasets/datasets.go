@@ -35,11 +35,11 @@ type Spec struct {
 }
 
 // NormalizeScale clamps a dataset scale factor to (0, 1] exactly as
-// Load does: out-of-range values mean "full size". Store references are
-// built from the normalized value so that cosmetically different
-// invalid scales never mint distinct snapshot-store keys.
+// Load does: out-of-range values, NaN included, mean "full size". Store
+// references are built from the normalized value so that cosmetically
+// different invalid scales never mint distinct snapshot-store keys.
 func NormalizeScale(scale float64) float64 {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return 1
 	}
 	return scale

@@ -50,6 +50,25 @@ func TestLoadClampsBadScale(t *testing.T) {
 	}
 }
 
+// A NaN scale is out of range like any other: it means full size, and
+// it must never reach a store key (where "NaN" would be a key of its
+// own) or a generated size.
+func TestNaNScaleMeansFullSize(t *testing.T) {
+	nan := math.NaN()
+	if got := NormalizeScale(nan); got != 1 {
+		t.Fatalf("NormalizeScale(NaN) = %g, want 1", got)
+	}
+	for _, scale := range []float64{nan, math.Inf(1), math.Inf(-1), -1, 0, 2} {
+		if ref := RefFor("Minnesota", scale, 1); ref != RefFor("Minnesota", 1, 1) {
+			t.Fatalf("RefFor(scale %g) = %s, want the scale-1 key %s", scale, ref.Key(), RefFor("Minnesota", 1, 1).Key())
+		}
+	}
+	s := Minnesota()
+	if got, want := s.Load(nan, 1).Fingerprint(), s.Load(1, 1).Fingerprint(); got != want {
+		t.Fatalf("Load(NaN) fingerprint %016x, want the scale-1 fingerprint %016x", got, want)
+	}
+}
+
 func TestLoadDeterministic(t *testing.T) {
 	// Full structural identity, not just sizes: a map-iteration-order
 	// bug once made BA emit a different edge set per load at equal N/M,
@@ -90,16 +109,16 @@ func TestACCOrderingPreserved(t *testing.T) {
 	fb, hep := accOf(Facebook()), accOf(CaHepPh())
 	poli := accOf(PoliLarge())
 	minn, gnut := accOf(Minnesota()), accOf(Gnutella())
-	if fb < 0.35 || hep < 0.35 {
+	if !(fb >= 0.35 && hep >= 0.35) {
 		t.Fatalf("social/academic ACC too low: fb=%g hep=%g", fb, hep)
 	}
-	if poli < 0.2 || poli > 0.55 {
+	if !(poli >= 0.2 && poli <= 0.55) {
 		t.Fatalf("poli ACC = %g, want mid-range", poli)
 	}
-	if minn > 0.08 || gnut > 0.08 {
+	if !(minn <= 0.08 && gnut <= 0.08) {
 		t.Fatalf("traffic/tech ACC too high: minn=%g gnut=%g", minn, gnut)
 	}
-	if fb <= poli || poli <= minn {
+	if !(fb > poli && poli > minn) {
 		t.Fatalf("ACC ordering violated: fb=%g poli=%g minn=%g", fb, poli, minn)
 	}
 }

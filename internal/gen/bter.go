@@ -8,22 +8,23 @@ import (
 	"pgb/internal/graph"
 )
 
+// bterRho scales BTER's within-block connectivity (ρ = 1 would reproduce
+// the canonical choice ρ_b = target local clustering; PGB uses 0.9 with a
+// degree-decaying factor).
+const bterRho = 0.9
+
 // BTER implements the Block Two-level Erdős–Rényi model (Seshadhri, Kolda
 // & Pinar 2012): nodes are grouped into affinity blocks of similar degree;
 // phase 1 wires dense ER graphs inside blocks (producing clustering),
 // phase 2 adds a Chung-Lu layer over the residual degree. This is the
 // construction stage of DGG and the model LDPGen builds on.
 //
-// degrees is the (sanitised) target degree sequence; rho scales the
-// within-block connectivity (rho = 1 reproduces the canonical parameter
-// choice ρ_b = target local clustering; PGB uses a degree-decaying default).
-func BTER(degrees []int, rho float64, rng *rand.Rand) *graph.Graph {
+// degrees is the (sanitised) target degree sequence; bterRho scales the
+// within-block connectivity.
+func BTER(degrees []int, rng *rand.Rand) *graph.Graph {
 	n := len(degrees)
 	if n == 0 {
 		return graph.FromEdges(0, nil)
-	}
-	if rho <= 0 {
-		rho = 0.9
 	}
 	// Order nodes by degree ascending, skipping degree-0 and degree-1
 	// nodes for block formation (they join only the Chung-Lu phase).
@@ -42,7 +43,7 @@ func BTER(degrees []int, rho float64, rng *rand.Rand) *graph.Graph {
 
 	// Phase 1: affinity blocks. A block groups d+1 consecutive nodes where
 	// d is the smallest degree in the block; wire it as ER with connection
-	// probability p = rho * decay, where decay weakens for high-degree
+	// probability p = bterRho * decay, where decay weakens for high-degree
 	// blocks (the canonical BTER parameterisation).
 	//
 	// Edges accumulate in a flat list: blocks are disjoint ranges of
@@ -68,10 +69,7 @@ func BTER(degrees []int, rho float64, rng *rand.Rand) *graph.Graph {
 		block := order[i : i+size]
 		dmin := float64(degrees[block[0]])
 		decay := 1 / (1 + math.Log1p(dmin)/4)
-		p := rho * decay
-		if p > 1 {
-			p = 1
-		}
+		p := bterRho * decay // decay < 1, so p < bterRho < 1
 		for a := 0; a < size; a++ {
 			for c := a + 1; c < size; c++ {
 				if rng.Float64() < p {

@@ -197,7 +197,7 @@ func TestBTERPreservesDegreesAndClusters(t *testing.T) {
 	for i := range d {
 		d[i] = 6
 	}
-	g := BTER(d, 0.9, r)
+	g := BTER(d, r)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,8 @@ var NonFiniteGate = &Analyzer{
 	AppliesTo: prefixFilter(
 		"pgb/internal/metrics",
 		"pgb/internal/core",
+		"pgb/internal/datasets",
+		"pgb/internal/server",
 		"pgb/cmd/benchgate",
 		"pgb/cmd/fidelitygate",
 	),

@@ -267,7 +267,7 @@ func (s *Server) resolveRef(ref *graphRef) (*graph.Graph, error) {
 		if scale == 0 {
 			scale = 0.1
 		}
-		if scale <= 0 || scale > 1 {
+		if !(scale > 0 && scale <= 1) {
 			return nil, fmt.Errorf("dataset scale %g outside (0, 1]", scale)
 		}
 		seed := ref.Seed
@@ -536,7 +536,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Scale < 0 || req.Scale > 1 {
+	if !(req.Scale >= 0 && req.Scale <= 1) {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "scale %g outside (0, 1]", req.Scale)
 		return
 	}
