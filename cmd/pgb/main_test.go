@@ -95,3 +95,27 @@ func TestCmdFig7UsesGridFlags(t *testing.T) {
 		t.Fatal("bad -eps accepted")
 	}
 }
+
+// recommend takes a privacy budget and a clustering coefficient, so a
+// budget that is not a finite ε > 0 or an ACC outside [0, 1] is an
+// error, never a ranking — NaN included, which the -measured path would
+// otherwise silently map to the grid's first ε.
+func TestCmdRecommendRejectsInvalidScenario(t *testing.T) {
+	for _, args := range [][]string{
+		{"-eps", "NaN"},
+		{"-eps", "0"},
+		{"-eps", "-3"},
+		{"-eps", "+Inf"},
+		{"-eps", "NaN", "-measured"},
+		{"-acc", "NaN"},
+		{"-acc", "-0.1"},
+		{"-acc", "1.5"},
+	} {
+		if err := cmdRecommend(args); err == nil {
+			t.Errorf("recommend %v accepted", args)
+		}
+	}
+	if err := cmdRecommend([]string{"-eps", "1", "-acc", "0.5", "-queries", "CD"}); err != nil {
+		t.Fatalf("valid scenario rejected: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pgb/internal/core"
+	"pgb/internal/dp"
 )
 
 // cmdRecommend prints mechanism-selection guidance — the paper's closing
@@ -24,6 +25,13 @@ func cmdRecommend(args []string) error {
 	jobs := fs.Int("jobs", 0, "max concurrent grid cells for -measured (0 = GOMAXPROCS); results are identical at any -jobs")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := dp.CheckEpsilon(*eps); err != nil {
+		return fmt.Errorf("-eps: %w", err)
+	}
+	// Written so that NaN fails: every comparison with NaN is false.
+	if !(*acc >= 0 && *acc <= 1) {
+		return fmt.Errorf("-acc must be in [0, 1], got %g", *acc)
 	}
 	scenario := core.Scenario{Nodes: *nodes, ACC: *acc, Epsilon: *eps}
 	if *queryList != "" {

@@ -16,12 +16,12 @@ import (
 // Generator is a differentially private synthetic-graph generator.
 // Generate consumes the input graph and a total privacy budget ε and
 // returns a synthetic graph over the same node universe. Implementations
-// satisfy ε-Edge-CDP (or (ε, δ)-Edge-CDP where Delta() > 0), composing
-// their internal stages sequentially within ε.
+// satisfy ε-Edge-CDP, composing their internal stages sequentially
+// within ε. The two smooth-sensitivity mechanisms, DP-dK's default dK-2
+// model and PrivSKG, satisfy (ε, δ)-Edge-CDP with δ = 0.01. A generator
+// holds only its options and never mutates them, so one value serves
+// concurrent calls.
 type Generator interface {
-	// Name returns the canonical algorithm name used in tables
-	// ("DP-dK", "TmF", ...).
-	Name() string
 	// Generate produces a synthetic graph from g under budget eps.
 	// All randomness (both DP noise and construction sampling) is drawn
 	// from rng, so runs are reproducible from a seed. p bounds the
@@ -29,11 +29,6 @@ type Generator interface {
 	// bit-identical at every worker count (DESIGN.md §10), so p is a
 	// schedule, never a value change.
 	Generate(g *graph.Graph, eps float64, rng *rand.Rand, p Params) (*graph.Graph, error)
-	// Delta returns the δ of the (ε, δ) guarantee; 0 means pure ε-DP.
-	Delta() float64
-	// Complexity returns the theoretical time and space complexity
-	// (Table VIII of the paper) as human-readable strings.
-	Complexity() (time, space string)
 }
 
 // Params carries the execution-only knobs of a generation call: how many

@@ -6,29 +6,33 @@ import (
 	"testing"
 
 	"pgb/internal/algo"
-	"pgb/internal/algo/der"
-	"pgb/internal/algo/dgg"
-	"pgb/internal/algo/dpdk"
-	"pgb/internal/algo/privgraph"
-	"pgb/internal/algo/privhrg"
-	"pgb/internal/algo/privskg"
-	"pgb/internal/algo/tmf"
 	"pgb/internal/core"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 	"pgb/internal/par"
 )
 
-func generators() []algo.Generator {
-	return []algo.Generator{
-		dpdk.Default(),
-		tmf.Default(),
-		privskg.Default(),
-		privhrg.Default(),
-		privgraph.Default(),
-		dgg.Default(),
-		der.Default(),
+// mechanism is one registry row under test: its generator, and its name
+// for failure messages.
+type mechanism struct {
+	algo.Generator
+	name string
+}
+
+func (m mechanism) Name() string { return m.name }
+
+// generators is the shared fixture: the six benchmarked mechanisms and
+// DER, straight from the registry.
+func generators() []mechanism {
+	var gens []mechanism
+	for _, name := range append(core.AlgorithmNames(), "DER") {
+		g, err := core.NewAlgorithm(name)
+		if err != nil {
+			panic(err)
+		}
+		gens = append(gens, mechanism{g, name})
 	}
+	return gens
 }
 
 func testGraph(seed int64) *graph.Graph {
@@ -136,26 +140,6 @@ func TestConformanceHighBudgetEdgeCount(t *testing.T) {
 		}
 		if d := float64(syn.M()); d < m*(1-tol) || d > m*(1+tol) {
 			t.Errorf("%s at eps=100: m=%d, true %d (tolerance %g)", a.Name(), syn.M(), g.M(), tol)
-		}
-	}
-}
-
-// Names, deltas and complexity strings must be populated and stable.
-func TestConformanceMetadata(t *testing.T) {
-	wantDelta := map[string]float64{
-		"DP-dK": 0.01, "TmF": 0, "PrivSKG": 0.01,
-		"PrivHRG": 0, "PrivGraph": 0, "DGG": 0, "DER": 0,
-	}
-	for _, a := range generators() {
-		if a.Name() == "" {
-			t.Error("empty name")
-		}
-		if d, ok := wantDelta[a.Name()]; !ok || a.Delta() != d {
-			t.Errorf("%s: delta = %g, want %g", a.Name(), a.Delta(), d)
-		}
-		tc, sc := a.Complexity()
-		if tc == "" || sc == "" {
-			t.Errorf("%s: empty complexity", a.Name())
 		}
 	}
 }

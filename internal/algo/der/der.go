@@ -30,15 +30,6 @@ type DER struct{}
 // Default returns DER with the paper's parameterisation.
 func Default() *DER { return &DER{} }
 
-// Name implements algo.Generator.
-func (d *DER) Name() string { return "DER" }
-
-// Delta implements algo.Generator; DER is pure ε-DP.
-func (d *DER) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator.
-func (d *DER) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
-
 // region is a rectangle [r0,r1)×[c0,c1) of the adjacency matrix restricted
 // to the upper triangle (c > r at placement time).
 type region struct {

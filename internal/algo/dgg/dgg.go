@@ -36,15 +36,6 @@ func New(opt Options) *DGG { return &DGG{opt: opt} }
 // Default returns DGG with the paper's parameterisation.
 func Default() *DGG { return New(Options{}) }
 
-// Name implements algo.Generator.
-func (d *DGG) Name() string { return "DGG" }
-
-// Delta implements algo.Generator; DGG is pure ε-DP.
-func (d *DGG) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator (Table VIII).
-func (d *DGG) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
-
 // Generate implements algo.Generator. DGG stays serial (it ignores its
 // Params): one Laplace draw per node plus a BTER/Chung-Lu construction
 // that is rng-bound end to end leaves no deterministic hot pass worth

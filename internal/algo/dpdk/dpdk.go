@@ -66,20 +66,6 @@ func New(opt Options) *DPdK {
 // Default returns DP-2K with δ = 0.01, the configuration PGB benchmarks.
 func Default() *DPdK { return New(Options{Model: DK2}) }
 
-// Name implements algo.Generator.
-func (d *DPdK) Name() string { return "DP-dK" }
-
-// Delta implements algo.Generator.
-func (d *DPdK) Delta() float64 {
-	if d.opt.Model == DK2 && !d.opt.GlobalSensitivity {
-		return delta
-	}
-	return 0
-}
-
-// Complexity implements algo.Generator (Table VIII).
-func (d *DPdK) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
-
 // Generate implements algo.Generator. The representation stage — the
 // degree histogram (dK-1) or the joint degree matrix (dK-2) — is a
 // node-sharded counting pass over the adjacency with exact integer

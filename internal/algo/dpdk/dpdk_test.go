@@ -17,15 +17,8 @@ func TestDefaultIs2KWithDelta(t *testing.T) {
 	if a.opt.Model != DK2 {
 		t.Fatal("default model should be DK2")
 	}
-	if a.Delta() != 0.01 {
-		t.Fatalf("delta = %g, want 0.01", a.Delta())
-	}
-}
-
-func TestDK1IsPureDP(t *testing.T) {
-	a := New(Options{Model: DK1})
-	if a.Delta() != 0 {
-		t.Fatalf("DK1 delta = %g, want 0 (pure ε-DP)", a.Delta())
+	if delta != 0.01 {
+		t.Fatalf("delta = %g, want 0.01", delta)
 	}
 }
 

@@ -46,16 +46,6 @@ type LDPGen struct{}
 // Default returns LDPGen with the paper's parameterisation.
 func Default() *LDPGen { return &LDPGen{} }
 
-// Name implements algo.Generator.
-func (l *LDPGen) Name() string { return "LDPGen" }
-
-// Delta implements algo.Generator; LDPGen is pure ε-Edge-LDP.
-func (l *LDPGen) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator: the k-means over n noisy vectors
-// dominates.
-func (l *LDPGen) Complexity() (string, string) { return "O(n k)", "O(n k)" }
-
 // Generate implements algo.Generator. Every user's reports are
 // simulated from her adjacency list; the server side sees only the
 // noisy vectors. The deterministic heavy passes — the two per-user

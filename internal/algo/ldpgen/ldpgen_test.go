@@ -85,12 +85,6 @@ func TestTinyGraph(t *testing.T) {
 	}
 }
 
-func TestOptionDefaults(t *testing.T) {
-	if Default().Delta() != 0 {
-		t.Fatal("LDPGen should be pure eps-LDP")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	g := gen.PlantedPartition(100, 3, 0.3, 0.02, rng(10))
 	a, err := Default().Generate(g, 2, rng(42), algo.Params{})

@@ -81,19 +81,3 @@ func TestQuickGeneratorsAlwaysValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The conformance generators list must line up with the registry's six
-// benchmark mechanisms plus DER (shared fixture sanity).
-func TestGeneratorFixtureCoverage(t *testing.T) {
-	names := map[string]bool{}
-	for _, a := range generators() {
-		names[a.Name()] = true
-	}
-	for _, want := range []string{"DP-dK", "TmF", "PrivSKG", "PrivHRG", "PrivGraph", "DGG", "DER"} {
-		if !names[want] {
-			t.Errorf("fixture missing %s", want)
-		}
-	}
-}
-
-var _ = []algo.Generator(nil) // keep the algo import explicit

@@ -65,15 +65,6 @@ func New(opt Options) *PrivGraph {
 // Default returns PrivGraph with the paper's equal budget split.
 func Default() *PrivGraph { return New(Options{}) }
 
-// Name implements algo.Generator.
-func (p *PrivGraph) Name() string { return "PrivGraph" }
-
-// Delta implements algo.Generator; PrivGraph is pure ε-DP.
-func (p *PrivGraph) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator (Table VIII).
-func (p *PrivGraph) Complexity() (string, string) { return "O(n^2)", "O(m + n)" }
-
 // Generate implements algo.Generator. The phase-2 statistics scan —
 // intra-community degrees and inter-community edge counts over every
 // adjacency — is node-sharded across prm's workers into flat arenas

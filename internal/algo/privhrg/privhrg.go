@@ -52,15 +52,6 @@ func New(opt Options) *PrivHRG { return &PrivHRG{opt: opt} }
 // Default returns PrivHRG with the paper's parameterisation.
 func Default() *PrivHRG { return New(Options{}) }
 
-// Name implements algo.Generator.
-func (p *PrivHRG) Name() string { return "PrivHRG" }
-
-// Delta implements algo.Generator; PrivHRG is pure ε-DP.
-func (p *PrivHRG) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator (Table VIII).
-func (p *PrivHRG) Complexity() (string, string) { return "O(n^2 log n)", "O(m + n)" }
-
 // dendrogram over n leaves: nodes 0..n-1 are leaves, n..2n-2 internal.
 type dendrogram struct {
 	n       int

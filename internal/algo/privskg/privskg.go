@@ -31,16 +31,6 @@ type PrivSKG struct{}
 // Default returns PrivSKG with δ = 0.01 as benchmarked in PGB.
 func Default() *PrivSKG { return &PrivSKG{} }
 
-// Name implements algo.Generator.
-func (p *PrivSKG) Name() string { return "PrivSKG" }
-
-// Delta implements algo.Generator.
-func (p *PrivSKG) Delta() float64 { return delta }
-
-// Complexity implements algo.Generator (Table VIII: the smooth-sensitivity
-// computation over the moment estimator dominates).
-func (p *PrivSKG) Complexity() (string, string) { return "O(n^2 m)", "O(n^2)" }
-
 // Generate implements algo.Generator. The triangle moment is the one
 // sharded pass: stats.TrianglesParallel on prm's workers, an exact
 // integer count at any worker count. The three Laplace draws and the

@@ -13,8 +13,8 @@ import (
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestDelta(t *testing.T) {
-	if Default().Delta() != 0.01 {
-		t.Fatalf("delta = %g, want 0.01", Default().Delta())
+	if delta != 0.01 {
+		t.Fatalf("delta = %g, want 0.01", delta)
 	}
 }
 

@@ -26,16 +26,6 @@ type RNL struct{}
 // Default returns the RNL baseline.
 func Default() *RNL { return &RNL{} }
 
-// Name implements algo.Generator.
-func (r *RNL) Name() string { return "RNL" }
-
-// Delta implements algo.Generator; RNL is pure ε-Edge-LDP.
-func (r *RNL) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator: formally the mechanism touches
-// every adjacency bit.
-func (r *RNL) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
-
 // MaxOutputFactor caps the output at this multiple of the input edge
 // count, keeping low-ε runs tractable; the cap subsamples the flipped-in
 // population uniformly (post-processing, privacy-free). The densification

@@ -58,10 +58,3 @@ func TestTinyGraph(t *testing.T) {
 		t.Fatal("node universe changed")
 	}
 }
-
-func TestMetadata(t *testing.T) {
-	r := Default()
-	if r.Name() != "RNL" || r.Delta() != 0 {
-		t.Fatal("metadata wrong")
-	}
-}

@@ -54,17 +54,6 @@ func New(opt Options) *TmF { return &TmF{opt: opt} }
 // Default returns TmF with the paper's parameterisation.
 func Default() *TmF { return New(Options{}) }
 
-// Name implements algo.Generator.
-func (t *TmF) Name() string { return "TmF" }
-
-// Delta implements algo.Generator; TmF is pure ε-DP.
-func (t *TmF) Delta() float64 { return 0 }
-
-// Complexity implements algo.Generator (Table VIII; the paper's
-// re-implementation stores the adjacency matrix, hence O(n²) space — the
-// filter itself is O(m) time).
-func (t *TmF) Complexity() (string, string) { return "O(n^2)", "O(n^2)" }
-
 // Generate implements algo.Generator. TmF's hot loop IS its noise
 // stream — one Laplace draw per true edge (per matrix cell in the naive
 // ablation), order-pinned to rng — so the draws stay serial and the

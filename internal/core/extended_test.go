@@ -69,14 +69,14 @@ func TestRunAblationSmall(t *testing.T) {
 }
 
 func TestAblationsRegistryComplete(t *testing.T) {
-	abl := Ablations()
+	abl := ablations
 	for _, name := range []string{"tmf-filter", "dpdk-sensitivity", "dpdk-order", "dgg-construction", "privgraph-split", "privhrg-mcmc"} {
 		vs, ok := abl[name]
 		if !ok || len(vs) < 2 {
 			t.Errorf("ablation %s missing or degenerate", name)
 		}
 		for _, v := range vs {
-			if v.Label == "" || v.Generator == nil {
+			if v.name == "" || v.gen == nil {
 				t.Errorf("ablation %s has empty variant", name)
 			}
 		}

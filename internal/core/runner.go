@@ -188,13 +188,12 @@ func (r *Results) Queries() []QueryID {
 // cfg.CheckpointPath set, every finished cell is streamed to the JSONL
 // run manifest and an interrupted run resumes from it — see Resume for
 // the one-call form.
-func Run(cfg Config) (*Results, error) { return run(cfg, NewAlgorithm) }
+func Run(cfg Config) (*Results, error) { return run(cfg, mechanisms) }
 
-// run is Run with the algorithm axis resolved through resolve instead of
-// the registry: every name in cfg.Algorithms is checked with it up
-// front, and each cell calls it for a fresh generator. The ablations use
-// it to sweep variant labels through the same grid engine.
-func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, error) {
+// run is Run with the names in cfg.Algorithms looked up in axis instead
+// of the mechanism table. The ablations use it to sweep their variant
+// rows through the same grid engine.
+func run(cfg Config, axis []mechanism) (*Results, error) {
 	cfg = cfg.withDefaults()
 	ctx := cfg.Context
 	if ctx == nil {
@@ -213,7 +212,7 @@ func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, er
 	// algorithm name or a NaN budget fails the run immediately instead of
 	// surfacing as one error cell per (dataset, epsilon).
 	for _, name := range cfg.Algorithms {
-		if _, err := resolve(name); err != nil {
+		if _, err := lookup(axis, name); err != nil {
 			return nil, err
 		}
 	}
@@ -306,7 +305,7 @@ func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, er
 			}
 		}
 	}
-	results := runGrid(cfg, resolve, cells, dss, done, onDone, &abort)
+	results := runGrid(cfg, axis, cells, dss, done, onDone, &abort)
 	if writeErr != nil {
 		return nil, fmt.Errorf("core: writing checkpoint %s (run aborted): %w", cfg.CheckpointPath, writeErr)
 	}
@@ -320,9 +319,9 @@ func run(cfg Config, resolve func(string) (algo.Generator, error)) (*Results, er
 	return &Results{Config: cfg, Cells: results, DatasetSummaries: summaries}, nil
 }
 
-// runCell generates Reps synthetic graphs with the generator resolve
-// returns for algName and averages the query errors.
-func runCell(cfg Config, resolve func(string) (algo.Generator, error), algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
+// runCell generates Reps synthetic graphs with the generator of axis row
+// algName and averages the query errors.
+func runCell(cfg Config, axis []mechanism, algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
 	nq := len(cfg.Queries)
 	res := CellResult{
 		Algorithm: algName,
@@ -332,7 +331,7 @@ func runCell(cfg Config, resolve func(string) (algo.Generator, error), algName, 
 		Errors:    make([]float64, nq),
 		StdDev:    make([]float64, nq),
 	}
-	generator, err := resolve(algName)
+	m, err := lookup(axis, algName)
 	if err != nil {
 		res.Err = err
 		return res
@@ -345,7 +344,7 @@ func runCell(cfg Config, resolve func(string) (algo.Generator, error), algName, 
 	for rep := 0; rep < cfg.Reps; rep++ {
 		repSeed := seed + int64(rep)*7919
 		rng := rand.New(rand.NewSource(repSeed))
-		sec, bytes, syn, gerr := MeasureGenerateWith(generator, g, eps, rng,
+		sec, bytes, syn, gerr := MeasureGenerateWith(m.gen, g, eps, rng,
 			algo.Params{Workers: cfg.Workers, Budget: cfg.budget})
 		if gerr != nil {
 			res.Err = gerr

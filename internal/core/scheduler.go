@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pgb/internal/algo"
 	"pgb/internal/graph"
 	"pgb/internal/par"
 )
@@ -72,7 +71,7 @@ type datasetEntry struct {
 // is handed to onDone (when non-nil) as soon as it finishes, concurrently
 // from worker goroutines. Once abort is set (a checkpoint write failed)
 // no further cells are dispatched; in-flight cells finish.
-func runGrid(cfg Config, resolve func(string) (algo.Generator, error), cells []gridCell, dss map[string]*datasetEntry, done map[cellKey]CellResult, onDone func(gridCell, CellResult), abort *atomic.Bool) []CellResult {
+func runGrid(cfg Config, axis []mechanism, cells []gridCell, dss map[string]*datasetEntry, done map[cellKey]CellResult, onDone func(gridCell, CellResult), abort *atomic.Bool) []CellResult {
 	results := make([]CellResult, len(cells))
 	pending := make([]gridCell, 0, len(cells))
 	for _, c := range cells {
@@ -101,7 +100,7 @@ func runGrid(cfg Config, resolve func(string) (algo.Generator, error), cells []g
 
 	run := func(c gridCell) {
 		entry := dss[c.Dataset]
-		res := runCell(cfg, resolve, c.Algorithm, entry.name, entry.g, entry.profile, c.Epsilon)
+		res := runCell(cfg, axis, c.Algorithm, entry.name, entry.g, entry.profile, c.Epsilon)
 		results[c.Index] = res
 		if onDone != nil {
 			onDone(c, res)

@@ -60,12 +60,12 @@ func TestSeriesWorkerInvariant(t *testing.T) {
 		return out
 	}
 	ablation := func(workers int) string {
-		cfg, resolve, err := ablationGrid("privgraph-split", "BA")
+		cfg, variants, err := ablationGrid("privgraph-split", "BA")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Epsilons, cfg.Reps, cfg.Scale, cfg.Seed, cfg.Workers = []float64{0.5, 5}, 2, 0.02, 5, workers
-		res, err := run(cfg, resolve)
+		res, err := run(cfg, variants)
 		if err != nil {
 			t.Fatal(err)
 		}

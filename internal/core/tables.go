@@ -232,18 +232,13 @@ func (r *Results) formatResource(title string, f func(*CellResult) float64, cell
 }
 
 // FormatTable8 renders Table VIII: the theoretical complexity of each
-// algorithm.
+// benchmarked mechanism.
 func FormatTable8() string {
 	var sb strings.Builder
 	sb.WriteString("Table VIII — time and space complexity\n")
 	fmt.Fprintf(&sb, "%-10s %-14s %-14s\n", "Algorithm", "Time", "Space")
-	for _, name := range AlgorithmNames() {
-		g, err := NewAlgorithm(name)
-		if err != nil {
-			continue
-		}
-		t, s := g.Complexity()
-		fmt.Fprintf(&sb, "%-10s %-14s %-14s\n", name, t, s)
+	for _, m := range mechanisms[:benchmarked] {
+		fmt.Fprintf(&sb, "%-10s %-14s %-14s\n", m.name, m.time, m.space)
 	}
 	return sb.String()
 }

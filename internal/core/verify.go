@@ -14,9 +14,14 @@ import (
 
 // VerifyDPdK reproduces Table XI of the paper's appendix: DP-dK on
 // (simulated) CA-GrQC at ε ∈ {20, 2, 0.2}, reporting ground truth and the
-// mean synthetic value for each verification query.
+// mean synthetic value for each verification query. reps ≤ 0 selects
+// the default ten repetitions, as it does for every grid command.
 func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
-	spec := datasets.CaGrQC()
+	reps = Config{Reps: reps}.withDefaults().Reps
+	spec, err := datasets.ByName("GrQC")
+	if err != nil {
+		return "", err
+	}
 	g := spec.Load(scale, seed)
 	truth := verificationRow(g, seed+1, true)
 	alg, err := NewAlgorithm("DP-dK")
@@ -110,7 +115,10 @@ func VerifyTmF(scale float64, reps int, seed int64) (string, error) {
 // reporting the degree-distribution and clustering-by-degree curves of
 // original vs generated graphs at ε = 0.2 (the paper's setting).
 func VerifyPrivSKG(scale float64, seed int64) (string, error) {
-	spec := datasets.CaGrQC()
+	spec, err := datasets.ByName("GrQC")
+	if err != nil {
+		return "", err
+	}
 	g := spec.Load(scale, seed)
 	alg, err := NewAlgorithm("PrivSKG")
 	if err != nil {

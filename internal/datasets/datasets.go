@@ -89,30 +89,14 @@ func (s Spec) Load(scale float64, seed int64) *graph.Graph {
 	return s.build(n, m, rng)
 }
 
-// All returns the eight benchmark datasets in the paper's table order:
-// Minnesota, Facebook, Wiki-Vote, ca-HepPh, poli-large, Gnutella, ER, BA.
-func All() []Spec {
-	return []Spec{
-		Minnesota(), Facebook(), WikiVote(), CaHepPh(),
-		PoliLarge(), Gnutella(), ERGraph(), BAGraph(),
-	}
-}
-
-// ByName returns the dataset with the given name.
-func ByName(name string) (Spec, error) {
-	for _, s := range append(All(), CaGrQC()) {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("datasets: unknown dataset %q", name)
-}
-
-// Minnesota simulates the Minnesota road network: a sparse planar mesh
-// with very low clustering (ACC 0.016).
-func Minnesota() Spec {
-	return Spec{
-		Name: "Minnesota", PaperNodes: 2600, PaperEdges: 3300,
+// specs is the paper's dataset element G in table order (Table VI) —
+// Minnesota, Facebook, Wiki-Vote, ca-HepPh, poli-large, Gnutella, ER, BA
+// — followed by the CA-GrQC graph of the verification appendix. It is
+// the only place in the codebase that enumerates the datasets.
+var specs = []Spec{
+	// Minnesota simulates the Minnesota road network: a sparse planar mesh
+	// with very low clustering (ACC 0.016).
+	{Name: "Minnesota", PaperNodes: 2600, PaperEdges: 3300,
 		PaperACC: 0.0160, Type: "Traffic",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			// near-square grid with dropped edges, a few chords, and a
@@ -123,14 +107,10 @@ func Minnesota() Spec {
 			g = gen.TriadicClosure(g, m/90, rng)
 			return trimToEdges(g, m, rng)
 		},
-	}
-}
-
-// Facebook simulates the SNAP ego-Facebook network: dense social
-// communities with very high clustering (ACC 0.61).
-func Facebook() Spec {
-	return Spec{
-		Name: "Facebook", PaperNodes: 4039, PaperEdges: 88234,
+	},
+	// Facebook simulates the SNAP ego-Facebook network: dense social
+	// communities with very high clustering (ACC 0.61).
+	{Name: "Facebook", PaperNodes: 4039, PaperEdges: 88234,
 		PaperACC: 0.6055, Type: "Social",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			// dense ego-network-like communities: fixed within-block
@@ -144,7 +124,7 @@ func Facebook() Spec {
 			if size > n/2 {
 				size = n / 2
 			}
-			blocks := maxInt(2, n/size)
+			blocks := max(2, n/size)
 			pOut := 0.12 * float64(m) / (float64(n) * float64(n) / 2)
 			g := gen.PlantedPartition(n, blocks, pIn, pOut, rng)
 			if extra := m - g.M(); extra > 0 {
@@ -152,14 +132,10 @@ func Facebook() Spec {
 			}
 			return trimToEdges(g, m, rng)
 		},
-	}
-}
-
-// WikiVote simulates the SNAP wiki-Vote network: a power-law web graph
-// with moderate clustering (ACC 0.14).
-func WikiVote() Spec {
-	return Spec{
-		Name: "Wiki", PaperNodes: 7115, PaperEdges: 103689,
+	},
+	// Wiki simulates the SNAP wiki-Vote network: a power-law web graph
+	// with moderate clustering (ACC 0.14).
+	{Name: "Wiki", PaperNodes: 7115, PaperEdges: 103689,
 		PaperACC: 0.1409, Type: "Web",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			w := gen.PowerLawWeights(n, 2.1, m, rng)
@@ -168,39 +144,19 @@ func WikiVote() Spec {
 			g = gen.TriadicClosure(g, m/55, rng)
 			return trimToEdges(padToEdges(g, m, rng), m, rng)
 		},
-	}
-}
-
-// CaHepPh simulates the SNAP ca-HepPh collaboration network: overlapping
-// co-authorship cliques with very high clustering (ACC 0.61).
-func CaHepPh() Spec {
-	return Spec{
-		Name: "HepPh", PaperNodes: 12008, PaperEdges: 118521,
+	},
+	// HepPh simulates the SNAP ca-HepPh collaboration network: overlapping
+	// co-authorship cliques with very high clustering (ACC 0.61).
+	{Name: "HepPh", PaperNodes: 12008, PaperEdges: 118521,
 		PaperACC: 0.6115, Type: "Academic",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			return cliqueGraph(n, m, 6, 22, rng)
 		},
-	}
-}
-
-// CaGrQC simulates the SNAP ca-GrQc collaboration network used by the
-// verification appendix (Table XI): 5,241 nodes, 14,484 edges, ACC 0.53.
-func CaGrQC() Spec {
-	return Spec{
-		Name: "GrQC", PaperNodes: 5241, PaperEdges: 14484,
-		PaperACC: 0.529, Type: "Academic",
-		build: func(n, m int, rng *rand.Rand) *graph.Graph {
-			return cliqueGraph(n, m, 3, 8, rng)
-		},
-	}
-}
-
-// PoliLarge simulates the NetworkRepository econ-poli-large network: a
-// very sparse financial graph (m close to n) with small dense pockets
-// (ACC 0.40).
-func PoliLarge() Spec {
-	return Spec{
-		Name: "Poli", PaperNodes: 15600, PaperEdges: 17500,
+	},
+	// Poli simulates the NetworkRepository econ-poli-large network: a
+	// very sparse financial graph (m close to n) with small dense pockets
+	// (ACC 0.40).
+	{Name: "Poli", PaperNodes: 15600, PaperEdges: 17500,
 		PaperACC: 0.3967, Type: "Financial",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			// ~45% of nodes sit in disjoint triangles/4-cliques (local
@@ -229,40 +185,28 @@ func PoliLarge() Spec {
 			g := graph.FromEdges(n, edges)
 			return trimToEdges(padToEdges(g, m, rng), m, rng)
 		},
-	}
-}
-
-// Gnutella simulates the SNAP p2p-Gnutella25 overlay: a power-law
-// technology network with near-zero clustering (ACC 0.005).
-func Gnutella() Spec {
-	return Spec{
-		Name: "Gnutella", PaperNodes: 22687, PaperEdges: 54705,
+	},
+	// Gnutella simulates the SNAP p2p-Gnutella25 overlay: a power-law
+	// technology network with near-zero clustering (ACC 0.005).
+	{Name: "Gnutella", PaperNodes: 22687, PaperEdges: 54705,
 		PaperACC: 0.0053, Type: "Technology",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			w := gen.PowerLawWeights(n, 2.9, m, rng)
 			g := gen.ChungLu(w, rng)
 			return padToEdges(g, m, rng)
 		},
-	}
-}
-
-// ERGraph is the synthetic Erdős–Rényi dataset: G(10000, 250278), degree
-// distribution binomial.
-func ERGraph() Spec {
-	return Spec{
-		Name: "ER", PaperNodes: 10000, PaperEdges: 250278,
+	},
+	// ER is the synthetic Erdős–Rényi dataset: G(10000, 250278), degree
+	// distribution binomial.
+	{Name: "ER", PaperNodes: 10000, PaperEdges: 250278,
 		PaperACC: 0.0050, Type: "Synthetic",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			return gen.GNM(n, m, rng)
 		},
-	}
-}
-
-// BAGraph is the synthetic Barabási–Albert dataset: 10,000 nodes with
-// attachment 5 (49,975 edges), degree distribution power-law.
-func BAGraph() Spec {
-	return Spec{
-		Name: "BA", PaperNodes: 10000, PaperEdges: 49975,
+	},
+	// BA is the synthetic Barabási–Albert dataset: 10,000 nodes with
+	// attachment 5 (49,975 edges), degree distribution power-law.
+	{Name: "BA", PaperNodes: 10000, PaperEdges: 49975,
 		PaperACC: 0.0074, Type: "Synthetic",
 		build: func(n, m int, rng *rand.Rand) *graph.Graph {
 			attach := int(math.Round(float64(m) / float64(n)))
@@ -271,7 +215,29 @@ func BAGraph() Spec {
 			}
 			return gen.BarabasiAlbert(n, attach, rng)
 		},
+	},
+	// GrQC simulates the SNAP ca-GrQc collaboration network used by the
+	// verification appendix (Table XI): 5,241 nodes, 14,484 edges, ACC 0.53.
+	{Name: "GrQC", PaperNodes: 5241, PaperEdges: 14484,
+		PaperACC: 0.529, Type: "Academic",
+		build: func(n, m int, rng *rand.Rand) *graph.Graph {
+			return cliqueGraph(n, m, 3, 8, rng)
+		},
+	},
+}
+
+// All returns the eight benchmark datasets in the paper's table order.
+func All() []Spec { return append([]Spec(nil), specs[:8]...) }
+
+// ByName returns the dataset with the given name, the verification
+// appendix's GrQC included.
+func ByName(name string) (Spec, error) {
+	for _, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
 	}
+	return Spec{}, fmt.Errorf("datasets: unknown dataset %q", name)
 }
 
 // cliqueGraph builds a co-authorship-style graph: clique batches are
@@ -345,13 +311,6 @@ type Summary struct {
 func Summarize(s Spec, g *graph.Graph) Summary {
 	_, _, acc := stats.TriangleProfileParallel(g, 1, nil)
 	return Summary{Name: s.Name, Nodes: g.N(), Edges: g.M(), ACC: acc, Type: s.Type}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Names returns the dataset names in table order.

@@ -1,9 +1,22 @@
 package datasets
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
+
+// spec looks a dataset up by name, failing the test if it is unknown.
+func spec(t *testing.T, name string) Spec {
+	t.Helper()
+	s, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestAllHasEightInPaperOrder(t *testing.T) {
 	want := []string{"Minnesota", "Facebook", "Wiki", "HepPh", "Poli", "Gnutella", "ER", "BA"}
@@ -32,7 +45,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestLoadScalesSizes(t *testing.T) {
-	s := ERGraph()
+	s := spec(t, "ER")
 	g := s.Load(0.1, 1)
 	if math.Abs(float64(g.N())-0.1*float64(s.PaperNodes)) > 2 {
 		t.Fatalf("scaled n = %d", g.N())
@@ -43,7 +56,7 @@ func TestLoadScalesSizes(t *testing.T) {
 }
 
 func TestLoadClampsBadScale(t *testing.T) {
-	s := BAGraph()
+	s := spec(t, "BA")
 	g := s.Load(-1, 1) // invalid → full size
 	if g.N() != s.PaperNodes {
 		t.Fatalf("bad scale: n = %d, want %d", g.N(), s.PaperNodes)
@@ -63,7 +76,7 @@ func TestNaNScaleMeansFullSize(t *testing.T) {
 			t.Fatalf("RefFor(scale %g) = %s, want the scale-1 key %s", scale, ref.Key(), RefFor("Minnesota", 1, 1).Key())
 		}
 	}
-	s := Minnesota()
+	s := spec(t, "Minnesota")
 	if got, want := s.Load(nan, 1).Fingerprint(), s.Load(1, 1).Fingerprint(); got != want {
 		t.Fatalf("Load(NaN) fingerprint %016x, want the scale-1 fingerprint %016x", got, want)
 	}
@@ -102,13 +115,13 @@ func TestAllValidAndSized(t *testing.T) {
 // The benchmark's findings hinge on the ACC ordering of the stand-ins:
 // social/academic high, financial mid, traffic/technology/synthetic low.
 func TestACCOrderingPreserved(t *testing.T) {
-	accOf := func(s Spec) float64 {
-		g := s.Load(0.25, 7)
-		return Summarize(s, g).ACC
+	accOf := func(name string) float64 {
+		s := spec(t, name)
+		return Summarize(s, s.Load(0.25, 7)).ACC
 	}
-	fb, hep := accOf(Facebook()), accOf(CaHepPh())
-	poli := accOf(PoliLarge())
-	minn, gnut := accOf(Minnesota()), accOf(Gnutella())
+	fb, hep := accOf("Facebook"), accOf("HepPh")
+	poli := accOf("Poli")
+	minn, gnut := accOf("Minnesota"), accOf("Gnutella")
 	if !(fb >= 0.35 && hep >= 0.35) {
 		t.Fatalf("social/academic ACC too low: fb=%g hep=%g", fb, hep)
 	}
@@ -124,7 +137,7 @@ func TestACCOrderingPreserved(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := ERGraph()
+	s := spec(t, "ER")
 	g := s.Load(0.05, 1)
 	sum := Summarize(s, g)
 	if sum.Nodes != g.N() || sum.Edges != g.M() || sum.Type != "Synthetic" {
@@ -143,10 +156,28 @@ func TestSortedTypesCoversSevenDomains(t *testing.T) {
 }
 
 func TestGrQCStatsNearPaper(t *testing.T) {
-	s := CaGrQC()
+	s := spec(t, "GrQC")
 	g := s.Load(0.25, 5)
 	sum := Summarize(s, g)
 	if sum.ACC < 0.3 {
 		t.Fatalf("GrQC ACC = %g, want high (paper 0.53)", sum.ACC)
+	}
+}
+
+// TestPaperColumnsGolden pins the published Table VI columns of every
+// spec — name, |V|, |E|, ACC and type, in All() order, then GrQC — so a
+// transcription slip in the table fails. testdata/paper.golden was
+// captured from the per-dataset constructors the table replaced.
+func TestPaperColumnsGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, s := range append(All(), spec(t, "GrQC")) {
+		fmt.Fprintf(&sb, "%-10s %6d %7d %-7g %s\n", s.Name, s.PaperNodes, s.PaperEdges, s.PaperACC, s.Type)
+	}
+	want, err := os.ReadFile("testdata/paper.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("paper columns drifted from testdata/paper.golden:\n%s\nwant:\n%s", got, want)
 	}
 }
