@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -317,8 +316,9 @@ func openCheckpoint(cfg Config) (map[cellKey]CellResult, *checkpointWriter, erro
 
 // CheckpointConfig reads the configuration a run manifest was written
 // under, with CheckpointPath set back to path, so a caller can attach a
-// Progress callback (or override Workers) before calling Run. The
-// returned config produces the digest of the stored one.
+// Progress callback or a cancellation Context (or override Workers)
+// before calling Run. The returned config produces the digest of the
+// stored one.
 func CheckpointConfig(path string) (Config, error) {
 	h, _, _, err := loadManifest(path)
 	if err != nil {
@@ -338,19 +338,10 @@ func CheckpointConfig(path string) (Config, error) {
 // complete recomputes nothing — dataset graphs are regenerated only for
 // their summary statistics.
 func Resume(path string) (*Results, error) {
-	return ResumeContext(context.Background(), path)
-}
-
-// ResumeContext is Resume under a cancellation context: the resumed run
-// stops between cells once ctx is done (Config.Context semantics), so a
-// recovery pass itself can be interrupted and later resumed from the
-// same manifest.
-func ResumeContext(ctx context.Context, path string) (*Results, error) {
 	cfg, err := CheckpointConfig(path)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Context = ctx
 	return Run(cfg)
 }
 

@@ -28,7 +28,7 @@ func ctxTestConfig(seed int64) Config {
 // TestRunContextCancelBetweenCells cancels the run from the Progress
 // callback as soon as the first cell completes: exactly that one cell
 // must be in the manifest, Run must report context.Canceled, and a
-// ResumeContext must finish the remaining cells against the same file.
+// resume from the same file must finish the remaining cells.
 func TestRunContextCancelBetweenCells(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,8 +103,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestResumeContextCancelled: ResumeContext must honour its context like
-// a fresh run.
+// TestResumeContextCancelled: a resume (CheckpointConfig + Run) must
+// honour the context set on the restored config like a fresh run.
 func TestResumeContextCancelled(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := ctxTestConfig(1103)
@@ -114,13 +114,18 @@ func TestResumeContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ResumeContext(ctx, path); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ResumeContext error = %v, want context.Canceled", err)
+	resumed, err := CheckpointConfig(path)
+	if err != nil {
+		t.Fatalf("CheckpointConfig: %v", err)
+	}
+	resumed.Context = ctx
+	if _, err := Run(resumed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled resume error = %v, want context.Canceled", err)
 	}
 	// An un-cancelled resume of the complete manifest still works.
 	res, err := Resume(path)
 	if err != nil {
-		t.Fatalf("Resume after cancelled ResumeContext: %v", err)
+		t.Fatalf("Resume after cancelled resume: %v", err)
 	}
 	if len(res.Cells) != 3 {
 		t.Fatalf("resumed run has %d cells, want 3", len(res.Cells))

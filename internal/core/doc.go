@@ -5,7 +5,7 @@
 //
 // The package is organised around four registries and pipelines:
 //
-//   - registry.go holds the algorithm registry (the M axis); queries.go
+//   - registry.go holds the mechanism table (the M axis); queries.go
 //     holds the query registry (the U axis), through which every
 //     consumer — scoring, tables, export, verification — dispatches, so
 //     custom queries participate everywhere the built-in fifteen do.
@@ -17,10 +17,14 @@
 //     Config.Workers goroutines; checkpoint.go streams finished cells
 //     to a durable JSONL manifest and resumes interrupted runs
 //     (CheckpointConfig, Resume).
-//   - tables.go, export.go, html.go and guidelines.go render Results
-//     into each artifact of the paper; verify.go and ablation.go run the
-//     appendix series and the ablations as Run grids and render them
+//   - tables.go, export.go, html.go, types.go and guidelines.go render
+//     Results into each artifact of the paper. Every best count goes
+//     through one tally in tables.go, and the text and HTML tables share
+//     its column-best marks and ε means; verify.go and ablation.go run
+//     the appendix series and the ablations as Run grids and render them
 //     with the same series formatter as Fig. 2.
+//   - fidelity.go runs the pinned fidelity grid once per seed and builds
+//     its tolerance manifest from each run's cells.
 //
 // Determinism is the load-bearing invariant (DESIGN.md §2): a fixed
 // Config produces bit-identical query errors regardless of worker

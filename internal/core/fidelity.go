@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"pgb/internal/metrics"
@@ -13,10 +14,10 @@ import (
 // fidelity.go defines the fidelity gate's data contract (DESIGN.md §12):
 // ONE pinned grid definition shared by the qualitative fidelity tests,
 // the `pgb fidelity` runner, and `cmd/fidelitygate`, so the test suite
-// and the CI gate can never disagree about what "the fidelity grid" is;
-// a stable per-cell error-record view of Results; and the JSON manifest
-// (FIDELITY_PR.json / FIDELITY_BASELINE.json) holding per-(cell, query)
-// tolerance intervals derived from the spread across the pinned seeds.
+// and the CI gate can never disagree about what "the fidelity grid" is,
+// and the JSON manifest (FIDELITY_PR.json / FIDELITY_BASELINE.json)
+// holding per-(cell, query) tolerance intervals derived from the spread
+// across the pinned seeds.
 
 // FidelityGridDef pins one fidelity grid: the (M, G, P) subset, the
 // per-run repetition count and scale, and the master seeds the grid is
@@ -93,49 +94,6 @@ func (d FidelityGridDef) Key() string {
 	return sb.String()
 }
 
-// ErrorRecord is one (cell, query) error measurement in a stable,
-// export-friendly shape — the view the fidelity runner (and any other
-// consumer of raw per-query errors) reads instead of re-deriving cell
-// indexing and query alignment from Results internals.
-type ErrorRecord struct {
-	Algorithm    string
-	Dataset      string
-	Epsilon      float64
-	Query        QueryID
-	Symbol       string
-	HigherBetter bool
-	// Error is the cell's mean error for the query (NMI for community
-	// detection, where higher is better); StdDev its in-run spread.
-	Error  float64
-	StdDev float64
-}
-
-// ErrorRecords flattens the run into one record per (cell, query), in
-// cell order then query order. Failed cells contribute no records; check
-// CellResult.Err when completeness matters.
-func (r *Results) ErrorRecords() []ErrorRecord {
-	recs := make([]ErrorRecord, 0, len(r.Cells)*len(r.Queries()))
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Err != nil {
-			continue
-		}
-		for j, q := range c.Queries {
-			recs = append(recs, ErrorRecord{
-				Algorithm:    c.Algorithm,
-				Dataset:      c.Dataset,
-				Epsilon:      c.Epsilon,
-				Query:        q,
-				Symbol:       q.String(),
-				HigherBetter: q.HigherBetter(),
-				Error:        c.Errors[j],
-				StdDev:       c.StdDev[j],
-			})
-		}
-	}
-	return recs
-}
-
 // Tolerance floors for the fidelity intervals: benign numerical drift
 // (e.g. a refactor reordering a float accumulation) may move a value by
 // a few percent of its magnitude even when the pinned seeds agree
@@ -186,7 +144,7 @@ func RunFidelity(def FidelityGridDef, workers int, progress func(string)) (*Fide
 		return nil, fmt.Errorf("core: fidelity grid needs at least 2 seeds for a spread, have %d", def.Seeds)
 	}
 	seeds := def.SeedList()
-	var runs [][]ErrorRecord
+	runs := make([]*Results, len(seeds))
 	for i, seed := range seeds {
 		cfg := def.Config(seed, workers)
 		cfg.Progress = progress
@@ -204,26 +162,24 @@ func RunFidelity(def FidelityGridDef, workers int, progress func(string)) (*Fide
 					c.Algorithm, c.Dataset, c.Epsilon, seed, cerr)
 			}
 		}
-		recs := res.ErrorRecords()
-		if len(runs) > 0 && len(recs) != len(runs[0]) {
-			return nil, fmt.Errorf("core: fidelity seed %d produced %d records, seed %d produced %d",
-				seed, len(recs), seeds[0], len(runs[0]))
-		}
-		runs = append(runs, recs)
+		runs[i] = res
 	}
 
-	first := runs[0]
-	nq := 0
-	var queries []string
-	for _, rec := range first {
-		if rec.Algorithm != first[0].Algorithm || rec.Dataset != first[0].Dataset || rec.Epsilon != first[0].Epsilon {
-			break
+	// Every seed's cell j must be the first seed's cell j over the run's
+	// query list, so the samples below line up.
+	first, qs := runs[0], runs[0].Queries()
+	for si, res := range runs {
+		if len(res.Cells) != len(first.Cells) {
+			return nil, fmt.Errorf("core: fidelity seed %d produced %d cells, seed %d produced %d",
+				seeds[si], len(res.Cells), seeds[0], len(first.Cells))
 		}
-		queries = append(queries, rec.Symbol)
-		nq++
-	}
-	if nq == 0 || len(first)%nq != 0 {
-		return nil, fmt.Errorf("core: fidelity records are not a whole number of %d-query cells", nq)
+		for j := range res.Cells {
+			c, head := &res.Cells[j], &first.Cells[j]
+			if c.Algorithm != head.Algorithm || c.Dataset != head.Dataset || c.Epsilon != head.Epsilon || !slices.Equal(c.Queries, qs) {
+				return nil, fmt.Errorf("core: fidelity record misalignment at cell (%s, %s, eps=%g) under seed %d",
+					head.Algorithm, head.Dataset, head.Epsilon, seeds[si])
+			}
+		}
 	}
 
 	m := &FidelityManifest{
@@ -234,34 +190,30 @@ func RunFidelity(def FidelityGridDef, workers int, progress func(string)) (*Fide
 			"goarch": runtime.GOARCH,
 			"go":     runtime.Version(),
 		},
-		Queries: queries,
 	}
-	samples := make([]float64, len(seeds))
-	for base := 0; base < len(first); base += nq {
-		head := first[base]
+	for _, q := range qs {
+		m.Queries = append(m.Queries, q.String())
+	}
+	samples := make([]float64, len(runs))
+	for j := range first.Cells {
+		head := &first.Cells[j]
 		cell := FidelityCell{
 			Algorithm: head.Algorithm,
 			Dataset:   head.Dataset,
 			Epsilon:   head.Epsilon,
-			Mean:      make([]float64, nq),
-			Lo:        make([]float64, nq),
-			Hi:        make([]float64, nq),
-			StdDev:    make([]float64, nq),
+			Mean:      make([]float64, len(qs)),
+			Lo:        make([]float64, len(qs)),
+			Hi:        make([]float64, len(qs)),
+			StdDev:    make([]float64, len(qs)),
 		}
-		for qi := 0; qi < nq; qi++ {
-			for si, recs := range runs {
-				rec := recs[base+qi]
-				// All seeds enumerate the same grid in the same order.
-				if rec.Algorithm != head.Algorithm || rec.Dataset != head.Dataset || rec.Epsilon != head.Epsilon || rec.Symbol != queries[qi] {
-					return nil, fmt.Errorf("core: fidelity record misalignment at cell (%s, %s, eps=%g) query %s under seed %d",
-						head.Algorithm, head.Dataset, head.Epsilon, queries[qi], seeds[si])
-				}
-				samples[si] = rec.Error
+		for qi, q := range qs {
+			for si, res := range runs {
+				samples[si] = res.Cells[j].Errors[qi]
 			}
 			iv, err := metrics.ToleranceInterval(samples, FidelityRelFloor, FidelityAbsFloor)
 			if err != nil {
 				return nil, fmt.Errorf("core: fidelity cell (%s, %s, eps=%g) query %s: %w",
-					head.Algorithm, head.Dataset, head.Epsilon, queries[qi], err)
+					head.Algorithm, head.Dataset, head.Epsilon, q, err)
 			}
 			cell.Mean[qi] = metrics.Mean(samples)
 			cell.Lo[qi] = iv.Lo

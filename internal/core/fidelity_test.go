@@ -112,8 +112,8 @@ func TestFidelityDGGStrongOnHighACC(t *testing.T) {
 func TestFidelityPrivGraphCommunityDetection(t *testing.T) {
 	res := fidelityGrid(t)
 	idx := res.index()
-	pg := idx[cellKeyOf("PrivGraph", "Facebook", 10)]
-	tmf := idx[cellKeyOf("DGG", "Facebook", 10)]
+	pg := idx[cellKey{"PrivGraph", "Facebook", 10}]
+	tmf := idx[cellKey{"DGG", "Facebook", 10}]
 	if pg == nil || tmf == nil {
 		t.Fatal("missing cells")
 	}
@@ -159,8 +159,8 @@ func TestFidelityCDPBeatsLDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := res.index()
-	dgg := idx[cellKeyOf("DGG", "Facebook", 1)]
-	rnl := idx[cellKeyOf("RNL", "Facebook", 1)]
+	dgg := idx[cellKey{"DGG", "Facebook", 1}]
+	rnl := idx[cellKey{"RNL", "Facebook", 1}]
 	if dgg.Errors[QNumEdges-1] >= rnl.Errors[QNumEdges-1] {
 		t.Errorf("DGG |E| error %.3f not below RNL %.3f — CDP should beat LDP",
 			dgg.Errors[QNumEdges-1], rnl.Errors[QNumEdges-1])
@@ -205,33 +205,6 @@ func TestFidelityGridDefinitionPinned(t *testing.T) {
 	}
 }
 
-func TestErrorRecordsFlattenCells(t *testing.T) {
-	res, err := Run(tinyFidelityDef().Config(7, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := res.ErrorRecords()
-	want := len(res.Cells) * len(res.Queries())
-	if len(recs) != want {
-		t.Fatalf("got %d records, want %d", len(recs), want)
-	}
-	idx := res.index()
-	for _, rec := range recs {
-		cell := idx[cellKeyOf(rec.Algorithm, rec.Dataset, rec.Epsilon)]
-		if cell == nil {
-			t.Fatalf("record %+v references an unknown cell", rec)
-		}
-		v, ok := cell.ErrorFor(rec.Query)
-		if !ok || v != rec.Error {
-			t.Fatalf("record %s/%s/%g/%s = %g, cell says %g (ok=%v)",
-				rec.Algorithm, rec.Dataset, rec.Epsilon, rec.Symbol, rec.Error, v, ok)
-		}
-		if rec.HigherBetter != rec.Query.HigherBetter() || rec.Symbol != rec.Query.String() {
-			t.Fatalf("record %+v disagrees with the registry", rec)
-		}
-	}
-}
-
 func TestRunFidelityManifest(t *testing.T) {
 	def := tinyFidelityDef()
 	m, err := RunFidelity(def, 0, nil)
@@ -260,6 +233,30 @@ func TestRunFidelityManifest(t *testing.T) {
 					c.Algorithm, c.Dataset, m.Queries[i], c.Mean[i], c.Lo[i], c.Hi[i])
 			}
 		}
+	}
+
+	// The manifest aggregates the cells of one plain Run per seed: cell 1
+	// (DGG) query CD, recomputed from those runs, must match bit for bit.
+	const cell, qi = 1, int(QCommunityDetection - 1)
+	samples := make([]float64, 0, def.Seeds)
+	for _, seed := range def.SeedList() {
+		res, err := Run(def.Config(seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, res.Cells[cell].Errors[qi])
+	}
+	iv, err := metrics.ToleranceInterval(samples, FidelityRelFloor, FidelityAbsFloor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.Cells[cell]
+	if got.Algorithm != "DGG" || m.Queries[qi] != "CD" {
+		t.Fatalf("cell %d query %d is %s %s, want DGG CD", cell, qi, got.Algorithm, m.Queries[qi])
+	}
+	if got.Mean[qi] != metrics.Mean(samples) || got.StdDev[qi] != metrics.StdDev(samples) || got.Lo[qi] != iv.Lo || got.Hi[qi] != iv.Hi {
+		t.Fatalf("DGG CD aggregate (mean %g, sd %g, [%g, %g]) differs from the per-seed runs %v (mean %g, sd %g, [%g, %g])",
+			got.Mean[qi], got.StdDev[qi], got.Lo[qi], got.Hi[qi], samples, metrics.Mean(samples), metrics.StdDev(samples), iv.Lo, iv.Hi)
 	}
 
 	// Deterministic and worker-count-invariant, like everything else in

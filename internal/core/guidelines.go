@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -119,7 +120,7 @@ func RecommendFromResults(r *Results, s Scenario) []Recommendation {
 	// nearest benchmark ε
 	bestEps := r.Config.Epsilons[0]
 	for _, e := range r.Config.Epsilons {
-		if abs(e-s.Epsilon) < abs(bestEps-s.Epsilon) {
+		if math.Abs(e-s.Epsilon) < math.Abs(bestEps-s.Epsilon) {
 			bestEps = e
 		}
 	}
@@ -127,15 +128,8 @@ func RecommendFromResults(r *Results, s Scenario) []Recommendation {
 	if len(queries) == 0 {
 		queries = r.Queries()
 	}
-	idx := r.index()
-	wins := make(map[string]int)
-	for _, ds := range r.Config.Datasets {
-		for _, q := range queries {
-			for _, w := range r.winners(idx, ds, bestEps, q) {
-				wins[w]++
-			}
-		}
-	}
+	wins := tally(r, r.Config.Datasets, []float64{bestEps}, queries,
+		func(string, float64, QueryID) float64 { return bestEps })[bestEps]
 	type ranked struct {
 		alg  string
 		wins int
@@ -153,11 +147,4 @@ func RecommendFromResults(r *Results, s Scenario) []Recommendation {
 		})
 	}
 	return recs
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"slices"
 )
 
 // WriteHTMLReport renders the full benchmark outcome as a standalone HTML
@@ -63,18 +64,11 @@ func buildHTMLData(r *Results) htmlData {
 	eps := r.sortedEpsilons()
 	t7 := htmlTable{
 		Title:  "Overall best counts (Table VII)",
-		Note:   "Entries count wins over the 15 queries; ties credit every best performer. Shaded = column best within the ε block.",
+		Note:   fmt.Sprintf("Entries count wins over the %d queries; ties credit every best performer. Shaded = column best within the ε block.", len(r.Queries())),
 		Header: append([]string{"ε", "Algorithm"}, r.Config.Datasets...),
 	}
 	for _, e := range eps {
-		colMax := map[string]int{}
-		for _, ds := range r.Config.Datasets {
-			for _, alg := range r.Config.Algorithms {
-				if c := counts7[e][ds][alg]; c > colMax[ds] {
-					colMax[ds] = c
-				}
-			}
-		}
+		best := colMax(r.Config.Datasets, r.Config.Algorithms, counts7[e])
 		for i, alg := range r.Config.Algorithms {
 			row := make([]htmlCell, 0, len(r.Config.Datasets)+2)
 			label := ""
@@ -84,7 +78,7 @@ func buildHTMLData(r *Results) htmlData {
 			row = append(row, htmlCell{Text: label}, htmlCell{Text: alg})
 			for _, ds := range r.Config.Datasets {
 				c := counts7[e][ds][alg]
-				row = append(row, htmlCell{Text: fmt.Sprint(c), Best: c == colMax[ds] && c > 0})
+				row = append(row, htmlCell{Text: fmt.Sprint(c), Best: best(ds, c)})
 			}
 			t7.Rows = append(t7.Rows, row)
 		}
@@ -100,19 +94,12 @@ func buildHTMLData(r *Results) htmlData {
 	for _, q := range r.Queries() {
 		t12.Header = append(t12.Header, q.String())
 	}
-	colMax := map[QueryID]int{}
-	for _, q := range r.Queries() {
-		for _, alg := range r.Config.Algorithms {
-			if c := counts12[q][alg]; c > colMax[q] {
-				colMax[q] = c
-			}
-		}
-	}
+	best := colMax(r.Queries(), r.Config.Algorithms, counts12)
 	for _, alg := range r.Config.Algorithms {
 		row := []htmlCell{{Text: alg}}
 		for _, q := range r.Queries() {
 			c := counts12[q][alg]
-			row = append(row, htmlCell{Text: fmt.Sprint(c), Best: c == colMax[q] && c > 0})
+			row = append(row, htmlCell{Text: fmt.Sprint(c), Best: best(q, c)})
 		}
 		t12.Rows = append(t12.Rows, row)
 	}
@@ -127,18 +114,11 @@ func buildHTMLData(r *Results) htmlData {
 	for _, ds := range r.Config.Datasets {
 		row := []htmlCell{{Text: ds}}
 		for _, alg := range r.Config.Algorithms {
-			sum, n := 0.0, 0
-			for _, e := range r.Config.Epsilons {
-				if c, ok := idx[cellKeyOf(alg, ds, e)]; ok && c.Err == nil {
-					sum += c.GenSeconds
-					n++
-				}
+			text := "–"
+			if v, ok := idx.mean(alg, ds, r.Config.Epsilons, func(c *CellResult) float64 { return c.GenSeconds }); ok {
+				text = fmt.Sprintf("%.3f", v)
 			}
-			if n == 0 {
-				row = append(row, htmlCell{Text: "–"})
-			} else {
-				row = append(row, htmlCell{Text: fmt.Sprintf("%.3f", sum/float64(n))})
-			}
+			row = append(row, htmlCell{Text: text})
 		}
 		t9.Rows = append(t9.Rows, row)
 	}
@@ -147,7 +127,7 @@ func buildHTMLData(r *Results) htmlData {
 	// Fig. 2 series as tables
 	for _, q := range Fig2Queries() {
 		for _, ds := range Fig2Datasets() {
-			if !contains(r.Config.Datasets, ds) {
+			if !slices.Contains(r.Config.Datasets, ds) {
 				continue
 			}
 			ft := htmlTable{

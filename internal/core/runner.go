@@ -73,11 +73,6 @@ type Config struct {
 	// graph is bit-identical to the generated one (same fingerprint), so
 	// where the bytes come from can never change a cell value.
 	Store graph.Store
-	// IngestMisses, with Store set, writes every dataset that missed the
-	// store back to it after generation, so the next run over the same
-	// store loads it in O(file). A failed write-back is a run error: the
-	// caller asked for persistence and silent drop would surprise later.
-	IngestMisses bool
 
 	// budget is the run-wide worker allowance Workers resolves to,
 	// created by Run and shared by the cell scheduler and every profile
@@ -265,11 +260,6 @@ func run(cfg Config, axis []mechanism) (*Results, error) {
 		g, fromStore, err := datasets.LoadVia(cfg.Store, spec, cfg.Scale, cfg.Seed)
 		if err != nil {
 			return nil, err
-		}
-		if !fromStore && cfg.IngestMisses && cfg.Store != nil {
-			if err := cfg.Store.Put(datasets.RefFor(spec.Name, cfg.Scale, cfg.Seed), g); err != nil {
-				return nil, fmt.Errorf("core: ingesting %s into store: %w", spec.Name, err)
-			}
 		}
 		var prof *Profile
 		if needProfile[name] {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -11,21 +12,17 @@ import (
 // per algorithm how many of the fifteen queries it wins (smallest error,
 // or largest NMI for Q12). Returns counts[eps][dataset][algorithm].
 func (r *Results) BestCounts7() map[float64]map[string]map[string]int {
+	type epsDataset struct {
+		eps float64
+		ds  string
+	}
+	counts := tally(r, distinct(r.Config.Datasets), distinct(r.Config.Epsilons), r.Queries(),
+		func(ds string, eps float64, _ QueryID) epsDataset { return epsDataset{eps, ds} })
 	out := make(map[float64]map[string]map[string]int)
-	index := r.index()
 	for _, eps := range r.Config.Epsilons {
 		out[eps] = make(map[string]map[string]int)
 		for _, ds := range r.Config.Datasets {
-			counts := make(map[string]int)
-			for _, alg := range r.Config.Algorithms {
-				counts[alg] = 0
-			}
-			for _, q := range r.Queries() {
-				for _, w := range r.winners(index, ds, eps, q) {
-					counts[w]++
-				}
-			}
-			out[eps][ds] = counts
+			out[eps][ds] = counts[epsDataset{eps, ds}]
 		}
 	}
 	return out
@@ -35,48 +32,84 @@ func (r *Results) BestCounts7() map[float64]map[string]map[string]int {
 // algorithm how many (dataset, ε) cases it wins.
 // Returns counts[query][algorithm].
 func (r *Results) BestCounts12() map[QueryID]map[string]int {
-	out := make(map[QueryID]map[string]int)
-	index := r.index()
-	for _, q := range r.Queries() {
-		counts := make(map[string]int)
-		for _, alg := range r.Config.Algorithms {
-			counts[alg] = 0
-		}
-		for _, ds := range r.Config.Datasets {
-			for _, eps := range r.Config.Epsilons {
-				for _, w := range r.winners(index, ds, eps, q) {
-					counts[w]++
+	return tally(r, r.Config.Datasets, r.Config.Epsilons, distinct(r.Queries()),
+		func(_ string, _ float64, q QueryID) QueryID { return q })
+}
+
+// tally is the counting behind Definitions 5 and 6 and every reading
+// built on them: it credits the winners of each (dataset, ε, query) case
+// drawn from the given axes to the bucket key names for that case, and
+// returns counts[bucket][algorithm] with every algorithm present. An
+// axis value listed twice is counted twice; callers whose bucket is an
+// axis pass it through distinct, so a repeated bucket is one bucket.
+func tally[K comparable](r *Results, dss []string, epss []float64, qs []QueryID, key func(ds string, eps float64, q QueryID) K) map[K]map[string]int {
+	idx := r.index()
+	out := make(map[K]map[string]int)
+	for _, ds := range dss {
+		for _, eps := range epss {
+			for _, q := range qs {
+				k := key(ds, eps, q)
+				if out[k] == nil {
+					out[k] = make(map[string]int, len(r.Config.Algorithms))
+					for _, alg := range r.Config.Algorithms {
+						out[k][alg] = 0
+					}
+				}
+				for _, w := range r.winners(idx, ds, eps, q) {
+					out[k][w]++
 				}
 			}
 		}
-		out[q] = counts
 	}
 	return out
 }
 
-type cellIndex map[string]*CellResult
-
-func cellKeyOf(alg, ds string, eps float64) string {
-	return fmt.Sprintf("%s|%s|%g", alg, ds, eps)
+// distinct returns the values of xs without repeats, in ascending order.
+func distinct[T cmp.Ordered](xs []T) []T {
+	return slices.Compact(slices.Sorted(slices.Values(xs)))
 }
+
+// cellIndex finds a run's cells by their (algorithm, dataset, ε).
+type cellIndex map[cellKey]*CellResult
 
 func (r *Results) index() cellIndex {
 	idx := make(cellIndex, len(r.Cells))
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		idx[cellKeyOf(c.Algorithm, c.Dataset, c.Epsilon)] = c
+		idx[cellKey{c.Algorithm, c.Dataset, c.Epsilon}] = c
 	}
 	return idx
+}
+
+// get returns the (alg, ds, eps) cell; nil when it is absent or failed.
+func (idx cellIndex) get(alg, ds string, eps float64) *CellResult {
+	if c := idx[cellKey{alg, ds, eps}]; c != nil && c.Err == nil {
+		return c
+	}
+	return nil
 }
 
 // value is the mean error the (alg, ds, eps) cell recorded for q; false
 // when the cell is absent, failed, or did not evaluate q.
 func (idx cellIndex) value(alg, ds string, eps float64, q QueryID) (float64, bool) {
-	c, ok := idx[cellKeyOf(alg, ds, eps)]
-	if !ok || c.Err != nil {
+	c := idx.get(alg, ds, eps)
+	if c == nil {
 		return 0, false
 	}
 	return c.ErrorFor(q)
+}
+
+// mean averages f over the (alg, ds) cells of the given ε grid that
+// succeeded — a Table IX/X entry; false when none did.
+func (idx cellIndex) mean(alg, ds string, epsilons []float64, f func(*CellResult) float64) (float64, bool) {
+	sum, n := 0.0, 0
+	for _, eps := range epsilons {
+		if c := idx.get(alg, ds, eps); c != nil {
+			sum += f(c)
+			n++
+		}
+	}
+	return sum / float64(n), n > 0
 }
 
 // winners returns every algorithm achieving the best score on query q for
@@ -91,12 +124,8 @@ func (r *Results) winners(idx cellIndex, ds string, eps float64, q QueryID) []st
 	}
 	var best []string
 	for _, alg := range r.Config.Algorithms {
-		c, ok := idx[cellKeyOf(alg, ds, eps)]
-		if !ok || c.Err != nil {
-			continue
-		}
-		v, evaluated := c.ErrorFor(q)
-		if !evaluated || math.IsNaN(v) {
+		v, ok := idx.value(alg, ds, eps, q)
+		if !ok || math.IsNaN(v) {
 			continue
 		}
 		switch {
@@ -109,6 +138,19 @@ func (r *Results) winners(idx cellIndex, ds string, eps float64, q QueryID) []st
 		}
 	}
 	return best
+}
+
+// colMax returns the best mark of Tables VII and XII: whether count c is
+// the largest any algorithm has in column col of counts[col][algorithm],
+// and not 0.
+func colMax[K comparable](cols []K, algs []string, counts map[K]map[string]int) func(col K, c int) bool {
+	top := make(map[K]int, len(cols))
+	for _, col := range cols {
+		for _, alg := range algs {
+			top[col] = max(top[col], counts[col][alg])
+		}
+	}
+	return func(col K, c int) bool { return c > 0 && c == top[col] }
 }
 
 // FormatTable7 renders Table VII: per ε block, rows are algorithms,
@@ -124,15 +166,7 @@ func (r *Results) FormatTable7() string {
 	}
 	sb.WriteString(header + "\n")
 	for _, e := range r.sortedEpsilons() {
-		// column max per dataset for highlighting
-		colMax := make(map[string]int)
-		for _, ds := range r.Config.Datasets {
-			for _, alg := range r.Config.Algorithms {
-				if c := counts[e][ds][alg]; c > colMax[ds] {
-					colMax[ds] = c
-				}
-			}
-		}
+		best := colMax(r.Config.Datasets, r.Config.Algorithms, counts[e])
 		for i, alg := range r.Config.Algorithms {
 			label := ""
 			if i == 0 {
@@ -141,11 +175,7 @@ func (r *Results) FormatTable7() string {
 			fmt.Fprintf(&sb, "%-5s %-10s", label, alg)
 			for _, ds := range r.Config.Datasets {
 				c := counts[e][ds][alg]
-				mark := " "
-				if c == colMax[ds] && c > 0 {
-					mark = "*"
-				}
-				fmt.Fprintf(&sb, " %8d%s", c, mark)
+				fmt.Fprintf(&sb, " %8d%s", c, mark(best(ds, c)))
 			}
 			sb.WriteByte('\n')
 		}
@@ -166,27 +196,24 @@ func (r *Results) FormatTable12() string {
 		fmt.Fprintf(&sb, " %8s", q.String())
 	}
 	sb.WriteByte('\n')
-	colMax := make(map[QueryID]int)
-	for _, q := range r.Queries() {
-		for _, alg := range r.Config.Algorithms {
-			if c := counts[q][alg]; c > colMax[q] {
-				colMax[q] = c
-			}
-		}
-	}
+	best := colMax(r.Queries(), r.Config.Algorithms, counts)
 	for _, alg := range r.Config.Algorithms {
 		fmt.Fprintf(&sb, "%-10s", alg)
 		for _, q := range r.Queries() {
 			c := counts[q][alg]
-			mark := " "
-			if c == colMax[q] && c > 0 {
-				mark = "*"
-			}
-			fmt.Fprintf(&sb, " %7d%s", c, mark)
+			fmt.Fprintf(&sb, " %7d%s", c, mark(best(q, c)))
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// mark is the text tables' best mark.
+func mark(best bool) string {
+	if best {
+		return "*"
+	}
+	return " "
 }
 
 // FormatTable9 renders Table IX: mean generation seconds per algorithm ×
@@ -213,17 +240,10 @@ func (r *Results) formatResource(title string, f func(*CellResult) float64, cell
 	for _, ds := range r.Config.Datasets {
 		fmt.Fprintf(&sb, "%-10s", ds)
 		for _, alg := range r.Config.Algorithms {
-			sum, n := 0.0, 0
-			for _, eps := range r.Config.Epsilons {
-				if c, ok := idx[cellKeyOf(alg, ds, eps)]; ok && c.Err == nil {
-					sum += f(c)
-					n++
-				}
-			}
-			if n == 0 {
-				fmt.Fprintf(&sb, " %10s", "-")
+			if v, ok := idx.mean(alg, ds, r.Config.Epsilons, f); ok {
+				fmt.Fprintf(&sb, " "+cellFmt, v)
 			} else {
-				fmt.Fprintf(&sb, " "+cellFmt, sum/float64(n))
+				fmt.Fprintf(&sb, " %10s", "-")
 			}
 		}
 		sb.WriteByte('\n')
@@ -287,7 +307,7 @@ func (r *Results) FormatSeries(title string, queries []QueryID, datasets []strin
 	sb.WriteString(title + "\n")
 	for _, q := range queries {
 		for _, ds := range datasets {
-			if !contains(r.Config.Datasets, ds) {
+			if !slices.Contains(r.Config.Datasets, ds) {
 				continue
 			}
 			fmt.Fprintf(&sb, "\n[%s (%s) on %s]\n%-*s", q.String(), q.Metric(), ds, width, "eps:")
@@ -313,16 +333,5 @@ func (r *Results) FormatSeries(title string, queries []QueryID, datasets []strin
 
 // sortedEpsilons returns the run's privacy budgets in ascending order.
 func (r *Results) sortedEpsilons() []float64 {
-	eps := append([]float64(nil), r.Config.Epsilons...)
-	sort.Float64s(eps)
-	return eps
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	return slices.Sorted(slices.Values(r.Config.Epsilons))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pgb/internal/datasets"
@@ -12,39 +13,21 @@ import (
 // II taxonomy — social, web, academic, traffic, financial, technology,
 // synthetic), showing which mechanism suits which domain.
 func (r *Results) FormatTypeAnalysis() string {
-	// dataset → type, restricted to datasets in this run
+	// dataset → type, and the types in first-seen order
 	typeOf := map[string]string{}
-	for _, ds := range r.Config.Datasets {
-		if spec, err := datasets.ByName(ds); err == nil {
-			typeOf[ds] = spec.Type
-		} else {
-			typeOf[ds] = "File"
-		}
-	}
 	var types []string
-	seen := map[string]bool{}
 	for _, ds := range r.Config.Datasets {
-		if !seen[typeOf[ds]] {
-			seen[typeOf[ds]] = true
-			types = append(types, typeOf[ds])
+		tp := "File"
+		if spec, err := datasets.ByName(ds); err == nil {
+			tp = spec.Type
+		}
+		typeOf[ds] = tp
+		if !slices.Contains(types, tp) {
+			types = append(types, tp)
 		}
 	}
-
-	idx := r.index()
-	counts := map[string]map[string]int{} // type → algorithm → wins
-	for _, ds := range r.Config.Datasets {
-		tp := typeOf[ds]
-		if counts[tp] == nil {
-			counts[tp] = map[string]int{}
-		}
-		for _, eps := range r.Config.Epsilons {
-			for _, q := range r.Queries() {
-				for _, w := range r.winners(idx, ds, eps, q) {
-					counts[tp][w]++
-				}
-			}
-		}
-	}
+	counts := tally(r, r.Config.Datasets, r.Config.Epsilons, r.Queries(),
+		func(ds string, _ float64, _ QueryID) string { return typeOf[ds] })
 
 	var sb strings.Builder
 	sb.WriteString("Graph-type analysis — best counts aggregated by domain (Table II taxonomy)\n")

@@ -143,7 +143,7 @@ func degreeHistogramTable(a, b *graph.Graph) string {
 	// log-spaced degree buckets 1,2,4,8,...
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %12s %12s\n", "degree", "original", "generated")
-	for lo := 1; lo <= maxLen(ha, hb); lo *= 2 {
+	for lo := 1; lo <= max(len(ha), len(hb)); lo *= 2 {
 		hi := lo * 2
 		ca, cb := bucketSum(ha, lo, hi), bucketSum(hb, lo, hi)
 		if ca == 0 && cb == 0 {
@@ -235,13 +235,6 @@ func bucketSum(h []int, lo, hi int) int {
 		s += h[d]
 	}
 	return s
-}
-
-func maxLen(a, b []int) int {
-	if len(a) > len(b) {
-		return len(a)
-	}
-	return len(b)
 }
 
 // Fig7 reproduces the appendix DER comparison: TmF vs PrivGraph vs DER on

@@ -55,10 +55,10 @@ func RefFor(name string, scale float64, seed int64) graph.Ref {
 // LoadVia resolves the dataset through st first — an ingested snapshot
 // loads in O(file) instead of regenerating — and falls back to Load on
 // a miss (or a nil store). fromStore reports which path produced the
-// graph, so callers implementing write-back (core.Config.IngestMisses)
-// know whether a Put is due. Store failures other than ErrNotFound are
-// returned: a present-but-unreadable snapshot must fail loudly, not
-// silently regenerate something the operator believes is pinned on disk.
+// graph, for callers that report or count store hits. Store failures
+// other than ErrNotFound are returned: a present-but-unreadable snapshot
+// must fail loudly, not silently regenerate something the operator
+// believes is pinned on disk.
 func LoadVia(st graph.Store, s Spec, scale float64, seed int64) (g *graph.Graph, fromStore bool, err error) {
 	if st != nil {
 		g, err := st.Open(RefFor(s.Name, scale, seed))

@@ -11,7 +11,6 @@
 package linttest
 
 import (
-	"path/filepath"
 	"regexp"
 	"testing"
 
@@ -31,17 +30,17 @@ var (
 	strRe  = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 )
 
-// Run loads testdata/src/<fixture> as a package, runs the single
-// analyzer over it (scope filters bypassed) together with the
-// directive machinery, and checks the findings against the fixture's
-// want comments.
+// Run loads testdata/src/<fixture> as a package through lint.Load, the
+// loader pgblint itself uses, runs the single analyzer over it (scope
+// filters bypassed) together with the directive machinery, and checks
+// the findings against the fixture's want comments.
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := lint.CheckFixture(dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
+	pkgs, err := lint.Load(".", "./testdata/src/"+fixture)
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("loading fixture %s: %d packages, error %v", fixture, len(pkgs), err)
 	}
+	pkg := pkgs[0]
 
 	var wants []*expectation
 	for _, f := range pkg.Files {

@@ -186,21 +186,19 @@ func TestRunBenchmarkSnapshotParity(t *testing.T) {
 	}
 	defer store.Close()
 
-	// First pass ingests the misses; it must already match the RAM run.
-	ingest := base
-	ingest.Store = store
-	ingest.IngestMisses = true
-	if _, err := pgb.RunBenchmark(ingest); err != nil {
-		t.Fatal(err)
-	}
+	// Ingest every dataset of the grid, as pgb ingest does.
 	for _, ds := range base.Datasets {
-		ref := pgb.Source{Dataset: ds, Scale: base.Scale, Seed: base.Seed}.Ref()
-		if !store.Has(ref) {
-			t.Fatalf("ingesting run did not persist %v", ref)
+		src := pgb.Source{Dataset: ds, Scale: base.Scale, Seed: base.Seed}
+		g, err := pgb.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(src.Ref(), g); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// Second pass resolves every dataset from its snapshot.
+	// The grid run now resolves every dataset from its snapshot.
 	fromSnap := base
 	fromSnap.Store = store
 	snap, err := pgb.RunBenchmark(fromSnap)
