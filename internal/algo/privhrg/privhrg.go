@@ -65,9 +65,12 @@ type dendrogram struct {
 	// prm is the execution-only worker allowance of the sharded counting
 	// passes; it never affects values (exact integer merges only).
 	prm algo.Params
-	// leafA/leafS are reusable leaf-collection scratch buffers for the
-	// per-MCMC-step edgesBetween calls.
-	leafA, leafS []int32
+	// leafA is the reusable leaf-collection scratch buffer of the
+	// per-MCMC-step edgesBetween calls; mark[u] == stamp marks u as a
+	// leaf of the call's larger side.
+	leafA []int32
+	mark  []uint32
+	stamp uint32
 }
 
 func newDendrogram(g *graph.Graph, rng *rand.Rand, prm algo.Params) *dendrogram {
@@ -83,7 +86,7 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand, prm algo.Params) *dendrogram 
 		g:       g,
 		prm:     prm,
 		leafA:   make([]int32, 0, n),
-		leafS:   make([]int32, 0, n),
+		mark:    make([]uint32, n),
 	}
 	for i := range d.left {
 		d.left[i] = -1
@@ -177,38 +180,78 @@ func (d *dendrogram) collectLeaves(u int32, out []int32) []int32 {
 	return d.collectLeaves(d.right[u], out)
 }
 
+// stampLeaves sets mark[u] = stamp for every leaf u under node u.
+func (d *dendrogram) stampLeaves(u int32) {
+	for u >= int32(d.n) {
+		d.stampLeaves(d.left[u])
+		u = d.right[u]
+	}
+	d.mark[u] = d.stamp
+}
+
 // edgesBetween counts graph edges between the leaf sets of subtrees a and
-// s by marking the larger side and scanning the smaller side's neighbor
-// lists — sharded across the dendrogram's workers when the scan is big
-// enough to split (the count is an exact integer merge). Leaf collection
-// reuses the dendrogram's scratch buffers, so the per-MCMC-step calls
-// allocate nothing.
-func (d *dendrogram) edgesBetween(a, s int32, mark []bool) float64 {
+// s. It stamps the larger side's leaves straight from the tree walk and
+// scans the smaller side's neighbor lists. A scan of at most shardGrain
+// leaves runs inline; a bigger one is sharded across the dendrogram's
+// workers (the count is an exact integer merge). The leaf buffer and
+// marks are reused, so a small step allocates nothing.
+func (d *dendrogram) edgesBetween(a, s int32) float64 {
 	if d.nLeaves[a] > d.nLeaves[s] {
 		a, s = s, a
 	}
+	d.stamp++
+	if d.stamp == 0 {
+		clear(d.mark)
+		d.stamp = 1
+	}
+	d.stampLeaves(s)
 	la := d.collectLeaves(a, d.leafA[:0])
-	ls := d.collectLeaves(s, d.leafS[:0])
-	d.leafA, d.leafS = la, ls
-	for _, u := range ls {
-		mark[u] = true
+	d.leafA = la
+	mark, stamp := d.mark, d.stamp
+	if len(la) <= shardGrain {
+		cnt := 0
+		for _, u := range la {
+			for _, v := range d.g.Neighbors(u) {
+				if mark[v] == stamp {
+					cnt++
+				}
+			}
+		}
+		return float64(cnt)
 	}
 	var cnt int64
 	d.prm.ForEach(len(la), shardGrain, func(lo, hi int) {
 		part := int64(0)
 		for _, u := range la[lo:hi] {
 			for _, v := range d.g.Neighbors(u) {
-				if mark[v] {
+				if mark[v] == stamp {
 					part++
 				}
 			}
 		}
 		atomic.AddInt64(&cnt, part)
 	})
-	for _, u := range ls {
-		mark[u] = false
-	}
 	return float64(cnt)
+}
+
+// swap applies an accepted move at internal node r, whose children are
+// keep and move and whose sibling is sib: move and sib exchange parents,
+// so r becomes (keep, sib) with crossing count eR and r's parent becomes
+// (r, move) with crossing count eP. The parent's leaf set is unchanged.
+func (d *dendrogram) swap(r, keep, move, sib int32, eR, eP float64) {
+	par := d.parent[r]
+	d.left[r] = keep
+	d.right[r] = sib
+	d.parent[sib] = r
+	if d.left[par] == r {
+		d.right[par] = move
+	} else {
+		d.left[par] = move
+	}
+	d.parent[move] = par
+	d.e[r] = eR
+	d.e[par] = eP
+	d.nLeaves[r] = d.nLeaves[keep] + d.nLeaves[sib]
 }
 
 // termLL is one internal node's log-likelihood contribution:
@@ -269,7 +312,6 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 	if sens < 1 {
 		sens = 1
 	}
-	mark := make([]bool, n)
 
 	for step := 0; step < steps; step++ {
 		// pick a random internal node other than the root
@@ -296,7 +338,7 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 		pairsP := d.pairs(par)
 		oldLL := termLL(d.e[r], pairsR) + termLL(d.e[par], pairsP)
 		// new configuration: r' = (keepChild, sib), par' = (r', swapChild)
-		x := d.edgesBetween(keepChild, sib, mark) // e(keep, sib)
+		x := d.edgesBetween(keepChild, sib) // e(keep, sib)
 		eRnew := x
 		// e_par = e(keep∪swap, sib) = e(keep,sib) + e(swap,sib), so
 		// e(swap,sib) = e_par − x; the new parent crosses keep∪sib with
@@ -313,20 +355,7 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 		if delta < 0 && rng.Float64() >= math.Exp(eps1*delta/(2*sens)) {
 			continue
 		}
-		// apply the swap: swapChild and sib exchange parents
-		d.left[r] = keepChild
-		d.right[r] = sib
-		d.parent[sib] = r
-		if d.left[par] == r {
-			d.right[par] = swapChild
-		} else {
-			d.left[par] = swapChild
-		}
-		d.parent[swapChild] = par
-		d.e[r] = eRnew
-		d.e[par] = ePnew
-		d.nLeaves[r] = int32(nKeep + nSib)
-		// nLeaves[par] unchanged (same leaf set)
+		d.swap(r, keepChild, swapChild, sib, eRnew, ePnew)
 	}
 
 	// Perturb crossing counts: sensitivity 1 (one edge maps to one LCA).

@@ -107,3 +107,83 @@ func TestTinyGraphs(t *testing.T) {
 		}
 	}
 }
+
+// bruteCrossing counts the graph edges between the leaf sets of
+// subtrees a and s pair by pair.
+func bruteCrossing(d *dendrogram, a, s int32) float64 {
+	la := d.collectLeaves(a, nil)
+	ls := d.collectLeaves(s, nil)
+	cnt := 0
+	for _, u := range la {
+		for _, v := range ls {
+			if d.g.HasEdge(u, v) {
+				cnt++
+			}
+		}
+	}
+	return float64(cnt)
+}
+
+// TestEdgesBetweenMatchesBruteForce drives random swaps through the
+// chain's own bookkeeping, then checks edgesBetween and every stored
+// crossing count against a pair-by-pair count. At n = 1200 the subtrees
+// near the root exceed shardGrain leaves on both sides, so the sharded
+// path runs as well as the inline one.
+func TestEdgesBetweenMatchesBruteForce(t *testing.T) {
+	g := gen.PlantedPartition(1200, 6, 0.05, 0.003, rng(11))
+	for _, workers := range []int{1, 4} {
+		d := newDendrogram(g, rng(12), algo.Params{Workers: workers})
+		r0 := rng(13)
+		n := g.N()
+		for step := 0; step < 3000; step++ {
+			r := int32(n) + int32(r0.Intn(n-1))
+			if r == d.root {
+				continue
+			}
+			par := d.parent[r]
+			sib := d.left[par]
+			if sib == r {
+				sib = d.right[par]
+			}
+			keep, move := d.left[r], d.right[r]
+			if r0.Intn(2) == 1 {
+				keep, move = move, keep
+			}
+			x := d.edgesBetween(keep, sib)
+			if step%100 == 0 {
+				if want := bruteCrossing(d, keep, sib); x != want {
+					t.Fatalf("workers=%d step %d: edgesBetween = %g, brute force %g", workers, step, x, want)
+				}
+			}
+			d.swap(r, keep, move, sib, x, d.e[r]+d.e[par]-x)
+		}
+		big := false
+		for r := int32(n); r < int32(2*n-1); r++ {
+			l, rr := d.left[r], d.right[r]
+			want := bruteCrossing(d, l, rr)
+			if got := d.edgesBetween(l, rr); got != want || d.e[r] != want {
+				t.Fatalf("workers=%d node %d: edgesBetween = %g, stored %g, brute force %g", workers, r, got, d.e[r], want)
+			}
+			big = big || min(d.nLeaves[l], d.nLeaves[rr]) > shardGrain
+		}
+		if !big {
+			t.Fatalf("workers=%d: no node's smaller side exceeds shardGrain", workers)
+		}
+	}
+}
+
+// TestGenerateAllocsIndependentOfSteps pins the chain to a fixed number
+// of allocations: ten times the steps must not allocate more.
+func TestGenerateAllocsIndependentOfSteps(t *testing.T) {
+	g := gen.PlantedPartition(300, 4, 0.2, 0.01, rng(14))
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := New(Options{MCMCSteps: steps}).Generate(g, 1, rng(15), algo.Params{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(2000), allocs(20000); a != b {
+		t.Fatalf("allocs/op: %g at 2000 steps, %g at 20000", a, b)
+	}
+}

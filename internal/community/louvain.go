@@ -77,64 +77,71 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Result {
 	for i := range assign {
 		assign[i] = i
 	}
+	first := make([]int, n) // first-seen relabel table, reused by every compaction
 
 	for level := 0; level < 64; level++ {
 		comm, moved := localMove(w, rng)
 		if !moved && level > 0 {
 			break
 		}
-		// compact community ids
-		remap := make(map[int]int)
-		for _, c := range comm {
-			if _, ok := remap[c]; !ok {
-				remap[c] = len(remap)
-			}
-		}
-		for i := range comm {
-			comm[i] = remap[comm[i]]
-		}
+		k := compact(comm, first[:w.n])
 		// update assignment of original nodes
 		for i := range assign {
 			assign[i] = comm[assign[i]]
 		}
-		if len(remap) == w.n {
+		if k == w.n {
 			break // no aggregation happened
 		}
-		w = aggregate(w, comm, len(remap))
+		w = aggregate(w, comm, k)
 		if !moved {
 			break
 		}
 	}
 
-	// compact final labels
-	remap := make(map[int]int)
-	for _, c := range assign {
-		if _, ok := remap[c]; !ok {
-			remap[c] = len(remap)
-		}
-	}
-	labels := make([]int, n)
-	for i, c := range assign {
-		labels[i] = remap[c]
-	}
+	k := compact(assign, first)
 	return Result{
-		Labels:         labels,
-		NumCommunities: len(remap),
-		Modularity:     stats.Modularity(g, labels),
+		Labels:         assign,
+		NumCommunities: k,
+		Modularity:     stats.Modularity(g, assign),
 	}
+}
+
+// compact relabels xs in place to 0..k-1 in first-seen order and
+// returns k. Every x must lie in [0, len(first)); first is scratch.
+func compact(xs, first []int) int {
+	for i := range first {
+		first[i] = -1
+	}
+	k := 0
+	for i, c := range xs {
+		if first[c] < 0 {
+			first[c] = k
+			k++
+		}
+		xs[i] = first[c]
+	}
+	return k
 }
 
 // localMove is Louvain phase one: greedily move nodes to the neighboring
 // community with the highest modularity gain until no move improves.
 // Neighbor-community weights accumulate into a reused scratch vector
-// (weights are strictly positive, so nbw[c] == 0 means "not seen"), and
-// candidate communities are evaluated in sorted order so tie-breaking —
-// and hence the whole run — is deterministic.
+// (weights are strictly positive, so nbw[c] == 0 means "not seen"; no
+// level's nbr holds u itself, so no self check is needed).
+//
+// The move rule, which fixes tie-breaking and hence the whole run, is an
+// ascending scan of the touched communities in which a community becomes
+// the best when its gain beats the best so far, starting at 0, by more
+// than 1e-12. Each gain is computed once, in touch order, and only the
+// strict improvers over 0 are kept: the rest can never beat a best that
+// starts at 0 and never falls. bestMove then finds the scan's winner
+// among those few without sorting them.
 func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 	n := w.n
 	comm := make([]int, n)
 	commTotDeg := make([]float64, n) // Σ degree of nodes in community
 	deg := make([]float64, n)
+	maxDeg := int64(0)
 	for u := 0; u < n; u++ {
 		comm[u] = u
 		d := w.selfLoop[u] * 2
@@ -143,48 +150,41 @@ func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 		}
 		deg[u] = d
 		commTotDeg[u] = d
+		maxDeg = max(maxDeg, w.off[u+1]-w.off[u])
 	}
 	m2 := 2 * w.totalW
 	if m2 == 0 {
 		return comm, false
 	}
 
-	nbw := make([]float64, n)   // weight from u to community c, zeroed after each node
-	cands := make([]int, 0, 64) // communities touched for the current node
+	nbw := make([]float64, n)      // weight from u to community c, zeroed after each node
+	cands := make([]int, maxDeg)   // communities touched for the current node
+	ups := make([]move, 0, maxDeg) // the touched communities that improve on staying
 	order := rng.Perm(n)
 	movedAny := false
 	for pass := 0; pass < 32; pass++ {
 		movedThisPass := false
 		for _, u := range order {
 			cu := comm[u]
-			cands = cands[:0]
+			k := 0
 			for i := w.off[u]; i < w.off[u+1]; i++ {
-				v := int(w.nbr[i])
-				if v == u {
-					continue
-				}
-				c := comm[v]
-				if nbw[c] == 0 {
-					cands = append(cands, c)
-				}
+				c := comm[w.nbr[i]]
+				cands[k] = c
+				k += b2i(nbw[c] == 0)
 				nbw[c] += w.wt[i]
 			}
 			// remove u from its community
 			commTotDeg[cu] -= deg[u]
-			bestC, bestGain := cu, 0.0
-			baseW := nbw[cu]
-			baseGain := baseW - commTotDeg[cu]*deg[u]/m2
-			sort.Ints(cands)
-			for _, c := range cands {
+			baseGain := nbw[cu] - commTotDeg[cu]*deg[u]/m2
+			ups = ups[:0]
+			for _, c := range cands[:k] {
 				gain := nbw[c] - commTotDeg[c]*deg[u]/m2
-				if gain-baseGain > bestGain+1e-12 {
-					bestGain = gain - baseGain
-					bestC = c
+				if gain-baseGain > 1e-12 {
+					ups = append(ups, move{c, gain - baseGain})
 				}
-			}
-			for _, c := range cands {
 				nbw[c] = 0
 			}
+			bestC := bestMove(ups, cu)
 			comm[u] = bestC
 			commTotDeg[bestC] += deg[u]
 			if bestC != cu {
@@ -197,6 +197,50 @@ func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 		}
 	}
 	return comm, movedAny
+}
+
+// bestMove returns the community the ascending scan of localMove picks
+// from ups, the touched communities whose gain over staying exceeds
+// 1e-12, or stay when there is none. Since every entry beats the current
+// best by more than 1e-12, the scan's next record is the smallest
+// community. The entries whose gain beats that record's by more than
+// 1e-12 are the candidates for the record after it; all of them are
+// larger communities, since the record is the smallest. That is one pass
+// per record, rarely more than a handful, over a shrinking set. ups is
+// overwritten.
+func bestMove(ups []move, stay int) int {
+	best := stay
+	for len(ups) > 0 {
+		i := 0
+		for j := 1; j < len(ups); j++ {
+			if ups[j].c < ups[i].c {
+				i = j
+			}
+		}
+		best = ups[i].c
+		bar := ups[i].gain + 1e-12
+		rest := ups[:0]
+		for _, mv := range ups {
+			if mv.gain > bar {
+				rest = append(rest, mv)
+			}
+		}
+		ups = rest
+	}
+	return best
+}
+
+// move is a candidate community and its modularity gain over staying.
+type move struct {
+	c    int
+	gain float64
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // aggregate is Louvain phase two: collapse each community into a super

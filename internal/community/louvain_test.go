@@ -1,12 +1,17 @@
 package community
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"pgb/internal/datasets"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(11)) }
@@ -134,5 +139,239 @@ func TestQuickLouvainBeatsTrivial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLouvain is the straightforward Louvain the fast path must match bit
+// for bit: refLocalMove at every level and map-based first-seen label
+// compaction.
+func refLouvain(g *graph.Graph, rng *rand.Rand) Result {
+	n := g.N()
+	if n == 0 {
+		return Result{Labels: []int{}, NumCommunities: 0}
+	}
+	if g.M() == 0 {
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = i
+		}
+		return Result{Labels: labels, NumCommunities: n}
+	}
+	w := fromGraph(g)
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = i
+	}
+	for level := 0; level < 64; level++ {
+		comm, moved := refLocalMove(w, rng)
+		if !moved && level > 0 {
+			break
+		}
+		k := refCompact(comm)
+		for i := range assign {
+			assign[i] = comm[assign[i]]
+		}
+		if k == w.n {
+			break
+		}
+		w = aggregate(w, comm, k)
+		if !moved {
+			break
+		}
+	}
+	k := refCompact(assign)
+	return Result{Labels: assign, NumCommunities: k, Modularity: stats.Modularity(g, assign)}
+}
+
+func refCompact(xs []int) int {
+	remap := make(map[int]int)
+	for _, c := range xs {
+		if _, ok := remap[c]; !ok {
+			remap[c] = len(remap)
+		}
+	}
+	for i := range xs {
+		xs[i] = remap[xs[i]]
+	}
+	return len(remap)
+}
+
+// refLocalMove is phase one as first written: every touched community,
+// self entries skipped, fully sorted and scanned.
+func refLocalMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
+	n := w.n
+	comm := make([]int, n)
+	commTotDeg := make([]float64, n)
+	deg := make([]float64, n)
+	for u := 0; u < n; u++ {
+		comm[u] = u
+		d := w.selfLoop[u] * 2
+		for i := w.off[u]; i < w.off[u+1]; i++ {
+			d += w.wt[i]
+		}
+		deg[u] = d
+		commTotDeg[u] = d
+	}
+	m2 := 2 * w.totalW
+	if m2 == 0 {
+		return comm, false
+	}
+	nbw := make([]float64, n)
+	var cands []int
+	order := rng.Perm(n)
+	movedAny := false
+	for pass := 0; pass < 32; pass++ {
+		movedThisPass := false
+		for _, u := range order {
+			cu := comm[u]
+			cands = cands[:0]
+			for i := w.off[u]; i < w.off[u+1]; i++ {
+				v := int(w.nbr[i])
+				if v == u {
+					continue
+				}
+				c := comm[v]
+				if nbw[c] == 0 {
+					cands = append(cands, c)
+				}
+				nbw[c] += w.wt[i]
+			}
+			commTotDeg[cu] -= deg[u]
+			bestC, bestGain := cu, 0.0
+			baseGain := nbw[cu] - commTotDeg[cu]*deg[u]/m2
+			sort.Ints(cands)
+			for _, c := range cands {
+				gain := nbw[c] - commTotDeg[c]*deg[u]/m2
+				if gain-baseGain > bestGain+1e-12 {
+					bestGain = gain - baseGain
+					bestC = c
+				}
+			}
+			for _, c := range cands {
+				nbw[c] = 0
+			}
+			comm[u] = bestC
+			commTotDeg[bestC] += deg[u]
+			if bestC != cu {
+				movedThisPass = true
+				movedAny = true
+			}
+		}
+		if !movedThisPass {
+			break
+		}
+	}
+	return comm, movedAny
+}
+
+// assertSameResult fails unless got and want agree on every label, the
+// community count and the modularity's bits.
+func assertSameResult(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if got.NumCommunities != want.NumCommunities || !slices.Equal(got.Labels, want.Labels) ||
+		math.Float64bits(got.Modularity) != math.Float64bits(want.Modularity) {
+		t.Fatalf("%s: Louvain = (%d communities, Q=%v), reference = (%d, Q=%v), labels equal: %v",
+			what, got.NumCommunities, got.Modularity, want.NumCommunities, want.Modularity,
+			slices.Equal(got.Labels, want.Labels))
+	}
+}
+
+func TestLouvainMatchesReference(t *testing.T) {
+	for _, name := range datasets.Names() {
+		spec, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := spec.Load(0.1, 1)
+		for seed := int64(1); seed <= 5; seed++ {
+			got := Louvain(g, rand.New(rand.NewSource(seed)))
+			want := refLouvain(g, rand.New(rand.NewSource(seed)))
+			assertSameResult(t, name, got, want)
+		}
+	}
+}
+
+// TestLocalMoveMatchesReferenceOnLevels checks phase one directly on
+// every aggregation level, where weights exceed 1 and self loops carry
+// intra-community weight: same communities, same moved flag, and the
+// rng left in the same state.
+func TestLocalMoveMatchesReferenceOnLevels(t *testing.T) {
+	for _, name := range datasets.Names() {
+		spec, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := fromGraph(spec.Load(0.1, 2))
+		rng := rand.New(rand.NewSource(7))
+		for level := 0; ; level++ {
+			seed := rng.Int63()
+			ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, gotMoved := localMove(w, ra)
+			want, wantMoved := refLocalMove(w, rb)
+			if !slices.Equal(got, want) || gotMoved != wantMoved || ra.Int63() != rb.Int63() {
+				t.Fatalf("%s level %d: localMove differs from the reference", name, level)
+			}
+			k := refCompact(want)
+			if !wantMoved || k == w.n {
+				if level == 0 {
+					t.Fatalf("%s: no weighted level exercised", name)
+				}
+				break
+			}
+			w = aggregate(w, want, k)
+		}
+	}
+}
+
+// FuzzLouvainMatchesReference: for arbitrary small graphs and seeds the
+// fast Louvain equals the reference bit for bit. The first byte is the
+// node count; each following byte pair is one edge (self loops and
+// duplicates are dropped by FromEdges).
+func FuzzLouvainMatchesReference(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3}, int64(1))
+	f.Add([]byte{4, 0, 1, 2, 3}, int64(2))
+	f.Add([]byte{5, 0, 0, 1, 1, 0, 1, 1, 0}, int64(3))
+	f.Add([]byte{}, int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]%64) + 1
+		var edges []graph.Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			u, v := int32(int(data[i])%n), int32(int(data[i+1])%n)
+			if u != v {
+				edges = append(edges, graph.Canon(u, v))
+			}
+		}
+		g := graph.FromEdges(n, edges)
+		got := Louvain(g, rand.New(rand.NewSource(seed)))
+		want := refLouvain(g, rand.New(rand.NewSource(seed)))
+		assertSameResult(t, "fuzz", got, want)
+	})
+}
+
+// TestBestMoveMatchesSortedScan pins bestMove to the sorted scan it
+// replaces on gains that tie exactly or sit within 1e-12 of each other,
+// where the tolerance decides the winner.
+func TestBestMoveMatchesSortedScan(t *testing.T) {
+	levels := []float64{2e-12, 2.5e-12, 3.2e-12, 1, 1 + 5e-13, 1 + 1e-12, 1 + 1.5e-12, 1 + 3e-12, 2}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5000; trial++ {
+		ups := make([]move, r.Intn(12))
+		for i, c := range r.Perm(40)[:len(ups)] {
+			ups[i] = move{c, levels[r.Intn(len(levels))]}
+		}
+		sorted := slices.Clone(ups)
+		slices.SortFunc(sorted, func(a, b move) int { return a.c - b.c })
+		want, bestGain := -1, 0.0
+		for _, mv := range sorted {
+			if mv.gain > bestGain+1e-12 {
+				want, bestGain = mv.c, mv.gain
+			}
+		}
+		if got := bestMove(slices.Clone(ups), -1); got != want {
+			t.Fatalf("bestMove(%v) = %d, sorted scan %d", ups, got, want)
+		}
 	}
 }

@@ -55,6 +55,12 @@ const snapshotHeaderSize = 64
 // needed" from corruption.
 var ErrSnapshotVersion = errors.New("graph: unsupported snapshot version")
 
+// ErrSnapshotCorrupt marks a snapshot whose payload breaks the CSR
+// invariants: inconsistent section lengths, decreasing offsets, or a
+// neighbor segment that is out of range, unsorted, duplicated or lists
+// its own node.
+var ErrSnapshotCorrupt = errors.New("graph: corrupt snapshot payload")
+
 // SnapshotHeader is the decoded fixed header of a snapshot file: the
 // graph's shape and fingerprint, readable without loading the payload.
 type SnapshotHeader struct {
@@ -190,8 +196,9 @@ func WriteSnapshotFile(path string, g *Graph) error {
 // ReadSnapshot decodes a snapshot from r into freshly allocated slices
 // — the portable plain-read path, independent of mmap support and host
 // byte order. The decoded graph is structurally validated at the CSR
-// level (monotone offsets, in-range neighbors) so a corrupt payload
-// fails here instead of panicking inside a kernel.
+// level (monotone offsets; strictly increasing, in-range neighbor
+// segments with no self entry) so a corrupt payload fails here with
+// ErrSnapshotCorrupt instead of misleading or crashing a kernel.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
 	var hbuf [snapshotHeaderSize]byte
 	if _, err := io.ReadFull(r, hbuf[:]); err != nil {
@@ -299,24 +306,36 @@ func (e *snapshotHeaderError) Error() string { return e.err.Error() }
 func (e *snapshotHeaderError) Unwrap() error { return e.err }
 
 // validateShape checks the CSR-level invariants a snapshot payload must
-// satisfy before any kernel may walk it: monotone in-bounds offsets and
-// in-range neighbor ids. It is cheaper than Validate (no symmetry or
-// sortedness probes — a snapshot written by WriteSnapshot satisfies
-// those by construction) while still making a corrupt or truncated
-// payload an error instead of an out-of-range panic.
+// satisfy before any kernel may walk it, in a linear sweep: monotone
+// in-bounds offsets, and every neighbor segment strictly increasing,
+// in range and free of the node itself — so a payload never hands the
+// kernels a self loop or a duplicate edge. It is cheaper than Validate
+// (no symmetry probe — a snapshot written by WriteSnapshot is symmetric
+// by construction) while still making a corrupt or truncated payload an
+// ErrSnapshotCorrupt error instead of a panic or a silently wrong count.
 func (g *Graph) validateShape() error {
 	if len(g.off) != g.n+1 || g.off[0] != 0 || g.off[g.n] != int64(len(g.nbr)) || int(g.off[g.n]) != 2*g.m {
-		return fmt.Errorf("graph: snapshot payload shape inconsistent (n=%d m=%d)", g.n, g.m)
+		return fmt.Errorf("%w: shape inconsistent (n=%d m=%d)", ErrSnapshotCorrupt, g.n, g.m)
 	}
 	for u := 0; u < g.n; u++ {
 		if g.off[u] > g.off[u+1] {
-			return fmt.Errorf("graph: snapshot offsets decrease at node %d", u)
+			return fmt.Errorf("%w: offsets decrease at node %d", ErrSnapshotCorrupt, u)
 		}
 	}
 	n := int32(g.n)
-	for _, v := range g.nbr {
-		if v < 0 || v >= n {
-			return fmt.Errorf("graph: snapshot neighbor %d out of range [0, %d)", v, n)
+	for u := int32(0); u < n; u++ {
+		prev := int32(-1)
+		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
+			if v <= prev || v >= n || v == u {
+				switch {
+				case v < 0 || v >= n:
+					return fmt.Errorf("%w: neighbor %d out of range [0, %d)", ErrSnapshotCorrupt, v, n)
+				case v == u:
+					return fmt.Errorf("%w: node %d lists itself", ErrSnapshotCorrupt, u)
+				}
+				return fmt.Errorf("%w: neighbors of node %d not strictly increasing at %d", ErrSnapshotCorrupt, u, v)
+			}
+			prev = v
 		}
 	}
 	return nil

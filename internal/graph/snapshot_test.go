@@ -210,6 +210,47 @@ func TestSnapshotCorruptPayloadRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotNonSimplePayloadRejected crafts payloads whose offsets
+// and ids are all in range but whose neighbor segments break the simple
+// graph invariants. The header checksum does not cover the payload, so
+// only the structural sweep can catch them; both readers must fail with
+// ErrSnapshotCorrupt.
+func TestSnapshotNonSimplePayloadRejected(t *testing.T) {
+	// path 0-1-2: the arena is [1 | 0 2 | 1]
+	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	arenaStart := snapshotHeaderSize + 8*(g.N()+1)
+	for _, tc := range []struct {
+		name  string
+		arena [4]int32
+	}{
+		{"self entry", [4]int32{0, 0, 2, 1}},       // node 0 lists [0]
+		{"duplicate entry", [4]int32{1, 0, 0, 1}},  // node 1 lists [0 0]
+		{"unsorted segment", [4]int32{1, 2, 0, 1}}, // node 1 lists [2 0]
+		{"out of range", [4]int32{1, 0, 2, 7}},     // node 2 lists [7]
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Clone(buf.Bytes())
+			for i, v := range tc.arena {
+				binary.LittleEndian.PutUint32(data[arenaStart+4*i:], uint32(v))
+			}
+			path := filepath.Join(t.TempDir(), "bad.pgb")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := OpenSnapshot(path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("OpenSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			}
+			if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("ReadSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			}
+		})
+	}
+}
+
 func TestWriteSnapshotNilGraph(t *testing.T) {
 	if err := WriteSnapshot(&bytes.Buffer{}, nil); err == nil {
 		t.Fatal("nil graph accepted")
