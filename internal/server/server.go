@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -206,7 +207,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	// More() reports false before a stray ']' or '}', so only a clean
+	// end of input counts as no trailing data.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("request body has trailing data after the JSON object")
 	}
 	return nil

@@ -303,6 +303,38 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeBodyRejectsTrailingData: each endpoint's valid body is
+// accepted with trailing whitespace and rejected as bad_request with
+// anything else after it — including a stray ']' or '}', before which
+// json.Decoder.More reports no further values.
+func TestDecodeBodyRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	for _, ep := range []struct{ path, body string }{
+		{"/v1/compare", `{"truth":{"dataset":"ER","scale":0.02},"synthetic":{"dataset":"BA","scale":0.02},"queries":["|E|"]}`},
+		{"/v1/generate", `{"algorithm":"TmF","eps":1,"source":{"dataset":"ER","scale":0.02}}`},
+		{"/v1/runs", `{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"queries":["|E|"],"reps":1,"scale":0.02}`},
+	} {
+		for _, tail := range []string{"\n", "]", "}", " ]", "}\n", " {}", "x"} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(ep.body+tail))
+			if err != nil {
+				t.Fatalf("POST %s: %v", ep.path, err)
+			}
+			var e map[string]apiError
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			_ = resp.Body.Close()
+			if strings.TrimSpace(tail) == "" {
+				if resp.StatusCode >= 300 {
+					t.Errorf("POST %s with tail %q: status %d (%v), want success", ep.path, tail, resp.StatusCode, e["error"])
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusBadRequest || e["error"].Code != "bad_request" {
+				t.Errorf("POST %s with tail %q: status %d code %q, want 400 bad_request", ep.path, tail, resp.StatusCode, e["error"].Code)
+			}
+		}
+	}
+}
+
 // TestCompareCache: the second identical comparison is served from the
 // content-addressed cache without recomputation.
 func TestCompareCache(t *testing.T) {

@@ -3,12 +3,12 @@ package stats
 import "sync"
 
 // Scratch is a reusable arena for the kernels' working arrays: BFS
-// distance/queue vectors, triangle orientation tables, per-node counts,
-// histograms, HyperANF register planes, and the three one-word-per-node
-// MS-BFS bit planes (seen, frontier, next; the first two share the ANF
-// register arrays). Kernels draw one Scratch per concurrent worker from
-// a process-wide pool, so a grid run stops paying one O(n) allocation
-// set per cell per kernel invocation.
+// distance/queue vectors, triangle orientation tables and stamp plane,
+// per-node counts, histograms, HyperANF register planes, and the three
+// one-word-per-node MS-BFS bit planes (seen, frontier, next; the first
+// two share the ANF register arrays). Kernels draw one Scratch per
+// concurrent worker from a process-wide pool, so a grid run stops paying
+// one O(n) allocation set per cell per kernel invocation.
 //
 // Ownership rules (DESIGN.md §11): a Scratch belongs to exactly one
 // goroutine between getScratch and Release; the arrays it hands out are
@@ -21,7 +21,7 @@ import "sync"
 type Scratch struct {
 	i32a, i32b, i32c, i32d []int32
 	i64a, i64b             []int64
-	mark                   []bool
+	stamp                  []uint32
 	f64a                   []float64
 	u64a, u64b, u64c       []uint64
 }
@@ -65,7 +65,10 @@ func (s *Scratch) fwdNbr(n int) []int32 { s.i32c = grow(s.i32c, n); return s.i32
 func (s *Scratch) i32scr(n int) []int32 { s.i32d = grow(s.i32d, n); return s.i32d }
 func (s *Scratch) offs(n int) []int64   { s.i64a = grow(s.i64a, n); return s.i64a }
 func (s *Scratch) counts(n int) []int64 { s.i64b = grow(s.i64b, n); return s.i64b }
-func (s *Scratch) marks(n int) []bool   { s.mark = grow(s.mark, n); return s.mark }
+func (s *Scratch) stamps(n int) []uint32 {
+	s.stamp = grow(s.stamp, n)
+	return s.stamp
+}
 func (s *Scratch) floats(n int) []float64 {
 	s.f64a = grow(s.f64a, n)
 	return s.f64a

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"pgb/internal/graph"
 )
 
 // Kernels draw Scratch arenas from a process-wide pool; this test runs
@@ -68,5 +70,47 @@ func TestDistancesIgnoreStaleScratch(t *testing.T) {
 		assertDistanceStatsEqual(t, "exact after dirty pool", 2, ExactDistancesParallel(small, 2, nil), wantExact)
 		got := SampledDistancesParallel(small, 70, rand.New(rand.NewSource(5)), 2, nil)
 		assertDistanceStatsEqual(t, "sampled after dirty pool", 2, got, wantSampled)
+	}
+}
+
+// A pooled stamp plane comes back holding the stamps of the triangle
+// pass that used it last. Before each call on a small graph, leave
+// several pooled arenas — enough for the caller and both workers —
+// holding the serial triangle pass of a larger graph; the answers must
+// equal the mark reference. The larger graph is the ring with edges
+// {i, i+2 mod n}: equal degrees make rank = id, so its pass leaves
+// stamp t−1 on every rank t ≥ 2 — the tag of the path's root t−2, so a
+// pass that skipped clearing its plane would count every wedge
+// (t−2, t−1, t) of the path as a triangle.
+func TestTrianglesIgnoreStaleScratch(t *testing.T) {
+	const n = 1500
+	ring := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		_ = ring.AddEdge(int32(i), int32((i+2)%n))
+	}
+	big := ring.Build()
+	dirty := func() {
+		held := make([]*Scratch, 4)
+		for i := range held {
+			held[i] = getScratch()
+			perNodeTriangles(big, held[i], 1, nil)
+		}
+		for _, s := range held {
+			s.Release()
+		}
+	}
+	for _, small := range []*graph.Graph{pathGraph(150), randomGraph(22, 150)} {
+		want := refTriangles(small)
+		for _, workers := range []int{1, 2} {
+			dirty()
+			if got := TrianglesParallel(small, workers, nil); got != want.tri {
+				t.Fatalf("workers %d: TrianglesParallel after dirty pool = %g, reference %g", workers, got, want.tri)
+			}
+			dirty()
+			if tri, _, acc := TriangleProfileParallel(small, workers, nil); tri != want.tri || acc != want.acc {
+				t.Fatalf("workers %d: TriangleProfileParallel after dirty pool = (%g, %g), reference (%g, %g)",
+					workers, tri, acc, want.tri, want.acc)
+			}
+		}
 	}
 }

@@ -38,37 +38,32 @@ func NumNodes(g *graph.Graph) float64 {
 // NumEdges is query Q2: |E|.
 func NumEdges(g *graph.Graph) float64 { return float64(g.M()) }
 
-// TrianglesParallel is query Q3: the number of triangles, computed by
-// forward neighbor-intersection over the degree-ordered orientation,
-// O(m^{3/2}), sharded over contiguous node ranges on up to workers
-// goroutines (0 selects GOMAXPROCS); helper workers beyond the calling
-// goroutine are drawn from budget when non-nil (the shared allowance of
-// DESIGN.md §2). The result is bit-identical at every worker count: each
-// shard contributes an exact integer count and integer addition is
-// order-free.
+// TrianglesParallel is query Q3: the number of triangles, Σ t_u / 3
+// over the per-node counts of perNodeTriangles — the stamped forward
+// pass, O(m^{3/2}), sharded over contiguous node ranges on up to
+// workers goroutines (0 selects GOMAXPROCS); helper workers beyond the
+// calling goroutine are drawn from budget when non-nil (the shared
+// allowance of DESIGN.md §2). The result is bit-identical at every
+// worker count: the per-node counts are exact integers and integer
+// addition is order-free.
 func TrianglesParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return 0
 	}
 	s := getScratch()
 	defer s.Release()
-	fwdOff, fwdNbr, _ := forwardCSR(g, s)
-	workers = normWorkers(workers, n)
-	if workers == 1 {
-		return float64(countFwdTriangles(fwdOff, fwdNbr, 0, n))
+	cnt, _ := perNodeTriangles(g, s, workers, budget)
+	return float64(sum3(cnt))
+}
+
+// sum3 returns Σ cnt / 3: every triangle credits each of its three
+// corners once, so the sum is exactly three times the triangle count.
+func sum3(cnt []int64) int64 {
+	var tri3 int64
+	for _, c := range cnt {
+		tri3 += c
 	}
-	chunks := chunkByMass(fwdOff, 8*workers)
-	claim := par.Queue(len(chunks) - 1)
-	var total atomic.Int64
-	budget.Do(workers-1, func() {
-		local := int64(0)
-		for i, ok := claim(); ok; i, ok = claim() {
-			local += countFwdTriangles(fwdOff, fwdNbr, chunks[i], chunks[i+1])
-		}
-		total.Add(local)
-	})
-	return float64(total.Load())
+	return tri3 / 3
 }
 
 // degreeRankInto orders nodes by (degree, id) via counting sort over the
@@ -86,8 +81,8 @@ func degreeRankInto(g *graph.Graph, rank []int32, cnt []int32) {
 	for d := 1; d < len(cnt); d++ {
 		cnt[d] += cnt[d-1]
 	}
-	// Node-ID order within a degree class reproduces the (degree, id)
-	// ordering of the legacy bucket sort.
+	// Node-ID order within a degree class breaks degree ties, so the
+	// order is the total (degree, id) order.
 	for u := 0; u < n; u++ {
 		d := g.Degree(int32(u))
 		rank[u] = cnt[d]
@@ -99,9 +94,9 @@ func degreeRankInto(g *graph.Graph, rank []int32, cnt []int32) {
 // space: node r's list holds the ranks (> r) of its higher-rank
 // neighbors, sorted ascending by construction — rank s is scattered to
 // its lower-rank neighbors in increasing s, so every segment comes out
-// sorted without a per-segment sort. Sorted segments are what lets the
-// triangle kernels intersect by merging/galloping instead of probing an
-// O(n) mark array. All arrays live in s and die with it; rank maps
+// sorted without a per-segment sort. Orienting by degree bounds every
+// forward list by O(√m), which is what makes fwdTriangles' stamp-and-scan
+// pass O(m^{3/2}). All arrays live in s and die with it; rank maps
 // original node IDs to rank space.
 func forwardCSR(g *graph.Graph, s *Scratch) (off []int64, nbr []int32, rank []int32) {
 	n := g.N()
@@ -139,108 +134,36 @@ func forwardCSR(g *graph.Graph, s *Scratch) (off []int64, nbr []int32, rank []in
 	return off, nbr, rank
 }
 
-// countFwdTriangles counts triangles rooted at nodes [lo, hi) of the
-// rank-space forward adjacency by sorted-list intersection: a triangle
-// r < s < t appears exactly once, as t ∈ fwd(r) ∩ fwd(s) with s ∈
-// fwd(r). Each pair is intersected with probeCount — a textbook
-// two-pointer merge is a serial dependency chain the pipeline cannot
-// overlap, and measured ~1.6× slower here than probing the shorter
-// list into the longer.
-func countFwdTriangles(off []int64, nbr []int32, lo, hi int) int64 {
-	count := int64(0)
-	for u := lo; u < hi; u++ {
-		ue := off[u+1]
-		for p := off[u]; p < ue; p++ {
-			v := nbr[p]
-			a := nbr[p+1 : ue]
-			b := nbr[off[v]:off[v+1]]
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			count += probeCount(a, b)
-		}
-	}
-	return count
-}
-
-// probeCount returns |a ∩ b| for sorted slices: each element of the
-// shorter list binary-searches the longer one. The search step is
-// branchless (the comparison becomes an arithmetic mask, compiled to
-// conditional moves), so consecutive probes overlap in the pipeline
-// instead of mispredicting — unlike a merge, whose pointer advance is
-// a loop-carried dependency. Range pruning against b's endpoints skips
-// probes that cannot match; ranks are < 2³¹, so the int32 subtraction
-// below cannot overflow.
-func probeCount(a, b []int32) int64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var c int64
-	b0, bl := b[0], b[len(b)-1]
-	for _, x := range a {
-		if x > bl {
-			break
-		}
-		if x < b0 {
-			continue
-		}
-		base, n := 0, len(b)
-		for n > 1 {
-			half := n >> 1
-			lt := int(uint32(b[base+half-1]-x) >> 31)
-			base += half & -lt
-			n -= half
-		}
-		if b[base] == x {
-			c++
-		}
-	}
-	return c
-}
-
-// perNodeFwdTriangles adds each triangle rooted in [lo, hi) to the
-// per-rank-node counters of all three corners. Adds are atomic — corner
-// slots s and t belong to other shards — and integer addition is
+// fwdTriangles credits each triangle rooted at ranks [lo, hi) of the
+// rank-space forward adjacency to the counters of all three corners by
+// compact-forward intersection (Schank & Wagner, WEA 2005; Latapy, TCS
+// 2008): for root r, stamp r+1 on every rank in fwd(r), then for each
+// s ∈ fwd(r) count the t ∈ fwd(s) carrying that stamp. A triangle
+// r < s < t is found exactly once, at root r. A stamp matches only the
+// root that wrote it, so stamp (length n) may carry stamps of other
+// ranges but must hold no value in (lo, hi] on entry: callers clear it
+// on acquisition, since a pooled plane holds an earlier call's stamps
+// and a stale one would count false triangles. Adds are atomic, since
+// corner slots s and t belong to other shards, and integer addition is
 // order-free, so cnt is bit-identical at any worker count.
-func perNodeFwdTriangles(off []int64, nbr []int32, lo, hi int, cnt []int64) {
-	for u := lo; u < hi; u++ {
-		fu := nbr[off[u]:off[u+1]]
-		for i, v := range fu {
-			a := fu[i+1:]
-			b := nbr[off[v]:off[v+1]]
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			// Same probe kernel as probeCount, inlined because each
-			// match must attribute the triangle to corner t (= the
-			// matched rank, whichever list drove the probe).
-			if len(a) > len(b) {
-				a, b = b, a
-			}
+func fwdTriangles(off []int64, nbr []int32, lo, hi int, stamp []uint32, cnt []int64) {
+	for r := lo; r < hi; r++ {
+		fr := nbr[off[r]:off[r+1]]
+		tag := uint32(r + 1)
+		for _, s := range fr {
+			stamp[s] = tag
+		}
+		for _, s := range fr {
 			found := int64(0)
-			b0, bl := b[0], b[len(b)-1]
-			for _, x := range a {
-				if x > bl {
-					break
-				}
-				if x < b0 {
-					continue
-				}
-				base, n := 0, len(b)
-				for n > 1 {
-					half := n >> 1
-					lt := int(uint32(b[base+half-1]-x) >> 31)
-					base += half & -lt
-					n -= half
-				}
-				if b[base] == x {
-					atomic.AddInt64(&cnt[x], 1) // corner t
+			for _, t := range nbr[off[s]:off[s+1]] {
+				if stamp[t] == tag {
+					atomic.AddInt64(&cnt[t], 1) // corner t
 					found++
 				}
 			}
 			if found > 0 {
-				atomic.AddInt64(&cnt[v], found) // corner s
-				atomic.AddInt64(&cnt[u], found) // root r
+				atomic.AddInt64(&cnt[s], found) // corner s
+				atomic.AddInt64(&cnt[r], found) // root r
 			}
 		}
 	}
@@ -487,12 +410,10 @@ func GlobalClusteringFrom(triangles, wedges float64) float64 {
 
 // LocalClusteringParallel returns the per-node clustering coefficient
 // C_i = e_i / C(d_i, 2), sharded over node ranges; nodes with degree < 2
-// have C_i = 0. The per-node triangle counts come from the
-// degree-ordered intersection kernel (exact integers, order-free atomic
-// accumulation), and each C_i is then the same d_i-normalisation the
-// mark-probe implementation applied to the same integer, so the vector
-// is bit-identical at every worker count and to the legacy
-// implementation.
+// have C_i = 0. The per-node triangle counts come from perNodeTriangles
+// (exact integers, order-free atomic accumulation), and each C_i is one
+// d_i-normalisation of its node's integer, so the vector is
+// bit-identical at every worker count.
 func LocalClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) []float64 {
 	n := g.N()
 	cc := make([]float64, n)
@@ -511,24 +432,30 @@ func LocalClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) []
 }
 
 // perNodeTriangles computes the per-node triangle counts in rank space
-// (indexed by rank; rank maps node → rank). cnt and rank live in s.
-func perNodeTriangles(g *graph.Graph, s *Scratch, workers int, budget *par.Budget) (cnt []int64, rank []int32) {
+// (indexed by rank; rank maps node → rank) — the one triangle driver.
+// cnt and rank live in s. Serially fwdTriangles stamps into s; each
+// worker of a sharded pass draws its own Scratch for its stamp plane.
+func perNodeTriangles(g *graph.Graph, s *Scratch, workers int, budget *par.Budget) ([]int64, []int32) {
 	n := g.N()
-	fwdOff, fwdNbr, rank := forwardCSR(g, s)
-	cnt = s.counts(n) // reuses the scatter-cursor arena, dead after the build
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	off, nbr, rank := forwardCSR(g, s)
+	cnt := s.counts(n) // reuses the scatter-cursor arena, dead after the build
+	clear(cnt)
 	workers = normWorkers(workers, n)
 	if workers == 1 {
-		perNodeFwdTriangles(fwdOff, fwdNbr, 0, n, cnt)
+		stamp := s.stamps(n)
+		clear(stamp)
+		fwdTriangles(off, nbr, 0, n, stamp, cnt)
 		return cnt, rank
 	}
-	chunks := chunkByMass(fwdOff, 8*workers)
+	chunks := chunkByMass(off, 8*workers)
 	claim := par.Queue(len(chunks) - 1)
 	budget.Do(workers-1, func() {
+		ws := getScratch()
+		defer ws.Release()
+		stamp := ws.stamps(n)
+		clear(stamp)
 		for i, ok := claim(); ok; i, ok = claim() {
-			perNodeFwdTriangles(fwdOff, fwdNbr, chunks[i], chunks[i+1], cnt)
+			fwdTriangles(off, nbr, chunks[i], chunks[i+1], stamp, cnt)
 		}
 	})
 	return cnt, rank
@@ -537,12 +464,11 @@ func perNodeTriangles(g *graph.Graph, s *Scratch, workers int, budget *par.Budge
 // TriangleProfileParallel answers the whole triangle query group — Q3
 // (triangle count), Q10's numerator and denominator, and Q11 (average
 // clustering, the Watts-Strogatz mean of the local coefficients) — from
-// ONE pass of the intersection kernel: per-node counts give the global
-// total (Σ t_u = 3T, exactly, in integers) and the clustering
-// coefficients. The profile's triangle pass uses this instead of running
-// TrianglesParallel and LocalClusteringParallel back-to-back. Values are
-// bit-identical to the separate calls: the total is the same integer and
-// ACC reduces the same per-node floats in the same serial node order.
+// ONE perNodeTriangles pass: the per-node counts give the global total
+// (Σ t_u = 3T, exactly, in integers) and the clustering coefficients.
+// Values are bit-identical to TrianglesParallel and the mean of
+// LocalClusteringParallel: the total is the same integer and ACC reduces
+// the same per-node floats in the same serial node order.
 func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (triangles, wedges, acc float64) {
 	n := g.N()
 	if n == 0 {
@@ -551,10 +477,6 @@ func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (t
 	s := getScratch()
 	defer s.Release()
 	cnt, rank := perNodeTriangles(g, s, workers, budget)
-	var tri3 int64
-	for _, c := range cnt {
-		tri3 += c
-	}
 	sum := 0.0
 	for u := 0; u < n; u++ {
 		d := g.Degree(int32(u))
@@ -565,7 +487,7 @@ func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (t
 		}
 		sum += 2 * float64(cnt[rank[u]]) / (dd * (dd - 1))
 	}
-	return float64(tri3 / 3), wedges, sum / float64(n)
+	return float64(sum3(cnt)), wedges, sum / float64(n)
 }
 
 // Modularity is query Q13 given a partition (community label per node):

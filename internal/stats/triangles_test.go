@@ -1,22 +1,25 @@
 package stats
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"pgb/internal/graph"
 )
 
-// markTrianglesRef is the classic mark-array triangle count the
-// degree-ordered intersection kernel replaced: for each root u, mark
-// N(u), then walk ordered wedges u < v < w and probe the mark. Exact
-// and independent of the production code path, so it serves as the
-// equality oracle.
-func markTrianglesRef(g *graph.Graph) int64 {
+// raceEnabled is set under the race detector, whose sync.Pool drops
+// items at random, so pooled kernels cannot promise zero allocations.
+var raceEnabled bool
+
+// markPerNodeRef is the classic mark-array triangle walk the
+// degree-ordered kernel replaced, extended to corners: for each root u,
+// mark N(u), then walk ordered wedges u < v < w and probe the mark; each
+// triangle found credits u, v and w. Exact and independent of the
+// production code path (no rank space, no orientation, no stamps), so
+// it serves as the equality oracle for every triangle query.
+func markPerNodeRef(g *graph.Graph) []int64 {
 	n := g.N()
 	mark := make([]bool, n)
-	var total int64
+	cnt := make([]int64, n)
 	for u := int32(0); u < int32(n); u++ {
 		for _, v := range g.Neighbors(u) {
 			mark[v] = true
@@ -27,7 +30,9 @@ func markTrianglesRef(g *graph.Graph) int64 {
 			}
 			for _, w := range g.Neighbors(v) {
 				if w > v && mark[w] {
-					total++
+					cnt[u]++
+					cnt[v]++
+					cnt[w]++
 				}
 			}
 		}
@@ -35,103 +40,120 @@ func markTrianglesRef(g *graph.Graph) int64 {
 			mark[v] = false
 		}
 	}
-	return total
+	return cnt
 }
 
-// Degree-ordered intersection counting must agree exactly with the
-// mark-array oracle on arbitrary graphs — triangle counts are integers,
-// so equality is exact, never approximate.
+// markTrianglesRef is the mark-array triangle count: every triangle
+// credits three corners.
+func markTrianglesRef(g *graph.Graph) int64 {
+	var c int64
+	for _, x := range markPerNodeRef(g) {
+		c += x
+	}
+	return c / 3
+}
+
+// triangleRef holds every triangle query of a graph, computed from
+// markPerNodeRef with the production formulas applied to the same
+// integers in the same node order, so comparisons are exact.
+type triangleRef struct {
+	cnt              []int64   // per node
+	cc               []float64 // local clustering coefficients
+	tri, wedges, acc float64
+}
+
+func refTriangles(g *graph.Graph) triangleRef {
+	r := triangleRef{cnt: markPerNodeRef(g), cc: make([]float64, g.N())}
+	sum := 0.0
+	for u, c := range r.cnt {
+		d := float64(g.Degree(int32(u)))
+		r.wedges += d * (d - 1) / 2
+		if d >= 2 {
+			r.cc[u] = 2 * float64(c) / (d * (d - 1))
+			sum += r.cc[u]
+		}
+	}
+	r.tri = float64(markTrianglesRef(g))
+	if g.N() > 0 {
+		r.acc = sum / float64(g.N())
+	}
+	return r
+}
+
+// assertTrianglesMatchRef checks the one triangle driver's per-node
+// counts and all three public triangle queries on g at workers against
+// the reference.
+func assertTrianglesMatchRef(t *testing.T, label string, g *graph.Graph, workers int) {
+	t.Helper()
+	want := refTriangles(g)
+	s := getScratch()
+	cnt, rank := perNodeTriangles(g, s, workers, nil)
+	for u, c := range want.cnt {
+		if cnt[rank[u]] != c {
+			s.Release()
+			t.Fatalf("%s workers %d: node %d in %d triangles, reference %d", label, workers, u, cnt[rank[u]], c)
+		}
+	}
+	s.Release()
+	if got := TrianglesParallel(g, workers, nil); got != want.tri {
+		t.Fatalf("%s workers %d: TrianglesParallel = %g, reference %g", label, workers, got, want.tri)
+	}
+	cc := LocalClusteringParallel(g, workers, nil)
+	for u := range cc {
+		if cc[u] != want.cc[u] {
+			t.Fatalf("%s workers %d: cc[%d] = %g, reference %g", label, workers, u, cc[u], want.cc[u])
+		}
+	}
+	if tri, wedges, acc := TriangleProfileParallel(g, workers, nil); tri != want.tri || wedges != want.wedges || acc != want.acc {
+		t.Fatalf("%s workers %d: triangle profile (%g, %g, %g), reference (%g, %g, %g)",
+			label, workers, tri, wedges, acc, want.tri, want.wedges, want.acc)
+	}
+}
+
+// The stamped forward pass must agree exactly with the mark-array
+// oracle on arbitrary graphs — triangle counts are integers, so
+// equality is exact, never approximate.
 func TestTrianglesMatchMarkReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		for _, n := range []int{50, 200, 500} {
 			g := randomGraph(seed, n)
-			want := markTrianglesRef(g)
 			for _, workers := range []int{1, 4} {
-				if got := TrianglesParallel(g, workers, nil); got != float64(want) {
-					t.Errorf("seed %d n %d workers %d: TrianglesParallel = %g, mark reference = %d", seed, n, workers, got, want)
-				}
+				assertTrianglesMatchRef(t, "random", g, workers)
 			}
 		}
 	}
 	// Degenerate shapes the random generator rarely produces.
 	for _, g := range []*graph.Graph{k4(), path5(), star(6), graph.FromEdges(0, nil), graph.FromEdges(3, nil)} {
-		if got, want := TrianglesParallel(g, 1, nil), markTrianglesRef(g); got != float64(want) {
-			t.Errorf("degenerate graph: TrianglesParallel = %g, mark reference = %d", got, want)
-		}
+		assertTrianglesMatchRef(t, "degenerate", g, 1)
 	}
 }
 
-// probeRef is |a ∩ b| by map lookup — the oracle for the branchless
-// binary-search intersection.
-func probeRef(a, b []int32) int64 {
-	set := make(map[int32]bool, len(b))
-	for _, x := range b {
-		set[x] = true
+func FuzzTrianglesMatchReference(f *testing.F) {
+	for _, c := range degenerateGraphs() {
+		f.Add(encodeGraph(c.g))
 	}
-	var c int64
-	for _, x := range a {
-		if set[x] {
-			c++
-		}
-	}
-	return c
-}
-
-// sortedUnique decodes a byte stream into a strictly increasing int32
-// slice — the shape probeCount's inputs always have (CSR neighbor
-// segments are sorted and duplicate-free).
-func sortedUnique(data []byte) []int32 {
-	vals := make([]int32, 0, len(data)/2)
-	for i := 0; i+1 < len(data); i += 2 {
-		vals = append(vals, int32(data[i])<<8|int32(data[i+1]))
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func FuzzProbeCount(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 0, 3}, []byte{0, 2, 0, 4})
-	f.Add([]byte{0, 0}, []byte{0, 0})
-	f.Add([]byte{0, 5, 1, 0}, []byte{0, 5, 0, 9, 1, 0, 2, 200})
-	f.Add([]byte{}, []byte{0, 7})
-	f.Fuzz(func(t *testing.T, ab, bb []byte) {
-		a, b := sortedUnique(ab), sortedUnique(bb)
-		if len(a) == 0 || len(b) == 0 {
-			return // callers guard the empty cases
-		}
-		if got, want := probeCount(a, b), probeRef(a, b); got != want {
-			t.Fatalf("probeCount(%v, %v) = %d, want %d", a, b, got, want)
+	f.Add(encodeGraph(k4()))
+	f.Add(encodeGraph(randomGraph(5, 65)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := decodeGraph(data)
+		for _, workers := range []int{1, 3} {
+			assertTrianglesMatchRef(t, "fuzz", g, workers)
 		}
 	})
 }
 
-// Randomized cross-check at realistic lengths (the fuzz corpus stays
-// short); also exercises the skewed-length swap path.
-func TestProbeCountRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		la, lb := 1+r.Intn(40), 1+r.Intn(400)
-		mk := func(l int) []int32 {
-			seen := make(map[int32]bool, l)
-			for len(seen) < l {
-				seen[int32(r.Intn(600))] = true
-			}
-			out := make([]int32, 0, l)
-			for v := range seen {
-				out = append(out, v)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out
-		}
-		a, b := mk(la), mk(lb)
-		if got, want := probeCount(a, b), probeRef(a, b); got != want {
-			t.Fatalf("trial %d: probeCount = %d, want %d (a=%v b=%v)", trial, got, want, a, b)
-		}
+// The serial triangle pass draws every array from the caller's pooled
+// Scratch, so once the pool is warm a call allocates nothing.
+func TestTrianglesSerialZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := randomGraph(8, 300)
+	if a := testing.AllocsPerRun(20, func() { TrianglesParallel(g, 1, nil) }); a != 0 {
+		t.Errorf("TrianglesParallel(workers=1): %g allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { TriangleProfileParallel(g, 1, nil) }); a != 0 {
+		t.Errorf("TriangleProfileParallel(workers=1): %g allocs/op, want 0", a)
 	}
 }
