@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"pgb/internal/community"
@@ -121,6 +121,21 @@ func (o ProfileOptions) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// exactBFS reports whether the distance pass runs all-pairs BFS on a
+// graph of n nodes: DistanceExact, or auto (and unrecognised) modes up to
+// exactPathLimit nodes. Exact BFS is the one distance estimator that
+// draws no randomness; the distance pass and the profile memo's key
+// both ask here, so they cannot disagree.
+func (o ProfileOptions) exactBFS(n int) bool {
+	switch o.DistanceMode {
+	case DistanceExact:
+		return true
+	case DistanceSampled, DistanceANF:
+		return false
+	}
+	return n <= exactPathLimit
+}
+
 // SubSeed derives an independent deterministic RNG stream from a base
 // seed and a stream index, using a SplitMix64 finalizer. Streams for
 // distinct indices are statistically independent, so concurrent profile
@@ -156,6 +171,14 @@ type profileTask struct {
 // worker-count-invariant, so the result is identical for a fixed seed
 // regardless of parallelism.
 func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
+	return computeProfile(g, opt, opt.Queries, seed)
+}
+
+// computeProfile is ComputeProfileSeeded restricted to the passes the
+// selected queries need (nil: every registered query). Custom passes
+// still receive the caller's opt, whose Queries may differ from
+// selected.
+func computeProfile(g *graph.Graph, opt ProfileOptions, selected []QueryID, seed int64) *Profile {
 	workers := opt.effectiveWorkers()
 	budget := opt.Budget
 	if budget == nil && workers > 1 {
@@ -163,7 +186,7 @@ func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 	}
 
 	p := &Profile{}
-	tasks := profileTasks(g, opt, seed, p, workers, budget)
+	tasks := profileTasks(g, opt, selected, seed, p, workers, budget)
 	if len(tasks) == 0 {
 		return p
 	}
@@ -191,12 +214,11 @@ func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 }
 
 // profileTasks assembles the passes the selected queries need. Each pass
-// writes a disjoint set of Profile fields, so passes are race-free
-// without locking; custom passes share the Custom map behind a mutex.
-// workers and budget parameterise the kernels inside the heavy passes —
-// the same allowance the pass pool itself draws from.
-func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, workers int, budget *par.Budget) []profileTask {
-	selected := opt.Queries
+// writes a disjoint set of Profile fields (copyPass lists them), so
+// passes are race-free without locking; custom passes share the Custom
+// map behind a mutex. workers and budget parameterise the kernels inside
+// the heavy passes — the same allowance the pass pool itself draws from.
+func profileTasks(g *graph.Graph, opt ProfileOptions, selected []QueryID, seed int64, p *Profile, workers int, budget *par.Budget) []profileTask {
 	if selected == nil {
 		selected = RegisteredQueries()
 	}
@@ -251,19 +273,13 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 	}
 	add(GroupDistances, distCost, func(rng *rand.Rand) {
 		var ds stats.DistanceStats
-		switch opt.DistanceMode {
-		case DistanceExact:
+		switch {
+		case opt.exactBFS(g.N()):
 			ds = stats.ExactDistancesParallel(g, workers, budget)
-		case DistanceSampled:
-			ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
-		case DistanceANF:
+		case opt.DistanceMode == DistanceANF:
 			ds = stats.ANFDistancesParallel(g, rng, workers, budget)
-		default: // DistanceAuto and unrecognised values
-			if g.N() <= exactPathLimit {
-				ds = stats.ExactDistancesParallel(g, workers, budget)
-			} else {
-				ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
-			}
+		default: // sampled, and auto or unrecognised above exactPathLimit
+			ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
 		}
 		p.Diameter = ds.Diameter
 		p.AvgPath = ds.AvgPath
@@ -305,11 +321,15 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 // ProfileSeedInvariant reports whether a profile restricted to queries
 // is independent of its seed: true when no selected pass consumes its
 // RNG stream. Structure, triangle/clustering, and centrality passes are
-// deterministic functions of the graph; the distance group (sampling,
-// ANF hashing), Louvain, and custom queries draw from the seed. Callers
-// can normalise the seed in cache keys for invariant query sets so
-// repeated requests with cosmetically different seeds share one entry.
-// nil selects every registered query, which includes RNG consumers.
+// deterministic functions of the graph; Louvain and custom queries draw
+// from the seed, and so does the distance group unless it runs exact
+// BFS (sampling and ANF hashing draw; exact BFS draws nothing). Whether
+// it runs exact BFS depends on the graph's node count, which this
+// function cannot see, so any distance query makes it report false.
+// Callers can normalise the seed in cache keys for invariant query sets
+// so repeated requests with cosmetically different seeds share one
+// entry. nil selects every registered query, which includes RNG
+// consumers.
 func ProfileSeedInvariant(queries []QueryID) bool {
 	if queries == nil {
 		return false
@@ -327,64 +347,143 @@ func ProfileSeedInvariant(queries []QueryID) bool {
 	return true
 }
 
-// seedInvariant extends ProfileSeedInvariant with the option fields that
-// consume RNG regardless of group (the exact-diameter sweep seeds its
-// iFUB root randomly).
-func (o ProfileOptions) seedInvariant() bool {
-	return !o.ExactDiameter && ProfileSeedInvariant(o.Queries)
+// profilePass names one pass of a profile: a built-in compute group, or
+// one custom query (group GroupCustom).
+type profilePass struct {
+	group GroupID
+	query QueryID // custom passes only
 }
 
-// profileCacheKey identifies one (graph, options, seed) profile
-// computation; the graph contributes its structural fingerprint.
-type profileCacheKey struct {
-	fp  uint64
-	opt string
-}
-
-// optKey canonically encodes everything besides the graph that affects
-// the profile's value. Workers/Budget are excluded: they change
-// only the schedule, never the result; the seed is normalised to zero
-// when no selected pass consumes RNG, so seed-invariant profiles share
-// one cache entry.
-func (o ProfileOptions) optKey(seed int64) string {
-	if o.seedInvariant() {
-		seed = 0
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "x%t m%s seed%d q", o.ExactDiameter, o.DistanceMode, seed)
-	if o.Queries == nil {
-		fmt.Fprintf(&sb, "all%d", len(RegisteredQueries()))
-	} else {
-		ids := make([]int, len(o.Queries))
-		for i, q := range o.Queries {
-			ids[i] = int(q)
+// copyPass copies the Profile fields that pass ps writes from src to dst.
+func copyPass(dst, src *Profile, ps profilePass) {
+	switch ps.group {
+	case GroupStructure:
+		dst.NumNodes, dst.NumEdges, dst.AvgDegree = src.NumNodes, src.NumEdges, src.AvgDegree
+		dst.DegreeVariance, dst.DegreeDist, dst.Assortativity = src.DegreeVariance, src.DegreeDist, src.Assortativity
+	case GroupTriangles:
+		dst.Triangles, dst.GCC, dst.ACC = src.Triangles, src.GCC, src.ACC
+	case GroupDistances:
+		dst.Diameter, dst.AvgPath, dst.DistanceDist = src.Diameter, src.AvgPath, src.DistanceDist
+	case GroupCommunity:
+		dst.CommunityLabels, dst.Modularity = src.CommunityLabels, src.Modularity
+	case GroupCentrality:
+		dst.EVC = src.EVC
+	default:
+		if dst.Custom == nil {
+			dst.Custom = make(map[QueryID]float64)
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			fmt.Fprintf(&sb, ",%d", id)
-		}
+		dst.Custom[ps.query] = src.Custom[ps.query]
 	}
-	return sb.String()
 }
 
-// profileCache memoizes ComputeProfileCached, bounded at 64 entries.
-// True-graph profiles are the target (one per dataset per option set);
-// synthetic one-shot graphs should use the uncached path.
-var profileCache = lru.New[profileCacheKey, *Profile](64)
+// passKey identifies one memoized pass result: the graph's fingerprint,
+// the pass, the options that pass reads, and the seed — 0 when the pass
+// draws no randomness. Workers and Budget never enter: they change only
+// the schedule, never the result.
+type passKey struct {
+	fp   uint64
+	pass profilePass
+	// Distance passes read mode and exactDiameter; custom passes read
+	// the whole ProfileOptions, so they add the query list.
+	mode          DistanceMode
+	exactDiameter bool
+	queries       string
+	seed          int64
+}
+
+// passKey builds the memo key of pass ps on a graph with fingerprint fp
+// and n nodes.
+func (o ProfileOptions) passKey(fp uint64, n int, ps profilePass, seed int64) passKey {
+	k := passKey{fp: fp, pass: ps}
+	switch ps.group {
+	case GroupStructure, GroupTriangles, GroupCentrality:
+	case GroupDistances:
+		k.mode, k.exactDiameter = o.DistanceMode, o.ExactDiameter
+		// iFUB seeds its root from the pass's stream (ExactDiameter).
+		if !o.exactBFS(n) || o.ExactDiameter {
+			k.seed = seed
+		}
+	case GroupCommunity:
+		k.seed = seed
+	default:
+		k.mode, k.exactDiameter, k.seed = o.DistanceMode, o.ExactDiameter, seed
+		ids := make([]byte, 0, 4*len(o.Queries))
+		for _, q := range o.Queries {
+			ids = strconv.AppendInt(append(ids, ','), int64(q), 10)
+		}
+		k.queries = string(ids)
+	}
+	return k
+}
+
+// profileCache memoizes ComputeProfileCached one pass at a time, bounded
+// at 64 passes. True-graph profiles are the target (one per dataset per
+// option set); synthetic one-shot graphs should use the uncached path.
+var profileCache = lru.New[passKey, *Profile](64)
 
 // ComputeProfileCached is ComputeProfileSeeded behind a process-wide
-// LRU memo keyed by graph fingerprint, options, and seed. Use it for
-// graphs whose profile is requested repeatedly — the benchmark runner's
-// true graphs, Compare baselines, and the verification appendix. The
-// returned profile is shared: callers must treat it as read-only.
+// LRU memo of individual passes, keyed by graph fingerprint, pass, the
+// options the pass reads, and the seed when the pass draws randomness.
+// A fresh seed therefore recomputes only the seed-consuming passes
+// (Louvain, custom queries, and non-exact distances); the missing
+// passes run together in one restricted profile computation on their
+// usual sub-seeds, so the result equals ComputeProfileSeeded's. Use it
+// for graphs whose profile is requested repeatedly — the benchmark
+// runner's true graphs, Compare baselines, and the verification
+// appendix. The returned profile shares its slices with the memo:
+// callers must treat it as read-only.
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	key := profileCacheKey{fp: g.Fingerprint(), opt: opt.optKey(seed)}
-	if p, ok := profileCache.Get(key); ok {
+	fp, n := g.Fingerprint(), g.N()
+	selected := opt.Queries
+	if selected == nil {
+		selected = RegisteredQueries()
+	}
+	type miss struct {
+		pass profilePass
+		key  passKey
+	}
+	p := &Profile{}
+	var missing []miss
+	var restricted []QueryID // the selected queries of the missing passes
+	hit := make(map[profilePass]bool)
+	for _, q := range selected {
+		s, ok := registry.spec(q)
+		if !ok {
+			continue // profileTasks skips unregistered ids too
+		}
+		ps := profilePass{group: s.Group}
+		if s.Group == GroupCustom {
+			ps.query = s.ID
+		}
+		found, seen := hit[ps]
+		if !seen {
+			key := opt.passKey(fp, n, ps, seed)
+			var cached *Profile
+			if cached, found = profileCache.Get(key); found {
+				copyPass(p, cached, ps)
+			} else {
+				missing = append(missing, miss{ps, key})
+			}
+			hit[ps] = found
+		}
+		if !found {
+			restricted = append(restricted, q)
+		}
+	}
+	if len(missing) == 0 {
 		return p
 	}
-	// Concurrent misses on one key both compute; Add keeps the first copy.
-	return profileCache.Add(key, ComputeProfileSeeded(g, opt, seed))
+	fresh := computeProfile(g, opt, restricted, seed)
+	for _, m := range missing {
+		// Each entry holds only its own pass's fields. Concurrent misses
+		// on one key both compute; Add keeps the first copy.
+		entry := &Profile{}
+		copyPass(entry, fresh, m.pass)
+		copyPass(p, profileCache.Add(m.key, entry), m.pass)
+	}
+	return p
 }
 
-// ProfileCacheStats reports the profile memo's counters and size.
+// ProfileCacheStats reports the profile memo's counters and size; every
+// pass lookup counts one hit or one miss.
 func ProfileCacheStats() lru.Stats { return profileCache.Stats() }

@@ -60,7 +60,7 @@ type GroupID int
 const (
 	GroupStructure  GroupID = iota // degree-based scalars, histograms, assortativity
 	GroupTriangles                 // triangle count and clustering coefficients
-	GroupDistances                 // exact or sampled BFS (consumes RNG)
+	GroupDistances                 // exact BFS (draws nothing), sampled BFS or ANF (consume RNG)
 	GroupCommunity                 // Louvain community detection (consumes RNG)
 	GroupCentrality                // eigenvector-centrality power iteration
 	GroupCustom                    // user-registered queries, one sub-pass each

@@ -198,28 +198,6 @@ func TestComputeProfileSubsetSkipsGroups(t *testing.T) {
 	}
 }
 
-func TestProfileCacheMemoizes(t *testing.T) {
-	g := gen.GNM(200, 600, rng(51))
-	opt := ProfileOptions{}
-	a := ComputeProfileCached(g, opt, 9)
-	b := ComputeProfileCached(g, opt, 9)
-	if a != b {
-		t.Fatal("identical (graph, options, seed) not memoized")
-	}
-	if c := ComputeProfileCached(g, opt, 10); c == a {
-		t.Fatal("different seed must not share a cache entry")
-	}
-	if d := ComputeProfileCached(g, ProfileOptions{ExactDiameter: true}, 9); d == a {
-		t.Fatal("different options must not share a cache entry")
-	}
-	g2 := gen.GNM(200, 600, rng(52))
-	if g2.Fingerprint() != g.Fingerprint() {
-		if e := ComputeProfileCached(g2, opt, 9); e == a {
-			t.Fatal("different graph must not share a cache entry")
-		}
-	}
-}
-
 func TestRegisterCustomQuery(t *testing.T) {
 	id, err := RegisterQuery(QuerySpec{
 		Symbol: "TestMaxDeg",

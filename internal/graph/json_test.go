@@ -102,3 +102,45 @@ func TestJSONDecodeErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseWireShapes: the hand parser takes what MarshalJSON writes
+// (with any JSON whitespace) and hands every other shape to the stdlib
+// path, whatever that path then decides.
+func TestParseWireShapes(t *testing.T) {
+	g := FromEdges(5, []Edge{Canon(0, 4), Canon(1, 2), Canon(3, 4)})
+	canonical, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		string(canonical),
+		`{"n":0,"edges":[]}`,
+		" \t{ \"n\" :\r5 ,\n\"edges\": [ 4 , 0,1,2 , 4,3 ] } \n",
+	} {
+		n, edges, ok := parseWire([]byte(in))
+		if !ok {
+			t.Errorf("parseWire(%q) fell back", in)
+			continue
+		}
+		if got := FromEdges(n, edges); len(edges) > 0 && got.Fingerprint() != g.Fingerprint() {
+			t.Errorf("parseWire(%q) decoded %v, want %v", in, got.Edges(), g.Edges())
+		}
+	}
+	for _, in := range []string{
+		`{"n":05,"edges":[0,1]}`, `{"n":5,"edges":[0,01]}`,
+		`{"n":5.0,"edges":[]}`, `{"n":5,"edges":[0,1.0]}`, `{"n":5,"edges":[0,1e0]}`,
+		`{"n":-0,"edges":[]}`, `{"n":5,"edges":[-1,2]}`,
+		`{"n":5,"edges":[0,2147483648]}`, `{"n":2147483648,"edges":[]}`,
+		`{"n":8388609,"edges":[]}`,
+		`{"n":5,"edges":[0,1,2]}`, `{"n":5,"edges":[0,5]}`, `{"n":0,"edges":[0,0]}`,
+		`{"n":5,"edges":[0,1,]}`, `{"n":5,"edges":[,0,1]}`,
+		`{"edges":[],"n":5}`, `{"N":5,"edges":[]}`, `{"n":5,"Edges":[]}`,
+		`{"\u006e":5,"edges":[]}`, `{"n":5,"n":5,"edges":[]}`,
+		`{"n":5,"edges":[],"edges":[]}`, `{"n":5,"edges":[],"m":0}`, `{"n":5}`,
+		`null`, `{"n":5,"edges":null}`, `{"n":5,"edges":[]} x`, `{"n":5,"edges":[]}}`, ``,
+	} {
+		if _, _, ok := parseWire([]byte(in)); ok {
+			t.Errorf("parseWire(%q) accepted a non-canonical shape", in)
+		}
+	}
+}

@@ -215,6 +215,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// writeBodyError answers a decodeBody failure: 413 too_large when the
+// body exceeded maxBodyBytes, 400 bad_request otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status, code := http.StatusBadRequest, "bad_request"
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status, code = http.StatusRequestEntityTooLarge, "too_large"
+	}
+	writeError(w, status, code, "decoding request body: %v", err)
+}
+
 // newSeededRNG is the service's per-request generator: one private
 // rand.Rand per call, seeded exactly like pgb.Generate
 // (rand.NewSource(seed)), so concurrent requests never share RNG state
@@ -384,7 +395,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	var req generateRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	alg, err := core.NewAlgorithm(req.Algorithm)
@@ -447,7 +458,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	var req compareRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	queries := core.AllQueries()
@@ -518,7 +529,7 @@ type runRequest struct {
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	for _, name := range req.Algorithms {

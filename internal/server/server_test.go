@@ -303,6 +303,36 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyIs413: a body over maxBodyBytes answers 413 too_large
+// on every endpoint that decodes one. The body — maxBodyBytes+1 bytes of
+// whitespace inside {…} — is streamed, never held in memory.
+func TestOversizeBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	for _, path := range []string{"/v1/compare", "/v1/generate", "/v1/runs"} {
+		body := io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, maxBodyBytes+1), strings.NewReader("}"))
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var e map[string]apiError
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || e["error"].Code != "too_large" {
+			t.Errorf("POST %s with an oversize body: status %d code %q, want 413 too_large", path, resp.StatusCode, e["error"].Code)
+		}
+	}
+}
+
 // TestDecodeBodyRejectsTrailingData: each endpoint's valid body is
 // accepted with trailing whitespace and rejected as bad_request with
 // anything else after it — including a stray ']' or '}', before which
