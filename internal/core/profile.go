@@ -392,46 +392,57 @@ type passKey struct {
 }
 
 // passKey builds the memo key of pass ps on a graph with fingerprint fp
-// and n nodes.
-func (o ProfileOptions) passKey(fp uint64, n int, ps profilePass, seed int64) passKey {
-	k := passKey{fp: fp, pass: ps}
+// and n nodes, and reports whether the pass draws randomness — the
+// decision that picks its LRU, since a caller's seed may itself be 0.
+func (o ProfileOptions) passKey(fp uint64, n int, ps profilePass, seed int64) (k passKey, seeded bool) {
+	k = passKey{fp: fp, pass: ps}
 	switch ps.group {
 	case GroupStructure, GroupTriangles, GroupCentrality:
 	case GroupDistances:
 		k.mode, k.exactDiameter = o.DistanceMode, o.ExactDiameter
 		// iFUB seeds its root from the pass's stream (ExactDiameter).
-		if !o.exactBFS(n) || o.ExactDiameter {
-			k.seed = seed
-		}
+		seeded = !o.exactBFS(n) || o.ExactDiameter
 	case GroupCommunity:
-		k.seed = seed
+		seeded = true
 	default:
-		k.mode, k.exactDiameter, k.seed = o.DistanceMode, o.ExactDiameter, seed
+		k.mode, k.exactDiameter, seeded = o.DistanceMode, o.ExactDiameter, true
 		ids := make([]byte, 0, 4*len(o.Queries))
 		for _, q := range o.Queries {
 			ids = strconv.AppendInt(append(ids, ','), int64(q), 10)
 		}
 		k.queries = string(ids)
 	}
-	return k
+	if seeded {
+		k.seed = seed
+	}
+	return k, seeded
 }
 
-// profileCache memoizes ComputeProfileCached one pass at a time, bounded
-// at 64 passes. True-graph profiles are the target (one per dataset per
-// option set); synthetic one-shot graphs should use the uncached path.
-var profileCache = lru.New[passKey, *Profile](64)
+// The profile memo is two LRUs, split by passKey's seeded decision. Each
+// served compare or grid truth with a fresh seed inserts seeded entries
+// (Louvain at least) that are rarely asked for again; in one LRU they
+// would evict the seed-free passes that every later request of the same
+// graph reuses. Seeded entries therefore churn only among themselves,
+// with the 64 entries the single LRU had, while 256 seed-free entries
+// hold the served mix's baselines and re-sent synthetic graphs. Both
+// sides of a served compare and every truth graph go through the memo;
+// the grid's synthetic cells are one-shot and stay uncached.
+var (
+	seedFreePasses = lru.New[passKey, *Profile](256)
+	seededPasses   = lru.New[passKey, *Profile](64)
+)
 
 // ComputeProfileCached is ComputeProfileSeeded behind a process-wide
-// LRU memo of individual passes, keyed by graph fingerprint, pass, the
+// memo of individual passes, keyed by graph fingerprint, pass, the
 // options the pass reads, and the seed when the pass draws randomness.
 // A fresh seed therefore recomputes only the seed-consuming passes
 // (Louvain, custom queries, and non-exact distances); the missing
 // passes run together in one restricted profile computation on their
 // usual sub-seeds, so the result equals ComputeProfileSeeded's. Use it
 // for graphs whose profile is requested repeatedly — the benchmark
-// runner's true graphs, Compare baselines, and the verification
-// appendix. The returned profile shares its slices with the memo:
-// callers must treat it as read-only.
+// runner's true graphs, both sides of CompareGraphs, and the
+// verification appendix. The returned profile shares its slices with
+// the memo: callers must treat it as read-only.
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
 	fp, n := g.Fingerprint(), g.N()
 	selected := opt.Queries
@@ -441,6 +452,7 @@ func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 	type miss struct {
 		pass profilePass
 		key  passKey
+		memo *lru.Cache[passKey, *Profile]
 	}
 	p := &Profile{}
 	var missing []miss
@@ -457,12 +469,16 @@ func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 		}
 		found, seen := hit[ps]
 		if !seen {
-			key := opt.passKey(fp, n, ps, seed)
+			key, seeded := opt.passKey(fp, n, ps, seed)
+			memo := seedFreePasses
+			if seeded {
+				memo = seededPasses
+			}
 			var cached *Profile
-			if cached, found = profileCache.Get(key); found {
+			if cached, found = memo.Get(key); found {
 				copyPass(p, cached, ps)
 			} else {
-				missing = append(missing, miss{ps, key})
+				missing = append(missing, miss{ps, key, memo})
 			}
 			hit[ps] = found
 		}
@@ -479,11 +495,14 @@ func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 		// on one key both compute; Add keeps the first copy.
 		entry := &Profile{}
 		copyPass(entry, fresh, m.pass)
-		copyPass(p, profileCache.Add(m.key, entry), m.pass)
+		copyPass(p, m.memo.Add(m.key, entry), m.pass)
 	}
 	return p
 }
 
-// ProfileCacheStats reports the profile memo's counters and size; every
-// pass lookup counts one hit or one miss.
-func ProfileCacheStats() lru.Stats { return profileCache.Stats() }
+// ProfileCacheStats reports the profile memo's counters and size, summed
+// over its two LRUs; every pass lookup counts one hit or one miss.
+func ProfileCacheStats() lru.Stats {
+	a, b := seedFreePasses.Stats(), seededPasses.Stats()
+	return lru.Stats{Hits: a.Hits + b.Hits, Misses: a.Misses + b.Misses, Entries: a.Entries + b.Entries}
+}

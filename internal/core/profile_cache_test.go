@@ -71,7 +71,7 @@ func TestProfileCacheMemoizes(t *testing.T) {
 	all := ProfileOptions{Queries: AllQueries()}
 	sampled := ProfileOptions{Queries: AllQueries(), DistanceMode: DistanceSampled}
 	xdiam := ProfileOptions{Queries: AllQueries(), ExactDiameter: true}
-	g2 := gen.GNM(200, 600, rng(52))
+	g2 := gen.GNM(200, 600, rng(52+base)) // new each run: seed-free passes outlive a run
 	if g2.Fingerprint() == g.Fingerprint() {
 		t.Fatal("test graphs share a fingerprint")
 	}
@@ -173,4 +173,87 @@ func FuzzProfileCachedMatchesSeeded(f *testing.F) {
 			}
 		}
 	})
+}
+
+// compareUncached is CompareGraphs without the memo: ComputeProfileSeeded
+// on both sides, then Score.
+func compareUncached(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
+	pt := ComputeProfileSeeded(truth, opt, SubSeed(seed, 0))
+	ps := ComputeProfileSeeded(syn, opt, SubSeed(seed, 1))
+	rows := make([]CompareRow, 0, len(opt.Queries))
+	for _, q := range opt.Queries {
+		v, higher := Score(q, pt, ps)
+		row := CompareRow{Query: q.String(), Metric: q.Metric(), Error: v, HigherBetter: higher}
+		row.TrueValue, row.SynValue, _ = ScalarValues(q, pt, ps)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestCompareGraphsMatchesUncached: comparing one synthetic graph again
+// under fresh seeds gives exactly the uncached rows, for the full and a
+// structural query set, every distance mode, and graphs on both sides
+// of exactPathLimit. A fresh-seed repeat misses only the seeded passes
+// of each side: Louvain, and distances unless they run exact BFS.
+func TestCompareGraphsMatchesUncached(t *testing.T) {
+	memoRuns++
+	seed := 1000 * memoRuns
+	full := AllQueries()
+	structural := []QueryID{QNumNodes, QNumEdges, QTriangles, QAvgDegree, QDegreeVariance,
+		QDegreeDistribution, QGlobalClustering, QAvgClustering, QAssortativity, QEigenvectorCentrality}
+	for i, n := range []int{exactPathLimit, exactPathLimit + 1} {
+		truth := gen.GNM(n, 2*n, rng(int64(71+2*i)))
+		syn := gen.GNM(n, 3*n, rng(int64(72+2*i)))
+		for _, mode := range []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"} {
+			fullSeeded := uint64(1) // Louvain
+			if mode == DistanceSampled || mode == DistanceANF || (mode != DistanceExact && n > exactPathLimit) {
+				fullSeeded++ // distances do not run exact BFS
+			}
+			for _, set := range []struct {
+				name           string
+				queries        []QueryID
+				passes, seeded uint64
+			}{
+				{"full", full, 5, fullSeeded},
+				{"structural", structural, 3, 0},
+			} {
+				opt := ProfileOptions{Queries: set.queries, DistanceMode: mode}
+				for rep := 0; rep < 3; rep++ {
+					seed++
+					before := ProfileCacheStats()
+					got := CompareGraphs(truth, syn, seed, opt)
+					after := ProfileCacheStats()
+					if want := compareUncached(truth, syn, seed, opt); !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d mode=%q %s rep %d: CompareGraphs rows differ from the uncached composition:\n got %+v\nwant %+v", n, mode, set.name, rep, got, want)
+					}
+					if rep == 0 {
+						continue // earlier modes may have left some passes
+					}
+					hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+					if wantMiss := 2 * set.seeded; hits != 2*set.passes-wantMiss || misses != wantMiss {
+						t.Errorf("n=%d mode=%q %s fresh seed: %d hits, %d misses; want %d, %d", n, mode, set.name, hits, misses, 2*set.passes-wantMiss, wantMiss)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededPassesCannotEvictSeedFree: seeded entries that are never
+// asked for again (a fresh seed per request) do not push out the
+// seed-free passes another graph keeps reusing.
+func TestSeededPassesCannotEvictSeedFree(t *testing.T) {
+	memoRuns++
+	base := 1000 * memoRuns
+	a := gen.GNM(300, 900, rng(81))
+	b := gen.GNM(300, 900, rng(82))
+	seedFree := ProfileOptions{Queries: []QueryID{QNumEdges, QGlobalClustering, QEigenvectorCentrality}}
+	ComputeProfileCached(b, seedFree, base)
+	cd := ProfileOptions{Queries: []QueryID{QCommunityDetection}}
+	for i := int64(0); i < 100; i++ {
+		ComputeProfileCached(a, cd, base+i)
+	}
+	if _, hits, misses := cachedDelta(b, seedFree, base+100); hits != 3 || misses != 0 {
+		t.Fatalf("graph B after 100 fresh-seed CD profiles of A: %d hits, %d misses; want 3, 0", hits, misses)
+	}
 }

@@ -337,12 +337,13 @@ type CompareRow struct {
 
 // CompareGraphs profiles truth and syn on opt.Queries and scores each
 // query, one row per query in opt.Queries order. The two profiles draw
-// from independent sub-seeds of seed; the truth profile is memoized, so
-// repeated comparisons against one baseline pay only for the synthetic
-// side.
+// from independent sub-seeds of seed. Both go through the pass memo, so
+// a baseline or a synthetic graph seen before reruns only the passes
+// that draw from the new seed; the rows equal those of
+// ComputeProfileSeeded on both sides.
 func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
 	pt := ComputeProfileCached(truth, opt, SubSeed(seed, 0))
-	ps := ComputeProfileSeeded(syn, opt, SubSeed(seed, 1))
+	ps := ComputeProfileCached(syn, opt, SubSeed(seed, 1))
 	rows := make([]CompareRow, 0, len(opt.Queries))
 	for _, q := range opt.Queries {
 		v, higher := Score(q, pt, ps)

@@ -411,6 +411,73 @@ func TestCompareCache(t *testing.T) {
 	}
 }
 
+// TestCompareReusesSyntheticPasses: one inline synthetic graph posted
+// twice, under a new seed and a new query order, is computed twice (the
+// result cache cannot answer) but the second request reuses the graph's
+// seed-free passes from the profile memo. Each response's rows are the
+// bytes a fresh server returns for the same body.
+func TestCompareReusesSyntheticPasses(t *testing.T) {
+	r := rand.New(rand.NewSource(2301))
+	randomGraph := func(m int) *graph.Graph {
+		edges := make([]graph.Edge, 0, m)
+		for len(edges) < m {
+			if u, v := int32(r.Intn(200)), int32(r.Intn(200)); u != v {
+				edges = append(edges, graph.Canon(u, v))
+			}
+		}
+		return graph.FromEdges(200, edges)
+	}
+	truth, syn := randomGraph(500), randomGraph(600)
+	body := func(seed int64, queries ...string) map[string]any {
+		return map[string]any{
+			"truth":     map[string]any{"graph": truth},
+			"synthetic": map[string]any{"graph": syn},
+			"seed":      seed,
+			"queries":   queries,
+		}
+	}
+	bodies := []map[string]any{
+		body(5, "CD", "|E|", "GCC", "Diam", "EVC"),
+		body(6, "EVC", "Diam", "GCC", "|E|", "CD"),
+	}
+	type response struct {
+		Rows   json.RawMessage `json:"rows"`
+		Cached bool            `json:"cached"`
+	}
+	type health struct {
+		ProfileCache     lru.Stats `json:"profile_cache"`
+		ComparesExecuted int64     `json:"compares_executed"`
+	}
+	_, ts := newTestServer(t, t.TempDir())
+	got := make([]response, len(bodies))
+	for i, b := range bodies {
+		var before, after health
+		getJSON(t, ts.URL+"/healthz", &before)
+		if code := postJSON(t, ts.URL+"/v1/compare", b, &got[i]); code != http.StatusOK || got[i].Cached {
+			t.Fatalf("compare %d: status %d cached=%v", i, code, got[i].Cached)
+		}
+		getJSON(t, ts.URL+"/healthz", &after)
+		// Structure, triangles, exact distances and EVC are seed-free on
+		// both sides; only Louvain draws from the new seed.
+		if i > 0 && after.ProfileCache.Hits < before.ProfileCache.Hits+8 {
+			t.Errorf("compare %d: profile_cache hits %d -> %d, want at least 8 more", i, before.ProfileCache.Hits, after.ProfileCache.Hits)
+		}
+		if after.ComparesExecuted != int64(i+1) {
+			t.Errorf("compare %d: compares_executed = %d, want %d", i, after.ComparesExecuted, i+1)
+		}
+	}
+	for i, b := range bodies {
+		_, fresh := newTestServer(t, t.TempDir())
+		var want response
+		if code := postJSON(t, fresh.URL+"/v1/compare", b, &want); code != http.StatusOK {
+			t.Fatalf("fresh compare %d: status %d", i, code)
+		}
+		if !bytes.Equal(got[i].Rows, want.Rows) {
+			t.Errorf("compare %d rows differ from a fresh server's:\n got %s\nwant %s", i, got[i].Rows, want.Rows)
+		}
+	}
+}
+
 // resultCacheStats reads the result_cache counters from /healthz.
 func resultCacheStats(t *testing.T, base string) lru.Stats {
 	t.Helper()

@@ -260,6 +260,92 @@ func TestEigenvectorCentralityEmpty(t *testing.T) {
 	}
 }
 
+// refEVC is EigenvectorCentrality the slow way: power iteration on A+I
+// over a dense adjacency matrix. Each y[v] starts from the identity term
+// x[v] and adds x[u] for every neighbor u in ascending order, the
+// kernel's summation order, so the two must agree bit for bit.
+func refEVC(g *graph.Graph, iterations int, tol float64) []float64 {
+	n := g.N()
+	adj := make([][]bool, n)
+	for u := range adj {
+		adj[u] = make([]bool, n)
+	}
+	for _, e := range g.Edges() {
+		adj[e.U][e.V], adj[e.V][e.U] = true, true
+	}
+	x := make([]float64, n)
+	if n == 0 {
+		return x
+	}
+	if iterations <= 0 {
+		iterations = 100
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	for i := range x {
+		x[i] = 1 / math.Sqrt(float64(n))
+	}
+	for it := 0; it < iterations; it++ {
+		y := make([]float64, n)
+		for v := range y {
+			y[v] = x[v]
+			for u := 0; u < n; u++ {
+				if adj[u][v] {
+					y[v] += x[u]
+				}
+			}
+		}
+		norm := 0.0
+		for _, yv := range y {
+			norm += yv * yv
+		}
+		norm = math.Sqrt(norm)
+		if norm == 0 {
+			return x
+		}
+		diff := 0.0
+		for i := range y {
+			y[i] /= norm
+			diff += math.Abs(y[i] - x[i])
+		}
+		x = y
+		if diff < tol {
+			break
+		}
+	}
+	return x
+}
+
+// FuzzEVCMatchesReference: on byte-derived graphs of up to 200 nodes,
+// any iteration cap and tolerance (0 selects the defaults),
+// EigenvectorCentrality equals the dense power iteration bit for bit.
+func FuzzEVCMatchesReference(f *testing.F) {
+	for _, c := range degenerateGraphs() {
+		f.Add(encodeGraph(c.g), uint8(60), uint8(0))
+	}
+	f.Add(encodeGraph(k4()), uint8(0), uint8(12))
+	f.Add(encodeGraph(star(9)), uint8(7), uint8(3))
+	f.Add(encodeGraph(randomGraph(5, 65)), uint8(60), uint8(0))
+	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, iterations, tolExp uint8) {
+		g := decodeGraph(data)
+		tol := 0.0
+		if e := tolExp % 16; e > 0 {
+			tol = math.Pow(10, -float64(e))
+		}
+		got, want := EigenvectorCentrality(g, int(iterations%130), tol), refEVC(g, int(iterations%130), tol)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d values, want %d", g.N(), len(got), len(want))
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("n=%d m=%d iterations=%d tol=%g: EVC[%d] = %v, reference %v", g.N(), g.M(), iterations%130, tol, v, got[v], want[v])
+			}
+		}
+	})
+}
+
 // randomGraph builds a moderately sized graph with both clustered and
 // heavy-tail structure so parallel shards are non-trivial.
 func randomGraph(seed int64, n int) *graph.Graph {

@@ -211,9 +211,9 @@ func (r QueryReport) String() string {
 // synthetic graph with the paper's metric per query. The two profiles are
 // computed from independent deterministic sub-seeds of seed, so the
 // sampled-BFS distance queries (and every other randomised pass) see
-// unbiased, repetition-independent RNG streams for each graph; the truth
-// profile is memoized, so repeated comparisons against the same baseline
-// graph only pay for the synthetic side.
+// unbiased, repetition-independent RNG streams for each graph. Both
+// profiles are memoized pass by pass, so a graph compared again reruns
+// only the passes that draw from the new seed.
 func Compare(truth, syn *Graph, seed int64) QueryReport {
 	return CompareQueries(truth, syn, seed, nil)
 }
