@@ -145,10 +145,9 @@ func placeUniform(b *graph.EdgeSet, reg region, noisy float64, rng *rand.Rand) {
 		tries++
 		u := int32(reg.r0 + rng.Intn(reg.r1-reg.r0))
 		v := int32(reg.c0 + rng.Intn(reg.c1-reg.c0))
-		if u >= v || b.Has(u, v) {
+		if u >= v || !b.Add(u, v) {
 			continue
 		}
-		b.Add(u, v)
 		placed++
 	}
 }

@@ -171,10 +171,9 @@ func (l *LDPGen) Generate(g *graph.Graph, eps float64, rng *rand.Rand, p algo.Pa
 				tries++
 				u := ma[rng.Intn(len(ma))]
 				v := mc[rng.Intn(len(mc))]
-				if b.Has(u, v) {
+				if !b.Add(u, v) {
 					continue
 				}
-				b.Add(u, v)
 				placed++
 			}
 		}

@@ -222,10 +222,9 @@ func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm al
 			tries++
 			u := ca[rng.Intn(len(ca))]
 			v := cb[rng.Intn(len(cb))]
-			if b.Has(u, v) {
+			if !b.Add(u, v) {
 				continue
 			}
-			b.Add(u, v)
 			placed++
 		}
 	}

@@ -123,8 +123,8 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 	// Non-edges in aggregate: the count of passing zero cells is
 	// Binomial(nonEdges, pPass); sample the count (normal approximation
 	// for the huge population), then draw that many uniform non-edges,
-	// deduplicated through a flat open-addressing set (no per-candidate
-	// map allocations).
+	// deduplicated through a graph.EdgeSet (no per-candidate map
+	// allocations).
 	if !math.IsInf(theta, 1) && nonEdges > 0 {
 		pPass := math.Exp(-eps1*theta) / 2
 		if theta < 0 {
@@ -139,23 +139,16 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 		if float64(count) > nonEdges {
 			count = int(nonEdges)
 		}
-		seen := newEdgeSet(count)
-		for seen.size < count {
+		seen := graph.NewEdgeSet(n, count)
+		for seen.M() < count {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			e := graph.Canon(u, v)
-			if g.HasEdge(u, v) {
-				continue
-			}
-			if !seen.insert(uint64(e.U)<<32 | uint64(uint32(e.V))) {
-				continue
+			if g.HasEdge(u, v) || !seen.Add(u, v) {
+				continue // a true edge, a self pair or a repeat
 			}
 			// Noise value conditioned on passing: θ + Exp(1/ε1) above θ.
 			v2 := theta + rng.ExpFloat64()/eps1
-			edges = append(edges, e)
+			edges = append(edges, graph.Canon(u, v))
 			scores = append(scores, v2)
 		}
 	}
@@ -286,42 +279,4 @@ func kthLargest(s []float64, k int) float64 {
 		}
 	}
 	return s[lo]
-}
-
-// edgeSet is a flat open-addressing set of packed (u << 32 | v) edge
-// keys — the allocation-light replacement for the legacy
-// map[graph.Edge]struct{} dedup in the non-edge sampling loop.
-type edgeSet struct {
-	slots []uint64 // key+1; 0 marks an empty slot
-	mask  uint64
-	size  int
-}
-
-func newEdgeSet(capHint int) *edgeSet {
-	sz := 16
-	for sz < 2*(capHint+1) {
-		sz <<= 1
-	}
-	return &edgeSet{slots: make([]uint64, sz), mask: uint64(sz - 1)}
-}
-
-// insert adds key and reports whether it was absent.
-func (s *edgeSet) insert(key uint64) bool {
-	h := key + 1 // shift so key 0 (edge 0-0 never occurs, but be safe)
-	// SplitMix64 finalizer as the hash
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = key + 1
-			s.size++
-			return true
-		case key + 1:
-			return false
-		}
-	}
 }

@@ -91,8 +91,12 @@ type QuerySpec struct {
 	// HigherBetter marks scores where larger is better (NMI-style
 	// similarities) rather than smaller (errors and divergences).
 	HigherBetter bool
-	Group        GroupID
-	Cost         CostClass
+	// PerNode marks scores that pair the two profiles node by node
+	// (NMI over community labels, MAE over centralities), so they are
+	// defined only for graphs of equal node count (CheckNodeCounts).
+	PerNode bool
+	Group   GroupID
+	Cost    CostClass
 	// Score evaluates the synthetic profile against the truth profile.
 	Score func(truth, syn *Profile) float64
 	// Scalar extracts the query's raw per-graph value; ok=false for
@@ -134,13 +138,13 @@ func builtinQuerySpecs() []QuerySpec {
 		relQuery(QGlobalClustering, "GCC", GroupTriangles, CostHeavy, func(p *Profile) float64 { return p.GCC }),
 		relQuery(QAvgClustering, "ACC", GroupTriangles, CostHeavy, func(p *Profile) float64 { return p.ACC }),
 		{
-			ID: QCommunityDetection, Symbol: "CD", Metric: "NMI", HigherBetter: true, Group: GroupCommunity, Cost: CostHeavy,
+			ID: QCommunityDetection, Symbol: "CD", Metric: "NMI", HigherBetter: true, PerNode: true, Group: GroupCommunity, Cost: CostHeavy,
 			Score: func(t, s *Profile) float64 { return metrics.NMI(t.CommunityLabels, s.CommunityLabels) },
 		},
 		relQuery(QModularity, "Mod", GroupCommunity, CostHeavy, func(p *Profile) float64 { return p.Modularity }),
 		relQuery(QAssortativity, "Ass", GroupStructure, CostLight, func(p *Profile) float64 { return p.Assortativity }),
 		{
-			ID: QEigenvectorCentrality, Symbol: "EVC", Metric: "MAE", Group: GroupCentrality, Cost: CostMedium,
+			ID: QEigenvectorCentrality, Symbol: "EVC", Metric: "MAE", PerNode: true, Group: GroupCentrality, Cost: CostMedium,
 			Score: func(t, s *Profile) float64 { return metrics.MeanAbsoluteError(t.EVC, s.EVC) },
 		},
 	}
@@ -310,6 +314,22 @@ func Score(q QueryID, truth, syn *Profile) (value float64, higherBetter bool) {
 		panic(fmt.Sprintf("core: unknown query %d", int(q)))
 	}
 	return s.Score(truth, syn), s.HigherBetter
+}
+
+// CheckNodeCounts reports an error when a truth graph of nTruth nodes
+// and a synthetic graph of nSyn nodes cannot be scored on queries: the
+// counts differ and a query is PerNode, whose metric would pair
+// per-node answers of different lengths.
+func CheckNodeCounts(nTruth, nSyn int, queries []QueryID) error {
+	if nTruth == nSyn {
+		return nil
+	}
+	for _, q := range queries {
+		if s, ok := registry.spec(q); ok && s.PerNode {
+			return fmt.Errorf("core: query %s pairs the graphs node by node, but truth has %d nodes and synthetic %d", s.Symbol, nTruth, nSyn)
+		}
+	}
+	return nil
 }
 
 // ScalarValues returns the raw per-graph values behind a scalar query;

@@ -278,20 +278,16 @@ func padToEdges(g *graph.Graph, m int, rng *rand.Rand) *graph.Graph {
 	if g.M() >= m {
 		return g
 	}
-	b := graph.NewEdgeSet(g.N(), m)
-	for e := range g.EdgeSeq() {
-		b.Add(e.U, e.V)
-	}
 	need := m - g.M()
+	b := graph.NewEdgeSetOver(g, need)
 	tries := 0
 	for need > 0 && tries < 50*m {
 		tries++
 		u := int32(rng.Intn(g.N()))
 		v := int32(rng.Intn(g.N()))
-		if u == v || b.Has(u, v) {
+		if !b.Add(u, v) {
 			continue
 		}
-		b.Add(u, v)
 		need--
 	}
 	return b.Build()

@@ -95,10 +95,7 @@ func CliqueCover(n, numCliques, minSize, maxSize int, reuse float64, rng *rand.R
 // coefficient of an existing graph in place (returns a new graph).
 func TriadicClosure(g *graph.Graph, extra int, rng *rand.Rand) *graph.Graph {
 	n := g.N()
-	s := graph.NewEdgeSet(n, g.M()+extra)
-	for e := range g.EdgeSeq() {
-		s.Add(e.U, e.V)
-	}
+	s := graph.NewEdgeSetOver(g, extra)
 	added, tries := 0, 0
 	for added < extra && tries < extra*20+100 {
 		tries++
@@ -109,10 +106,9 @@ func TriadicClosure(g *graph.Graph, extra int, rng *rand.Rand) *graph.Graph {
 		}
 		a := nb[rng.Intn(len(nb))]
 		c := nb[rng.Intn(len(nb))]
-		if a == c || s.Has(a, c) {
+		if !s.Add(a, c) {
 			continue
 		}
-		s.Add(a, c)
 		added++
 	}
 	return s.Build()

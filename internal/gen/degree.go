@@ -261,10 +261,9 @@ func BuildFrom2KEntries(entries []JDMEntry, n int, rng *rand.Rand) *graph.Graph 
 			if !ok {
 				break
 			}
-			if b.Has(u, v) {
+			if !b.Add(u, v) {
 				continue // skip duplicate; residual stubs stay for later matching
 			}
-			b.Add(u, v)
 			remaining[u]--
 			remaining[v]--
 		}

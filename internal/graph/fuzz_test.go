@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,6 +18,16 @@ func FuzzFromEdgesMatchesBuilder(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2}, uint8(5))
 	f.Add([]byte{3, 3, 0, 9, 9, 0}, uint8(4))
 	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{2, 3, 3, 2, 2, 3, 4, 5, 5, 4, 2, 3}, uint8(6))      // duplicates, both orientations
+	f.Add([]byte{4, 4, 2, 2, 2, 3, 7, 7}, uint8(6))                  // self loops
+	f.Add([]byte{0, 3, 3, 1, 2, 200, 255, 4, 2, 10, 2, 5}, uint8(8)) // ends below 0 and at or above n
+	// Node 0 gets 1200 arcs over 60 distinct neighbors: one long row to
+	// order and dedup, with every duplicate run 20 arcs long.
+	star := make([]byte, 0, 2400)
+	for i := 0; i < 1200; i++ {
+		star = append(star, 2, byte(3+i%60))
+	}
+	f.Add(star, uint8(63))
 	f.Fuzz(func(t *testing.T, data []byte, rawN uint8) {
 		n := int(rawN % 64)
 		edges := make([]Edge, 0, len(data)/2)
@@ -119,6 +133,124 @@ func FuzzGraphJSON(f *testing.F) {
 		}
 		if g2.N() != g.N() || g2.M() != g.M() || g2.Fingerprint() != g.Fingerprint() {
 			t.Fatalf("round trip changed the graph: n %d->%d m %d->%d", g.N(), g2.N(), g.M(), g2.M())
+		}
+	})
+}
+
+// FuzzEdgeSetMatchesMap: the flat open-addressing EdgeSet must answer
+// every Add and Has exactly as a Go map of packed canonical pairs does,
+// across the table's resizes (it starts from capHint 0, 16 slots), and
+// build the graph of exactly the edges it holds. Each byte pair of base
+// is an edge of a graph the set starts out holding (NewEdgeSetOver;
+// an empty base means NewEdgeSet). Each byte triple of ops is one
+// operation: an Add when the first byte is even, else a Has, on
+// endpoints that may be negative, out of range or equal.
+func FuzzEdgeSetMatchesMap(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 2, 3, 1, 2, 3, 0, 3, 2, 1, 3, 2}, uint8(5))
+	f.Add([]byte{}, []byte{0, 4, 4, 0, 0, 3, 0, 2, 200, 1, 4, 4}, uint8(6))
+	f.Add([]byte{2, 3, 3, 4, 5, 5, 0, 9}, []byte{0, 3, 2, 1, 2, 3, 0, 4, 3, 0, 2, 4, 1, 2, 4}, uint8(6))
+	grow := make([]byte, 0, 3*600) // ~600 adds over 40 nodes: several resizes
+	for i := 0; i < 600; i++ {
+		grow = append(grow, byte(2*(i%3)), byte(2+i%40), byte(2+(i*7)%40))
+	}
+	f.Add([]byte{}, grow, uint8(40))
+	f.Add([]byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, grow, uint8(40))
+	f.Fuzz(func(t *testing.T, base, ops []byte, rawN uint8) {
+		n := int(rawN % 64)
+		pack := func(u, v int32) uint64 { return uint64(uint32(min(u, v)))<<32 | uint64(uint32(max(u, v))) }
+		ref := make(map[uint64]struct{})
+		s := NewEdgeSet(n, 0)
+		if len(base) > 0 {
+			var edges []Edge
+			for i := 0; i+1 < len(base); i += 2 {
+				edges = append(edges, Edge{U: int32(base[i]) - 2, V: int32(base[i+1]) - 2})
+			}
+			g := FromEdges(n, edges)
+			for e := range g.EdgeSeq() {
+				ref[pack(e.U, e.V)] = struct{}{}
+			}
+			s = NewEdgeSetOver(g, 0)
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			u, v := int32(ops[i+1])-2, int32(ops[i+2])-2
+			valid := u >= 0 && v >= 0 && int(u) < n && int(v) < n && u != v
+			key := pack(u, v)
+			_, had := ref[key]
+			if ops[i]%2 == 0 {
+				if got, want := s.Add(u, v), valid && !had; got != want {
+					t.Fatalf("op %d: Add(%d, %d) = %v, want %v", i/3, u, v, got, want)
+				}
+				if valid {
+					ref[key] = struct{}{}
+				}
+			} else if got := s.Has(u, v); got != (valid && had) {
+				t.Fatalf("op %d: Has(%d, %d) = %v, want %v", i/3, u, v, got, valid && had)
+			}
+			if s.M() != len(ref) {
+				t.Fatalf("op %d: M() = %d, want %d", i/3, s.M(), len(ref))
+			}
+		}
+		g := s.Build()
+		if err := g.Validate(); err != nil {
+			t.Fatalf("built graph fails invariants: %v", err)
+		}
+		if g.M() != len(ref) {
+			t.Fatalf("built graph has %d edges, want %d", g.M(), len(ref))
+		}
+		for e := range g.EdgeSeq() {
+			if _, ok := ref[pack(e.U, e.V)]; !ok {
+				t.Fatalf("built graph has edge %v that the set never held", e)
+			}
+		}
+	})
+}
+
+// FuzzReadSnapshot: both snapshot readers take arbitrary bytes. Each
+// either fails or returns a graph that passes Validate and whose
+// fingerprint is the one its header records, and the two agree on which.
+// The seeds are valid snapshots, so the fuzzer's byte flips mostly land
+// in a payload behind a valid header.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, g := range []*Graph{
+		New(0),
+		New(3),
+		FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}),
+		FromEdges(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}}),
+		FromEdges(6, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 3, V: 5}, {U: 4, V: 5}}),
+	} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(reader string, g *Graph, err error) {
+			if err != nil {
+				return
+			}
+			if verr := g.Validate(); verr != nil {
+				t.Fatalf("%s accepted a graph that fails Validate: %v", reader, verr)
+			}
+			if got, want := walkFingerprint(g), binary.LittleEndian.Uint64(data[32:]); got != want {
+				t.Fatalf("%s accepted a graph hashing to %016x, header records %016x", reader, got, want)
+			}
+		}
+		g, readErr := ReadSnapshot(bytes.NewReader(data))
+		check("ReadSnapshot", g, readErr)
+		path := filepath.Join(t.TempDir(), "fuzz.pgb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mg, closer, openErr := OpenSnapshot(path)
+		check("OpenSnapshot", mg, openErr)
+		if closer != nil {
+			if err := closer.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if (readErr == nil) != (openErr == nil) {
+			t.Fatalf("readers disagree: ReadSnapshot %v, OpenSnapshot %v", readErr, openErr)
 		}
 	})
 }

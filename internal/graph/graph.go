@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
+	"sync/atomic"
 )
 
 // Graph is an undirected simple graph over nodes 0..n-1, stored in CSR
@@ -20,12 +20,14 @@ import (
 // one contiguous allocation — the hot kernels (triangle counting, BFS)
 // walk it cache-line by cache-line instead of chasing one pointer per
 // node. Construction goes through Builder or FromEdges (which
-// deduplicate); a finished Graph is immutable by convention.
+// deduplicate); a finished Graph is immutable by convention, which is
+// what lets it memoize its own Fingerprint.
 type Graph struct {
 	n   int
 	m   int
-	off []int64 // len n+1; off[u]..off[u+1] delimits u's neighbors
-	nbr []int32 // len 2m; concatenated sorted neighbor lists
+	off []int64       // len n+1; off[u]..off[u+1] delimits u's neighbors
+	nbr []int32       // len 2m; concatenated sorted neighbor lists
+	fp  atomic.Uint64 // memoized Fingerprint; 0 means not yet computed
 }
 
 // Edge is an undirected edge with U < V.
@@ -77,9 +79,8 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	a := g.nbr[g.off[u]:g.off[u+1]]
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
+	_, found := slices.BinarySearch(g.nbr[g.off[u]:g.off[u+1]], v)
+	return found
 }
 
 // Edges returns all edges in canonical orientation, sorted.
@@ -275,9 +276,19 @@ func (b *Builder) Build() *Graph {
 
 // FromEdges constructs a graph with n nodes from an edge list, dropping
 // self-loops, duplicates, and out-of-range endpoints. It builds the CSR
-// arena directly — count, scatter, per-node sort, in-place dedup — with
-// no per-node maps, so it is the cheap path for generators that already
-// hold an edge list.
+// arena directly — count, scatter, transpose, in-place dedup — with no
+// per-node maps and no comparison sort, so it is the cheap path for
+// generators that already hold an edge list.
+//
+// The sort is two of Gustavson's permuted transpositions ("Two fast
+// algorithms for sparse matrices", ACM TOMS 1978): visiting rows x in
+// ascending order and appending x to row y for every y in row x leaves
+// every row of the transpose in ascending order. Each edge is scattered
+// once, unsorted, into the upper half (its smaller end's row lists its
+// larger end); transposing that fills each row's lower part (its
+// neighbors below it) sorted, and transposing the lower parts fills the
+// upper parts sorted. Row u is then lower ++ upper: sorted, duplicates
+// adjacent.
 func FromEdges(n int, edges []Edge) *Graph {
 	if n < 0 {
 		n = 0
@@ -285,37 +296,53 @@ func FromEdges(n int, edges []Edge) *Graph {
 	keep := func(e Edge) bool {
 		return e.U != e.V && e.U >= 0 && e.V >= 0 && int(e.U) < n && int(e.V) < n
 	}
-	off := make([]int64, n+1)
+	off := make([]int64, n+1) // degrees, then row starts
+	up := make([]int64, n+1)  // upper degrees, then upper-half row starts
 	for _, e := range edges {
 		if keep(e) {
 			off[e.U+1]++
 			off[e.V+1]++
+			up[min(e.U, e.V)+1]++
 		}
 	}
 	for u := 0; u < n; u++ {
 		off[u+1] += off[u]
+		up[u+1] += up[u]
 	}
-	nbr := make([]int32, off[n])
+	half := make([]int32, up[n])
 	pos := make([]int64, n)
-	copy(pos, off[:n])
+	copy(pos, up[:n])
 	for _, e := range edges {
 		if keep(e) {
-			nbr[pos[e.U]] = e.V
-			pos[e.U]++
-			nbr[pos[e.V]] = e.U
-			pos[e.V]++
+			u := min(e.U, e.V)
+			half[pos[u]] = max(e.U, e.V)
+			pos[u]++
 		}
 	}
-	// Sort each node's segment and dedup in place, compacting the arena
-	// left; the write cursor never overtakes the read position, and
-	// off[u+1] is only rewritten after segment u+1 has been consumed.
+	nbr := make([]int32, off[n])
+	copy(pos, off[:n])
+	for x := 0; x < n; x++ {
+		for _, y := range half[up[x]:up[x+1]] {
+			nbr[pos[y]] = int32(x)
+			pos[y]++
+		}
+	}
+	// pos[x] now ends row x's lower part. Reading it happens before any
+	// write into row x, which come only from rows above x.
+	for x := 0; x < n; x++ {
+		for _, w := range nbr[off[x]:pos[x]] {
+			nbr[pos[w]] = int32(x)
+			pos[w]++
+		}
+	}
+	// Dedup each sorted row in place, compacting the arena left; the
+	// write cursor never overtakes the read position, and off[u+1] is
+	// only rewritten after row u+1 has been consumed.
 	w := int64(0)
 	for u := 0; u < n; u++ {
-		seg := nbr[off[u]:off[u+1]]
-		slices.Sort(seg)
 		start := w
 		prev := int32(-1)
-		for _, v := range seg {
+		for _, v := range nbr[off[u]:off[u+1]] {
 			if v != prev {
 				nbr[w] = v
 				w++
@@ -329,36 +356,49 @@ func FromEdges(n int, edges []Edge) *Graph {
 }
 
 // EdgeSet accumulates distinct undirected edges with O(1) membership
-// probes, backed by one hash set keyed on the packed canonical pair plus
-// a flat edge list — the cheap mutable companion of FromEdges for
-// generator loops whose control flow (rejection sampling, rewiring,
-// budget checks) depends on which edges exist so far. Compared to
-// Builder it allocates one map instead of one per node, and Build goes
-// through the direct-CSR FromEdges path. Semantics match Builder
-// exactly: self-loops, duplicates, and out-of-range endpoints are
-// silently dropped.
+// probes — the cheap mutable companion of FromEdges for generator loops
+// whose control flow (rejection sampling, rewiring, budget checks)
+// depends on which edges exist so far. Membership lives in one flat
+// open-addressing table of packed canonical pairs (linear probing,
+// SplitMix64-finalized hash), so a probe touches one or two cache lines
+// and the set allocates nothing per edge. The table is the only copy of
+// the edges: Build reads them back out of it, in slot order, which
+// FromEdges makes immaterial. A set made by NewEdgeSetOver starts out
+// holding a graph's edges without copying or hashing them. Semantics
+// match Builder exactly: self-loops, duplicates, and out-of-range
+// endpoints are silently dropped.
 type EdgeSet struct {
 	n     int
-	set   map[uint64]struct{}
-	edges []Edge
+	base  *Graph   // edges held from the start (NewEdgeSetOver), or nil
+	slots []uint64 // packed canonical pairs; 0 marks an empty slot
+	size  int      // keys in slots
 }
 
 // NewEdgeSet returns an EdgeSet over n nodes; capHint sizes the
-// internal set and edge list (0 is fine).
+// internal table (0 is fine: the table grows on demand).
 func NewEdgeSet(n, capHint int) *EdgeSet {
 	if n < 0 {
 		n = 0
 	}
-	if capHint < 0 {
-		capHint = 0
+	sz := 16 // a power of two holding capHint keys at load at most 1/2
+	for sz < 2*capHint {
+		sz <<= 1
 	}
-	return &EdgeSet{
-		n:     n,
-		set:   make(map[uint64]struct{}, capHint),
-		edges: make([]Edge, 0, capHint),
-	}
+	return &EdgeSet{n: n, slots: make([]uint64, sz)}
 }
 
+// NewEdgeSetOver returns an EdgeSet over g's nodes that starts out
+// holding g's edges, with room for capHint more. g's edges are neither
+// copied nor hashed: probes ask g.HasEdge first, and Build merges them
+// in, so seeding costs nothing however large g is.
+func NewEdgeSetOver(g *Graph, capHint int) *EdgeSet {
+	s := NewEdgeSet(g.N(), capHint)
+	s.base = g
+	return s
+}
+
+// packEdge packs the canonical orientation of {u, v}, u != v, into one
+// key. The larger endpoint is at least 1, so a key is never 0.
 func packEdge(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u
@@ -366,36 +406,97 @@ func packEdge(u, v int32) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// Has reports whether the undirected edge {u, v} has been added.
+// slot returns the index of key in s.slots, or of the empty slot where
+// its probe sequence ends.
+func (s *EdgeSet) slot(key uint64) uint64 {
+	h := key // SplitMix64 finalizer
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	mask := uint64(len(s.slots) - 1)
+	i := h & mask
+	for s.slots[i] != 0 && s.slots[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (s *EdgeSet) valid(u, v int32) bool {
+	return u >= 0 && v >= 0 && int(u) < s.n && int(v) < s.n && u != v
+}
+
+// inBase reports whether {u, v}, a valid pair, is one of base's edges.
+func (s *EdgeSet) inBase(u, v int32) bool {
+	return s.base != nil && s.base.HasEdge(u, v)
+}
+
+// Has reports whether the set holds the undirected edge {u, v}.
 func (s *EdgeSet) Has(u, v int32) bool {
-	if u < 0 || v < 0 || int(u) >= s.n || int(v) >= s.n || u == v {
+	if !s.valid(u, v) {
 		return false
 	}
-	_, ok := s.set[packEdge(u, v)]
-	return ok
+	if s.inBase(u, v) {
+		return true
+	}
+	key := packEdge(u, v)
+	return s.slots[s.slot(key)] == key
 }
 
 // Add inserts the undirected edge {u, v}, ignoring self-loops,
 // duplicates, and out-of-range endpoints, and reports whether the edge
-// was new.
+// was new — so a rejection loop needs no Has probe before it.
 func (s *EdgeSet) Add(u, v int32) bool {
-	if u < 0 || v < 0 || int(u) >= s.n || int(v) >= s.n || u == v {
+	if !s.valid(u, v) || s.inBase(u, v) {
 		return false
 	}
 	key := packEdge(u, v)
-	if _, dup := s.set[key]; dup {
+	i := s.slot(key)
+	if s.slots[i] == key {
 		return false
 	}
-	s.set[key] = struct{}{}
-	s.edges = append(s.edges, Canon(u, v))
+	if 2*(s.size+1) > len(s.slots) {
+		s.grow()
+		i = s.slot(key)
+	}
+	s.slots[i] = key
+	s.size++
 	return true
 }
 
-// M returns the number of distinct edges added so far.
-func (s *EdgeSet) M() int { return len(s.edges) }
+// grow doubles the table and reinserts every key.
+func (s *EdgeSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, 2*len(old))
+	for _, key := range old {
+		if key != 0 {
+			s.slots[s.slot(key)] = key
+		}
+	}
+}
 
-// Build finalizes the accumulated edges into an immutable CSR Graph.
-func (s *EdgeSet) Build() *Graph { return FromEdges(s.n, s.edges) }
+// M returns the number of distinct edges held so far.
+func (s *EdgeSet) M() int {
+	if s.base != nil {
+		return s.base.M() + s.size
+	}
+	return s.size
+}
+
+// Build finalizes the held edges into an immutable CSR Graph.
+func (s *EdgeSet) Build() *Graph {
+	edges := make([]Edge, 0, s.M())
+	if s.base != nil {
+		edges = s.base.EdgesAppend(edges)
+	}
+	for _, key := range s.slots {
+		if key != 0 {
+			edges = append(edges, Edge{U: int32(key >> 32), V: int32(uint32(key))})
+		}
+	}
+	return FromEdges(s.n, edges)
+}
 
 // Subgraph returns the induced subgraph on the given nodes, relabelled to
 // 0..len(nodes)-1 in the given order.

@@ -64,7 +64,11 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
-	*g = *FromEdges(n, edges)
+	// Field by field: a Graph holds its fingerprint memo, which must not
+	// be copied and must not survive into the new graph.
+	d := FromEdges(n, edges)
+	g.n, g.m, g.off, g.nbr = d.n, d.m, d.off, d.nbr
+	g.fp.Store(0)
 	return nil
 }
 

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -56,9 +57,10 @@ const snapshotHeaderSize = 64
 var ErrSnapshotVersion = errors.New("graph: unsupported snapshot version")
 
 // ErrSnapshotCorrupt marks a snapshot whose payload breaks the CSR
-// invariants: inconsistent section lengths, decreasing offsets, or a
+// invariants — inconsistent section lengths, decreasing offsets, a
 // neighbor segment that is out of range, unsorted, duplicated or lists
-// its own node.
+// its own node, an arc without its reverse — or whose edges do not hash
+// to the fingerprint in its header.
 var ErrSnapshotCorrupt = errors.New("graph: corrupt snapshot payload")
 
 // SnapshotHeader is the decoded fixed header of a snapshot file: the
@@ -119,7 +121,9 @@ func decodeSnapshotHeader(buf []byte) (SnapshotHeader, error) {
 	}
 	offLen := int64(binary.LittleEndian.Uint64(buf[40:]))
 	arenaLen := int64(binary.LittleEndian.Uint64(buf[48:]))
-	if h.N < 0 || h.M < 0 || offLen != h.N+1 || arenaLen != 2*h.M {
+	// Node ids are int32 and the graph is simple, which also keeps the
+	// payload size of any accepted header far from int64 overflow.
+	if h.N < 0 || h.N > math.MaxInt32 || h.M < 0 || h.M > h.N*(h.N-1)/2 || offLen != h.N+1 || arenaLen != 2*h.M {
 		return SnapshotHeader{}, fmt.Errorf("graph: snapshot header inconsistent (n=%d m=%d offLen=%d arenaLen=%d)", h.N, h.M, offLen, arenaLen)
 	}
 	return h, nil
@@ -195,9 +199,8 @@ func WriteSnapshotFile(path string, g *Graph) error {
 
 // ReadSnapshot decodes a snapshot from r into freshly allocated slices
 // — the portable plain-read path, independent of mmap support and host
-// byte order. The decoded graph is structurally validated at the CSR
-// level (monotone offsets; strictly increasing, in-range neighbor
-// segments with no self entry) so a corrupt payload fails here with
+// byte order. The decoded payload is verified against its header
+// (checkPayload), so a corrupt payload fails here with
 // ErrSnapshotCorrupt instead of misleading or crashing a kernel.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
 	var hbuf [snapshotHeaderSize]byte
@@ -241,7 +244,7 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 		}
 	}
 	g := &Graph{n: int(h.N), m: int(h.M), off: off, nbr: nbr}
-	if err := g.validateShape(); err != nil {
+	if err := g.checkPayload(h); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -270,12 +273,12 @@ func (noopCloser) Close() error { return nil }
 // OpenSnapshot opens the snapshot at path, preferring a read-only mmap:
 // the returned graph's offset table and arena alias the mapped region —
 // no decode, no copy, pages shared between every process mapping the
-// same snapshot — leaving one linear structural sweep (validateShape)
-// as the whole open cost. The io.Closer releases the mapping; the graph
-// must not be used after Close (stores keep their mappings open for
-// their own lifetime, see SnapshotStore). When mmap is unavailable —
-// unsupported platform, big-endian host, or a mapping failure — the
-// plain-read path is used and Close is a no-op.
+// same snapshot — leaving the linear payload verification
+// (checkPayload) as the whole open cost. The io.Closer releases the
+// mapping; the graph must not be used after Close (stores keep their
+// mappings open for their own lifetime, see SnapshotStore). When mmap
+// is unavailable — unsupported platform, big-endian host, or a mapping
+// failure — the plain-read path is used and Close is a no-op.
 func OpenSnapshot(path string) (*Graph, io.Closer, error) {
 	if !forcePlainSnapshot && mmapSupported() {
 		g, closer, err := mmapSnapshot(path)
@@ -305,14 +308,35 @@ type snapshotHeaderError struct{ err error }
 func (e *snapshotHeaderError) Error() string { return e.err.Error() }
 func (e *snapshotHeaderError) Unwrap() error { return e.err }
 
+// checkPayload verifies a decoded or mapped payload against header h:
+// the CSR shape (validateShape), then symmetry and the header's
+// fingerprint, which pins the edge set the writer hashed, in one walk
+// (symmetricFingerprint). Together they establish everything Validate
+// does, so no payload, however crafted, reaches a kernel as anything
+// but the graph that was written. On success the graph's fingerprint
+// memo holds h.Fingerprint, so the caller's next Fingerprint call costs
+// nothing.
+func (g *Graph) checkPayload(h SnapshotHeader) error {
+	if err := g.validateShape(); err != nil {
+		return err
+	}
+	fp, err := g.symmetricFingerprint()
+	if err != nil {
+		return err
+	}
+	if fp != h.Fingerprint {
+		return fmt.Errorf("%w: payload fingerprint %016x, header records %016x", ErrSnapshotCorrupt, fp, h.Fingerprint)
+	}
+	return nil
+}
+
 // validateShape checks the CSR-level invariants a snapshot payload must
 // satisfy before any kernel may walk it, in a linear sweep: monotone
 // in-bounds offsets, and every neighbor segment strictly increasing,
 // in range and free of the node itself — so a payload never hands the
-// kernels a self loop or a duplicate edge. It is cheaper than Validate
-// (no symmetry probe — a snapshot written by WriteSnapshot is symmetric
-// by construction) while still making a corrupt or truncated payload an
-// ErrSnapshotCorrupt error instead of a panic or a silently wrong count.
+// kernels a self loop or a duplicate edge. A corrupt or truncated
+// payload is an ErrSnapshotCorrupt error instead of a panic or a
+// silently wrong count.
 func (g *Graph) validateShape() error {
 	if len(g.off) != g.n+1 || g.off[0] != 0 || g.off[g.n] != int64(len(g.nbr)) || int(g.off[g.n]) != 2*g.m {
 		return fmt.Errorf("%w: shape inconsistent (n=%d m=%d)", ErrSnapshotCorrupt, g.n, g.m)

@@ -78,7 +78,7 @@ func mmapSnapshot(path string) (*Graph, io.Closer, error) {
 		off: aliasInt64(offBytes),
 		nbr: aliasInt32(nbrBytes),
 	}
-	if err := g.validateShape(); err != nil {
+	if err := g.checkPayload(h); err != nil {
 		_ = m.Close()
 		return nil, nil, &snapshotHeaderError{err: err}
 	}

@@ -256,3 +256,92 @@ func TestWriteSnapshotNilGraph(t *testing.T) {
 		t.Fatal("nil graph accepted")
 	}
 }
+
+// TestSnapshotPayloadMustMatchHeader: payloads whose every segment is
+// sorted, in range and free of its own node, so validateShape passes,
+// but which are not the graph the header describes. Both readers must
+// fail with ErrSnapshotCorrupt.
+func TestSnapshotPayloadMustMatchHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		arena []int32
+	}{
+		// path 0-1-2 plus node 3, arena [1 | 0 2 | 1 | ]: node 0's
+		// neighbor 1 becomes the unused id 3.
+		{"flipped neighbor", FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}), []int32{3, 0, 2, 1}},
+		// matching {0-1, 2-3}, arena [1 | 0 | 3 | 2]: node 3 lists 1
+		// instead of 2. The upper entries, all the fingerprint hashes,
+		// are untouched, so only the symmetry check sees it.
+		{"asymmetric lower entry", FromEdges(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}}), []int32{1, 0, 3, 1}},
+		// the same matching rewritten as the valid, symmetric matching
+		// {0-2, 1-3}: only the fingerprint check sees it.
+		{"another valid graph", FromEdges(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}}), []int32{2, 3, 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, tc.g); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			arenaStart := snapshotHeaderSize + 8*(tc.g.N()+1)
+			for i, v := range tc.arena {
+				binary.LittleEndian.PutUint32(data[arenaStart+4*i:], uint32(v))
+			}
+			path := filepath.Join(t.TempDir(), "bad.pgb")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := OpenSnapshot(path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("OpenSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			}
+			if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("ReadSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			}
+		})
+	}
+}
+
+// TestSnapshotOpenSeedsFingerprint: a verified open leaves the header's
+// fingerprint in the graph's memo, on both readers.
+func TestSnapshotOpenSeedsFingerprint(t *testing.T) {
+	g := snapTestGraph(t, 60, 150, 11)
+	path := writeSnapTemp(t, g)
+	read, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	for _, c := range []struct {
+		reader string
+		g      *Graph
+	}{{"ReadSnapshot", read}, {"OpenSnapshot", mapped}} {
+		if got := c.g.fp.Load(); got != walkFingerprint(g) {
+			t.Fatalf("%s: memo holds %016x, want %016x", c.reader, got, walkFingerprint(g))
+		}
+	}
+}
+
+// TestSnapshotHeaderBoundsShape: a header with a valid checksum still
+// fails when n exceeds the int32 node-id space or m exceeds n(n-1)/2 —
+// values whose payload sizes would otherwise overflow or allocate
+// without bound before any payload byte is read.
+func TestSnapshotHeaderBoundsShape(t *testing.T) {
+	for _, h := range []SnapshotHeader{
+		{Version: SnapshotVersion, N: 1 << 40},
+		{Version: SnapshotVersion, N: 1 << 61, M: 1 << 61},
+		{Version: SnapshotVersion, N: 3, M: 4},
+		{Version: SnapshotVersion, N: 0, M: 1},
+	} {
+		if _, err := decodeSnapshotHeader(h.encode()); err == nil {
+			t.Errorf("header n=%d m=%d accepted", h.N, h.M)
+		}
+	}
+	if _, err := decodeSnapshotHeader(SnapshotHeader{Version: SnapshotVersion, N: 3, M: 3}.encode()); err != nil {
+		t.Errorf("complete graph on 3 nodes rejected: %v", err)
+	}
+}

@@ -386,7 +386,7 @@ type generateRequest struct {
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// The slot is taken before the body is even decoded: an inline graph
-	// payload builds its CSR (sort/dedup over up to ~8M edges) inside
+	// payload builds its CSR (transpose/dedup over up to ~8M edges) inside
 	// UnmarshalJSON, which is client-controlled CPU work that must count
 	// against the concurrency bound like everything downstream of it.
 	if !s.acquire(r) {
@@ -483,6 +483,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	syn, err := s.resolveRef(&req.Synthetic)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "synthetic: %v", err)
+		return
+	}
+	if err := core.CheckNodeCounts(truth.N(), syn.N(), queries); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
 

@@ -303,6 +303,37 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestCompareNodeCountMismatchIs400: when truth and synthetic differ in
+// node count, a query set with a node-by-node score (CD, EVC, or the
+// default all-queries set) answers 400 invalid_argument before any
+// profile work, instead of panicking in the metric and dropping the
+// connection; a set of whole-graph queries is still scored.
+func TestCompareNodeCountMismatchIs400(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir())
+	truth := map[string]any{"graph": map[string]any{"n": 5, "edges": []int{0, 1, 1, 2, 2, 3, 3, 4}}}
+	syn := map[string]any{"graph": map[string]any{"n": 6, "edges": []int{0, 1, 1, 2, 4, 5}}}
+	for _, queries := range [][]string{{"CD"}, {"EVC"}, {"|E|", "evc"}, nil} {
+		req := map[string]any{"truth": truth, "synthetic": syn, "seed": 3, "queries": queries}
+		var e map[string]apiError
+		if code := postJSON(t, ts.URL+"/v1/compare", req, &e); code != http.StatusBadRequest {
+			t.Fatalf("queries %v: status %d, want 400", queries, code)
+		}
+		if e["error"].Code != "invalid_argument" || !strings.Contains(e["error"].Message, "node") {
+			t.Fatalf("queries %v: error %+v, want invalid_argument naming the node counts", queries, e["error"])
+		}
+	}
+	if n := s.compares.Load(); n != 0 {
+		t.Fatalf("compares executed = %d after rejected requests, want 0", n)
+	}
+	var ok struct {
+		Rows []core.CompareRow `json:"rows"`
+	}
+	req := map[string]any{"truth": truth, "synthetic": syn, "queries": []string{"|V|", "|E|", "GCC"}}
+	if code := postJSON(t, ts.URL+"/v1/compare", req, &ok); code != http.StatusOK || len(ok.Rows) != 3 {
+		t.Fatalf("whole-graph queries: status %d, %d rows; want 200 with 3 rows", code, len(ok.Rows))
+	}
+}
+
 // spaces is an endless reader of JSON whitespace.
 type spaces struct{}
 
