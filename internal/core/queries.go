@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -360,13 +361,18 @@ type CompareRow struct {
 // from independent sub-seeds of seed. Both go through the pass memo, so
 // a baseline or a synthetic graph seen before reruns only the passes
 // that draw from the new seed; the rows equal those of
-// ComputeProfileSeeded on both sides.
+// ComputeProfileSeeded on both sides. When the node counts differ, a
+// PerNode query has no defined score and its Error is NaN
+// (CheckNodeCounts is the check for callers that want an error).
 func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
 	pt := ComputeProfileCached(truth, opt, SubSeed(seed, 0))
 	ps := ComputeProfileCached(syn, opt, SubSeed(seed, 1))
 	rows := make([]CompareRow, 0, len(opt.Queries))
 	for _, q := range opt.Queries {
-		v, higher := Score(q, pt, ps)
+		v, higher := math.NaN(), q.HigherBetter()
+		if s, _ := registry.spec(q); !s.PerNode || truth.N() == syn.N() {
+			v, higher = Score(q, pt, ps)
+		}
 		row := CompareRow{Query: q.String(), Metric: q.Metric(), Error: v, HigherBetter: higher}
 		row.TrueValue, row.SynValue, _ = ScalarValues(q, pt, ps)
 		rows = append(rows, row)

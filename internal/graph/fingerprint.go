@@ -35,8 +35,9 @@ func (g *Graph) Fingerprint() uint64 {
 // in that order. matched[v] counts the lower entries of row v consumed
 // so far, and reaching row v itself checks that none was left over. The
 // probe into row v overlaps the hash's multiply chain, so the check
-// costs the walk little. On success the fingerprint is memoized.
-func (g *Graph) symmetricFingerprint() (uint64, error) {
+// costs the walk little. On success the fingerprint is memoized, so a
+// caller reads it with Fingerprint at no cost.
+func (g *Graph) symmetricFingerprint() error {
 	n := int32(g.n)
 	matched := make([]int32, n)
 	h := fnvGraph(g.n, g.m)
@@ -49,17 +50,17 @@ func (g *Graph) symmetricFingerprint() (uint64, error) {
 			}
 			p := g.off[v] + int64(matched[v])
 			if p >= g.off[v+1] || g.nbr[p] != u {
-				return 0, fmt.Errorf("%w: edge %d-%d not symmetric", ErrSnapshotCorrupt, u, v)
+				return fmt.Errorf("graph: edge %d-%d not symmetric", u, v)
 			}
 			matched[v]++
 			h = fnvEdge(h, u, v)
 		}
 		if lower != matched[u] {
-			return 0, fmt.Errorf("%w: node %d lists a neighbor that does not list it", ErrSnapshotCorrupt, u)
+			return fmt.Errorf("graph: node %d lists a neighbor that does not list it", u)
 		}
 	}
 	g.fp.Store(h)
-	return h, nil
+	return nil
 }
 
 const (

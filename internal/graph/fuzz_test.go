@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -206,8 +207,9 @@ func FuzzEdgeSetMatchesMap(f *testing.F) {
 }
 
 // FuzzReadSnapshot: both snapshot readers take arbitrary bytes. Each
-// either fails or returns a graph that passes Validate and whose
-// fingerprint is the one its header records, and the two agree on which.
+// either fails with ErrSnapshotCorrupt or ErrSnapshotVersion or returns
+// a graph that passes Validate and whose fingerprint is the one its
+// header records, and the two agree on which, down to the error.
 // The seeds are valid snapshots, so the fuzzer's byte flips mostly land
 // in a payload behind a valid header.
 func FuzzReadSnapshot(f *testing.F) {
@@ -227,6 +229,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(reader string, g *Graph, err error) {
 			if err != nil {
+				if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+					t.Fatalf("%s failed with an untyped error: %v", reader, err)
+				}
 				return
 			}
 			if verr := g.Validate(); verr != nil {
@@ -236,12 +241,12 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatalf("%s accepted a graph hashing to %016x, header records %016x", reader, got, want)
 			}
 		}
-		g, readErr := ReadSnapshot(bytes.NewReader(data))
-		check("ReadSnapshot", g, readErr)
 		path := filepath.Join(t.TempDir(), "fuzz.pgb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		g, readErr := ReadSnapshotFile(path)
+		check("ReadSnapshotFile", g, readErr)
 		mg, closer, openErr := OpenSnapshot(path)
 		check("OpenSnapshot", mg, openErr)
 		if closer != nil {
@@ -249,8 +254,8 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if (readErr == nil) != (openErr == nil) {
-			t.Fatalf("readers disagree: ReadSnapshot %v, OpenSnapshot %v", readErr, openErr)
+		if (readErr == nil) != (openErr == nil) || (readErr != nil && readErr.Error() != openErr.Error()) {
+			t.Fatalf("readers disagree: ReadSnapshotFile %v, OpenSnapshot %v", readErr, openErr)
 		}
 	})
 }

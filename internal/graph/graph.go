@@ -148,37 +148,46 @@ func (g *Graph) Density() float64 {
 
 // Validate checks structural invariants: consistent offsets, sorted
 // adjacency, symmetry, no self-loops, no duplicates, and consistent edge
-// count. It is used by tests and by algorithm post-conditions.
+// count, in two linear sweeps (validateShape, then the symmetric
+// fingerprint walk, which memoizes the fingerprint on success). It is
+// used by tests, by algorithm post-conditions and by every snapshot
+// open (checkPayload).
 func (g *Graph) Validate() error {
-	if len(g.off) != g.n+1 {
-		return fmt.Errorf("graph: offset table has %d entries for %d nodes", len(g.off), g.n)
+	if err := g.validateShape(); err != nil {
+		return err
 	}
-	if g.off[0] != 0 || g.off[g.n] != int64(len(g.nbr)) {
-		return fmt.Errorf("graph: offset bounds [%d, %d] inconsistent with arena size %d", g.off[0], g.off[g.n], len(g.nbr))
+	return g.symmetricFingerprint()
+}
+
+// validateShape checks the CSR-level invariants in a linear sweep:
+// section lengths that agree with n and m, monotone in-bounds offsets,
+// and every neighbor segment strictly increasing, in range and free of
+// the node itself — everything but symmetry, which needs the
+// fingerprint walk's cross-row probe.
+func (g *Graph) validateShape() error {
+	if len(g.off) != g.n+1 || g.off[0] != 0 || g.off[g.n] != int64(len(g.nbr)) || int(g.off[g.n]) != 2*g.m {
+		return fmt.Errorf("graph: shape inconsistent (n=%d m=%d, %d offsets, %d arena entries)", g.n, g.m, len(g.off), len(g.nbr))
 	}
 	for u := 0; u < g.n; u++ {
 		if g.off[u] > g.off[u+1] {
 			return fmt.Errorf("graph: offsets decrease at node %d", u)
 		}
+	}
+	n := int32(g.n)
+	for u := int32(0); u < n; u++ {
 		prev := int32(-1)
 		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-			if v < 0 || int(v) >= g.n {
-				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", u, v)
-			}
-			if v == int32(u) {
-				return fmt.Errorf("graph: self-loop at node %d", u)
-			}
-			if v <= prev {
+			if v <= prev || v >= n || v == u {
+				switch {
+				case v < 0 || v >= n:
+					return fmt.Errorf("graph: node %d has out-of-range neighbor %d", u, v)
+				case v == u:
+					return fmt.Errorf("graph: self-loop at node %d", u)
+				}
 				return fmt.Errorf("graph: adjacency of node %d unsorted or duplicated at %d", u, v)
-			}
-			if !g.HasEdge(v, int32(u)) {
-				return fmt.Errorf("graph: edge %d-%d not symmetric", u, v)
 			}
 			prev = v
 		}
-	}
-	if int(g.off[g.n]) != 2*g.m {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency size %d", g.m, g.off[g.n])
 	}
 	return nil
 }

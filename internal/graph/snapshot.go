@@ -4,11 +4,12 @@ package graph
 // versioned binary file holding exactly the in-memory layout of §8 —
 // one offset table plus one neighbor arena — so a graph can be served
 // from disk without re-materialising it. The file is little-endian and
-// every section starts 8-byte aligned, which lets OpenSnapshot alias
-// the mapped bytes directly as the graph's []int64/[]int32 slices on
-// little-endian hosts; ReadSnapshot is the portable plain-read decoder
-// used as the fallback on platforms without mmap (and on big-endian
-// hosts, where aliasing would misread the fixed wire order).
+// every section starts 8-byte aligned, so one decoder (viewSnapshot)
+// aliases a byte view of the file directly as the graph's
+// []int64/[]int32 slices. OpenSnapshot views a read-only mapping on
+// little-endian hosts; ReadSnapshotFile, the portable path and the
+// fallback everywhere else, views an aligned in-memory copy rewritten
+// to host order.
 //
 // Layout (all integers little-endian):
 //
@@ -39,6 +40,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 )
 
 // snapshotMagic identifies a PGB CSR snapshot file.
@@ -56,12 +58,13 @@ const snapshotHeaderSize = 64
 // needed" from corruption.
 var ErrSnapshotVersion = errors.New("graph: unsupported snapshot version")
 
-// ErrSnapshotCorrupt marks a snapshot whose payload breaks the CSR
-// invariants — inconsistent section lengths, decreasing offsets, a
-// neighbor segment that is out of range, unsorted, duplicated or lists
-// its own node, an arc without its reverse — or whose edges do not hash
-// to the fingerprint in its header.
-var ErrSnapshotCorrupt = errors.New("graph: corrupt snapshot payload")
+// ErrSnapshotCorrupt marks a snapshot that is not one this build can
+// trust: a bad magic number or header checksum, an inconsistent
+// header, a file shorter than the payload its header describes, a
+// payload that fails Validate, or edges that do not hash to the
+// fingerprint in the header. Every rejection of a snapshot's bytes is
+// either this or ErrSnapshotVersion.
+var ErrSnapshotCorrupt = errors.New("graph: corrupt snapshot")
 
 // SnapshotHeader is the decoded fixed header of a snapshot file: the
 // graph's shape and fingerprint, readable without loading the payload.
@@ -70,11 +73,6 @@ type SnapshotHeader struct {
 	N           int64  // node count
 	M           int64  // edge count
 	Fingerprint uint64 // Graph.Fingerprint() of the payload
-}
-
-// payloadSize returns the byte length of the two payload sections.
-func (h SnapshotHeader) payloadSize() int64 {
-	return 8*(h.N+1) + 4*2*h.M
 }
 
 func (h SnapshotHeader) encode() []byte {
@@ -102,10 +100,10 @@ func headerChecksum(buf []byte) uint64 {
 // consistency of the fixed header.
 func decodeSnapshotHeader(buf []byte) (SnapshotHeader, error) {
 	if len(buf) < snapshotHeaderSize {
-		return SnapshotHeader{}, fmt.Errorf("graph: snapshot truncated: %d bytes, header needs %d", len(buf), snapshotHeaderSize)
+		return SnapshotHeader{}, fmt.Errorf("%w: truncated: %d bytes, header needs %d", ErrSnapshotCorrupt, len(buf), snapshotHeaderSize)
 	}
 	if [8]byte(buf[:8]) != snapshotMagic {
-		return SnapshotHeader{}, errors.New("graph: not a PGB CSR snapshot (bad magic)")
+		return SnapshotHeader{}, fmt.Errorf("%w: not a PGB CSR snapshot (bad magic)", ErrSnapshotCorrupt)
 	}
 	h := SnapshotHeader{
 		Version:     binary.LittleEndian.Uint32(buf[8:]),
@@ -117,14 +115,14 @@ func decodeSnapshotHeader(buf []byte) (SnapshotHeader, error) {
 		return SnapshotHeader{}, fmt.Errorf("%w: snapshot is version %d, this build reads %d", ErrSnapshotVersion, h.Version, SnapshotVersion)
 	}
 	if got, want := binary.LittleEndian.Uint64(buf[56:]), headerChecksum(buf); got != want {
-		return SnapshotHeader{}, fmt.Errorf("graph: snapshot header checksum mismatch (%016x != %016x): file corrupt", got, want)
+		return SnapshotHeader{}, fmt.Errorf("%w: header checksum mismatch (%016x != %016x)", ErrSnapshotCorrupt, got, want)
 	}
 	offLen := int64(binary.LittleEndian.Uint64(buf[40:]))
 	arenaLen := int64(binary.LittleEndian.Uint64(buf[48:]))
-	// Node ids are int32 and the graph is simple, which also keeps the
-	// payload size of any accepted header far from int64 overflow.
+	// Node ids are int32 and the graph is simple, which keeps n+1 and
+	// 2m of any accepted header from overflowing int64.
 	if h.N < 0 || h.N > math.MaxInt32 || h.M < 0 || h.M > h.N*(h.N-1)/2 || offLen != h.N+1 || arenaLen != 2*h.M {
-		return SnapshotHeader{}, fmt.Errorf("graph: snapshot header inconsistent (n=%d m=%d offLen=%d arenaLen=%d)", h.N, h.M, offLen, arenaLen)
+		return SnapshotHeader{}, fmt.Errorf("%w: header inconsistent (n=%d m=%d offLen=%d arenaLen=%d)", ErrSnapshotCorrupt, h.N, h.M, offLen, arenaLen)
 	}
 	return h, nil
 }
@@ -197,50 +195,87 @@ func WriteSnapshotFile(path string, g *Graph) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadSnapshot decodes a snapshot from r into freshly allocated slices
-// — the portable plain-read path, independent of mmap support and host
-// byte order. The decoded payload is verified against its header
-// (checkPayload), so a corrupt payload fails here with
-// ErrSnapshotCorrupt instead of misleading or crashing a kernel.
-func ReadSnapshot(r io.Reader) (*Graph, error) {
-	var hbuf [snapshotHeaderSize]byte
-	if _, err := io.ReadFull(r, hbuf[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading snapshot header: %w", err)
-	}
-	h, err := decodeSnapshotHeader(hbuf[:])
+// ReadSnapshotFile reads the snapshot at path into memory — the
+// portable path, independent of mmap support and host byte order. The
+// file is read whole into one buffer of exactly its size, backed by
+// []uint64 so it is 8-byte aligned, which viewSnapshot rewrites from
+// the wire order to host order in place and aliases as the graph. A
+// header that claims more payload than the file holds therefore costs
+// nothing beyond the file itself.
+func ReadSnapshotFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// Decode section-wise through one chunk buffer: a full-payload read
-	// would transiently hold file + slices (1.6× the graph), and a
-	// per-integer read would cost a syscall each on an unbuffered file.
-	chunk := make([]byte, 1<<16)
-	off := make([]int64, h.N+1)
-	for i := 0; i < len(off); {
-		want := (len(off) - i) * 8
-		if want > len(chunk) {
-			want = len(chunk)
-		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return nil, fmt.Errorf("graph: snapshot offset table truncated: %w", err)
-		}
-		for b := 0; b < want; b += 8 {
-			off[i] = int64(binary.LittleEndian.Uint64(chunk[b:]))
-			i++
-		}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	nbr := make([]int32, 2*h.M)
-	for i := 0; i < len(nbr); {
-		want := (len(nbr) - i) * 4
-		if want > len(chunk) {
-			want = len(chunk)
+	words := make([]uint64, (st.Size()+7)/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("graph: reading snapshot %s: %w", path, err)
+	}
+	return viewSnapshot(data, true)
+}
+
+// OpenSnapshot opens the snapshot at path, preferring a read-only mmap:
+// the returned graph's offset table and arena alias the mapped region —
+// no decode, no copy, pages shared between every process mapping the
+// same snapshot — leaving the linear payload verification
+// (checkPayload) as the whole open cost. The io.Closer releases the
+// mapping; the graph must not be used after Close (stores keep their
+// mappings open for their own lifetime, see SnapshotStore). When the
+// file cannot be mapped — unsupported platform, big-endian host, or a
+// mapping failure — it is read by ReadSnapshotFile and Close is a
+// no-op. Both sources go through viewSnapshot, so a file is accepted
+// or rejected identically on either path.
+func OpenSnapshot(path string) (*Graph, io.Closer, error) {
+	data, mapping, err := mapFile(path)
+	if err != nil {
+		g, err := ReadSnapshotFile(path)
+		if err != nil {
+			return nil, nil, err
 		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return nil, fmt.Errorf("graph: snapshot neighbor arena truncated: %w", err)
+		return g, io.NopCloser(nil), nil
+	}
+	g, err := viewSnapshot(data, false)
+	if err != nil {
+		_ = mapping.Close()
+		return nil, nil, err
+	}
+	return g, mapping, nil
+}
+
+// viewSnapshot is the one snapshot decoder. It decodes the header,
+// checks that data holds the payload the header describes, aliases the
+// offset table and arena in place and verifies them (checkPayload).
+// data must be 8-byte aligned. With toHost false its integers must
+// already be in host order (a mapping on a little-endian host); with
+// toHost true they are first rewritten from the little-endian wire
+// order to host order in place — the identity on little-endian hosts,
+// run anyway so that every host takes the same code.
+func viewSnapshot(data []byte, toHost bool) (*Graph, error) {
+	h, err := decodeSnapshotHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	// 8(n+1) is at most 2^34, but 8m may overflow int64: compare in
+	// arena words instead of bytes.
+	offEnd := snapshotHeaderSize + 8*(h.N+1)
+	if rest := int64(len(data)) - offEnd; rest < 0 || rest/8 < h.M {
+		return nil, fmt.Errorf("%w: truncated: %d bytes, payload needs %d offsets and %d arena entries", ErrSnapshotCorrupt, len(data), h.N+1, 2*h.M)
+	}
+	off := aliasInt64(data[snapshotHeaderSize:offEnd])
+	nbr := aliasInt32(data[offEnd : offEnd+8*h.M])
+	if toHost {
+		// Each element's own bytes, read in the wire's byte order.
+		for i := range off {
+			off[i] = int64(binary.LittleEndian.Uint64((*[8]byte)(unsafe.Pointer(&off[i]))[:]))
 		}
-		for b := 0; b < want; b += 4 {
-			nbr[i] = int32(binary.LittleEndian.Uint32(chunk[b:]))
-			i++
+		for i := range nbr {
+			nbr[i] = int32(binary.LittleEndian.Uint32((*[4]byte)(unsafe.Pointer(&nbr[i]))[:]))
 		}
 	}
 	g := &Graph{n: int(h.N), m: int(h.M), off: off, nbr: nbr}
@@ -250,117 +285,31 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// ReadSnapshotFile is ReadSnapshot over the file at path.
-func ReadSnapshotFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
+// aliasInt64 reinterprets b (8-byte aligned) as []int64 without
+// copying.
+func aliasInt64(b []byte) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
 }
 
-// forcePlainSnapshot disables the mmap fast path; tests set it to
-// exercise the plain-read fallback through OpenSnapshot itself.
-var forcePlainSnapshot = false
-
-// noopCloser is the io.Closer of a snapshot opened through the plain
-// path — the graph owns ordinary heap slices, nothing to release.
-type noopCloser struct{}
-
-func (noopCloser) Close() error { return nil }
-
-// OpenSnapshot opens the snapshot at path, preferring a read-only mmap:
-// the returned graph's offset table and arena alias the mapped region —
-// no decode, no copy, pages shared between every process mapping the
-// same snapshot — leaving the linear payload verification
-// (checkPayload) as the whole open cost. The io.Closer releases the
-// mapping; the graph must not be used after Close (stores keep their
-// mappings open for their own lifetime, see SnapshotStore). When mmap
-// is unavailable — unsupported platform, big-endian host, or a mapping
-// failure — the plain-read path is used and Close is a no-op.
-func OpenSnapshot(path string) (*Graph, io.Closer, error) {
-	if !forcePlainSnapshot && mmapSupported() {
-		g, closer, err := mmapSnapshot(path)
-		if err == nil {
-			return g, closer, nil
-		}
-		var hdrErr *snapshotHeaderError
-		if errors.As(err, &hdrErr) {
-			// Header-level rejections (bad magic, version, checksum)
-			// are verdicts about the file, not the platform: the plain
-			// path would reject it identically, so fail now.
-			return nil, nil, hdrErr.err
-		}
-	}
-	g, err := ReadSnapshotFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, noopCloser{}, nil
+// aliasInt32 reinterprets b (4-byte aligned) as []int32 without
+// copying.
+func aliasInt32(b []byte) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }
 
-// snapshotHeaderError wraps header validation failures seen by the
-// mmap path so OpenSnapshot can tell "this file is bad" from "mmap
-// did not work here".
-type snapshotHeaderError struct{ err error }
-
-func (e *snapshotHeaderError) Error() string { return e.err.Error() }
-func (e *snapshotHeaderError) Unwrap() error { return e.err }
-
-// checkPayload verifies a decoded or mapped payload against header h:
-// the CSR shape (validateShape), then symmetry and the header's
-// fingerprint, which pins the edge set the writer hashed, in one walk
-// (symmetricFingerprint). Together they establish everything Validate
-// does, so no payload, however crafted, reaches a kernel as anything
-// but the graph that was written. On success the graph's fingerprint
-// memo holds h.Fingerprint, so the caller's next Fingerprint call costs
+// checkPayload verifies a viewed payload against header h: Validate's
+// shape sweep and symmetric fingerprint walk, whose result must equal
+// the header's fingerprint, which pins the edge set the writer hashed.
+// No payload, however crafted, reaches a kernel as anything but the
+// graph that was written. On success the graph's fingerprint memo
+// holds h.Fingerprint, so the caller's next Fingerprint call costs
 // nothing.
 func (g *Graph) checkPayload(h SnapshotHeader) error {
-	if err := g.validateShape(); err != nil {
-		return err
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 	}
-	fp, err := g.symmetricFingerprint()
-	if err != nil {
-		return err
-	}
-	if fp != h.Fingerprint {
+	if fp := g.Fingerprint(); fp != h.Fingerprint {
 		return fmt.Errorf("%w: payload fingerprint %016x, header records %016x", ErrSnapshotCorrupt, fp, h.Fingerprint)
-	}
-	return nil
-}
-
-// validateShape checks the CSR-level invariants a snapshot payload must
-// satisfy before any kernel may walk it, in a linear sweep: monotone
-// in-bounds offsets, and every neighbor segment strictly increasing,
-// in range and free of the node itself — so a payload never hands the
-// kernels a self loop or a duplicate edge. A corrupt or truncated
-// payload is an ErrSnapshotCorrupt error instead of a panic or a
-// silently wrong count.
-func (g *Graph) validateShape() error {
-	if len(g.off) != g.n+1 || g.off[0] != 0 || g.off[g.n] != int64(len(g.nbr)) || int(g.off[g.n]) != 2*g.m {
-		return fmt.Errorf("%w: shape inconsistent (n=%d m=%d)", ErrSnapshotCorrupt, g.n, g.m)
-	}
-	for u := 0; u < g.n; u++ {
-		if g.off[u] > g.off[u+1] {
-			return fmt.Errorf("%w: offsets decrease at node %d", ErrSnapshotCorrupt, u)
-		}
-	}
-	n := int32(g.n)
-	for u := int32(0); u < n; u++ {
-		prev := int32(-1)
-		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-			if v <= prev || v >= n || v == u {
-				switch {
-				case v < 0 || v >= n:
-					return fmt.Errorf("%w: neighbor %d out of range [0, %d)", ErrSnapshotCorrupt, v, n)
-				case v == u:
-					return fmt.Errorf("%w: node %d lists itself", ErrSnapshotCorrupt, u)
-				}
-				return fmt.Errorf("%w: neighbors of node %d not strictly increasing at %d", ErrSnapshotCorrupt, u, v)
-			}
-			prev = v
-		}
 	}
 	return nil
 }

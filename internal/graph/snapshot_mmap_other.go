@@ -2,18 +2,15 @@
 
 package graph
 
-// Non-unix fallback: no mmap — OpenSnapshot always takes the portable
-// plain-read path. Kept as a stub (never an error return from a live
-// code path) so the platform split stays in the build tags, not in
-// runtime conditionals.
+// Non-unix fallback: no mmap — OpenSnapshot always reads the file with
+// ReadSnapshotFile. Kept as a stub so the platform split stays in the
+// build tags, not in runtime conditionals.
 
 import (
 	"errors"
 	"io"
 )
 
-func mmapSupported() bool { return false }
-
-func mmapSnapshot(path string) (*Graph, io.Closer, error) {
+func mapFile(string) ([]byte, io.Closer, error) {
 	return nil, nil, errors.New("graph: mmap unsupported on this platform")
 }

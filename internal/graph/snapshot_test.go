@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -74,8 +76,10 @@ func TestSnapshotRoundTripMmap(t *testing.T) {
 	}
 }
 
-// TestSnapshotMmapVsPlainParity forces the fallback path through
-// OpenSnapshot itself and checks it decodes the identical graph.
+// TestSnapshotMmapVsPlainParity checks that the plain read decodes the
+// graph the mapping views, and that a file mmap refuses (a zero-length
+// one) takes OpenSnapshot's fallback to the plain read and fails there
+// with the plain read's own error.
 func TestSnapshotMmapVsPlainParity(t *testing.T) {
 	g := snapTestGraph(t, 300, 1200, 2)
 	path := writeSnapTemp(t, g)
@@ -86,15 +90,21 @@ func TestSnapshotMmapVsPlainParity(t *testing.T) {
 	}
 	defer closer.Close()
 
-	forcePlainSnapshot = true
-	defer func() { forcePlainSnapshot = false }()
-	viaPlain, plainCloser, err := OpenSnapshot(path)
+	viaPlain, err := ReadSnapshotFile(path)
 	if err != nil {
-		t.Fatalf("OpenSnapshot (forced plain): %v", err)
+		t.Fatalf("ReadSnapshotFile: %v", err)
 	}
-	defer plainCloser.Close()
-
 	equalGraphs(t, viaMmap, viaPlain)
+
+	empty := filepath.Join(t.TempDir(), "empty.pgb")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, openErr := OpenSnapshot(empty)
+	_, readErr := ReadSnapshotFile(empty)
+	if !errors.Is(openErr, ErrSnapshotCorrupt) || readErr == nil || openErr.Error() != readErr.Error() {
+		t.Fatalf("zero-length file: OpenSnapshot %v, ReadSnapshotFile %v", openErr, readErr)
+	}
 }
 
 func TestSnapshotEmptyAndTinyGraphs(t *testing.T) {
@@ -123,11 +133,11 @@ func TestSnapshotTruncatedRejected(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := OpenSnapshot(path); err == nil {
-			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(full))
+		if _, _, err := OpenSnapshot(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("truncation at %d/%d bytes: want ErrSnapshotCorrupt, got %v", cut, len(full), err)
 		}
-		if _, err := ReadSnapshotFile(path); err == nil {
-			t.Fatalf("plain read accepted truncation at %d/%d bytes", cut, len(full))
+		if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("plain read of truncation at %d/%d bytes: want ErrSnapshotCorrupt, got %v", cut, len(full), err)
 		}
 	}
 }
@@ -138,6 +148,8 @@ func TestSnapshotCorruptHeaderRejected(t *testing.T) {
 	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
+	// corrupt writes a mutated copy and returns the plain read's error
+	// after checking that OpenSnapshot fails with the same one.
 	corrupt := func(mutate func([]byte)) error {
 		data := bytes.Clone(buf.Bytes())
 		mutate(data)
@@ -145,22 +157,26 @@ func TestSnapshotCorruptHeaderRejected(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := OpenSnapshot(path)
-		return err
+		_, _, openErr := OpenSnapshot(path)
+		_, readErr := ReadSnapshotFile(path)
+		if (openErr == nil) != (readErr == nil) || (openErr != nil && openErr.Error() != readErr.Error()) {
+			t.Fatalf("readers disagree: OpenSnapshot %v, ReadSnapshotFile %v", openErr, readErr)
+		}
+		return readErr
 	}
-	if err := corrupt(func(d []byte) { d[0] = 'X' }); err == nil {
-		t.Fatal("bad magic accepted")
+	if err := corrupt(func(d []byte) { d[0] = 'X' }); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("bad magic: want ErrSnapshotCorrupt, got %v", err)
 	}
 	// Flip a header field without refreshing the checksum.
-	if err := corrupt(func(d []byte) { d[16]++ }); err == nil {
-		t.Fatal("checksummed header field flip accepted")
+	if err := corrupt(func(d []byte) { d[16]++ }); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("checksummed header field flip: want ErrSnapshotCorrupt, got %v", err)
 	}
 	// Declare an inconsistent offset-table length WITH a valid checksum.
 	if err := corrupt(func(d []byte) {
 		binary.LittleEndian.PutUint64(d[40:], binary.LittleEndian.Uint64(d[40:])+1)
 		binary.LittleEndian.PutUint64(d[56:], headerChecksum(d))
-	}); err == nil {
-		t.Fatal("inconsistent section lengths accepted")
+	}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("inconsistent section lengths: want ErrSnapshotCorrupt, got %v", err)
 	}
 }
 
@@ -244,8 +260,8 @@ func TestSnapshotNonSimplePayloadRejected(t *testing.T) {
 			if _, _, err := OpenSnapshot(path); !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("OpenSnapshot: want ErrSnapshotCorrupt, got %v", err)
 			}
-			if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("ReadSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("ReadSnapshotFile: want ErrSnapshotCorrupt, got %v", err)
 			}
 		})
 	}
@@ -295,8 +311,8 @@ func TestSnapshotPayloadMustMatchHeader(t *testing.T) {
 			if _, _, err := OpenSnapshot(path); !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("OpenSnapshot: want ErrSnapshotCorrupt, got %v", err)
 			}
-			if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("ReadSnapshot: want ErrSnapshotCorrupt, got %v", err)
+			if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("ReadSnapshotFile: want ErrSnapshotCorrupt, got %v", err)
 			}
 		})
 	}
@@ -319,7 +335,7 @@ func TestSnapshotOpenSeedsFingerprint(t *testing.T) {
 	for _, c := range []struct {
 		reader string
 		g      *Graph
-	}{{"ReadSnapshot", read}, {"OpenSnapshot", mapped}} {
+	}{{"ReadSnapshotFile", read}, {"OpenSnapshot", mapped}} {
 		if got := c.g.fp.Load(); got != walkFingerprint(g) {
 			t.Fatalf("%s: memo holds %016x, want %016x", c.reader, got, walkFingerprint(g))
 		}
@@ -343,5 +359,33 @@ func TestSnapshotHeaderBoundsShape(t *testing.T) {
 	}
 	if _, err := decodeSnapshotHeader(SnapshotHeader{Version: SnapshotVersion, N: 3, M: 3}.encode()); err != nil {
 		t.Errorf("complete graph on 3 nodes rejected: %v", err)
+	}
+}
+
+// TestSnapshotLyingHeaderIsCheap: a 64-byte file whose header, checksum
+// valid, claims far more payload than the file holds fails on both
+// readers without allocating for the claim. The second header's arena
+// byte count, 8m, overflows int64, so a size check in bytes would wrap
+// and pass.
+func TestSnapshotLyingHeaderIsCheap(t *testing.T) {
+	for _, h := range []SnapshotHeader{
+		{Version: SnapshotVersion, N: 1 << 24},
+		{Version: SnapshotVersion, N: math.MaxInt32, M: math.MaxInt32 * (math.MaxInt32 - 1) / 2},
+	} {
+		path := filepath.Join(t.TempDir(), "liar.pgb")
+		if err := os.WriteFile(path, h.encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, openErr := OpenSnapshot(path)
+		_, readErr := ReadSnapshotFile(path)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(openErr, ErrSnapshotCorrupt) || !errors.Is(readErr, ErrSnapshotCorrupt) {
+			t.Fatalf("n=%d m=%d: want ErrSnapshotCorrupt from both readers, got OpenSnapshot %v, ReadSnapshotFile %v", h.N, h.M, openErr, readErr)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("n=%d m=%d: rejecting a 64-byte file allocated %d bytes", h.N, h.M, d)
+		}
 	}
 }

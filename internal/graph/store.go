@@ -207,23 +207,16 @@ func (s *SnapshotStore) SnapshotPath(fp uint64) string {
 
 // Open implements Store: the ref resolves through the index to a
 // fingerprint-addressed snapshot file, opened via mmap with plain-read
-// fallback and memoized per fingerprint.
+// fallback and memoized per fingerprint. A missing snapshot file is
+// ErrNotFound: an index entry whose payload was deleted resolves the
+// same as no entry.
 func (s *SnapshotStore) Open(ref Ref) (*Graph, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	fp, ok := s.index[ref.Key()]
-	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.Key())
 	}
-	return s.OpenFingerprint(fp)
-}
-
-// OpenFingerprint opens the snapshot addressed by fp directly,
-// bypassing the ref index. A missing snapshot file is ErrNotFound (an
-// index entry whose payload was deleted resolves the same as no entry).
-func (s *SnapshotStore) OpenFingerprint(fp uint64) (*Graph, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if snap, ok := s.open[fp]; ok {
 		return snap.g, nil
 	}

@@ -1,6 +1,7 @@
 package pgb_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -144,6 +145,47 @@ func TestPublicAPIErrorsNeverPanic(t *testing.T) {
 			}()
 			if err := tc.call(); err == nil {
 				t.Fatal("bad input accepted without error")
+			}
+		})
+	}
+
+	// Compare has no error return: graphs of different node counts
+	// (a nil graph is the empty graph) score the per-node queries, CD
+	// and EVC, as NaN, and every other row as if asked alone.
+	five := pgb.NewGraphFromEdges(5, []pgb.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
+	six := pgb.NewGraphFromEdges(6, []pgb.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}})
+	for _, tc := range []struct {
+		name       string
+		truth, syn *pgb.Graph
+	}{
+		{"compare-nil-truth", nil, small},
+		{"compare-5-vs-6-nodes", five, six},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			rep := pgb.Compare(tc.truth, tc.syn, 1)
+			var others []pgb.QueryID
+			for i, row := range rep.Rows {
+				if row.Query == "CD" || row.Query == "EVC" {
+					if !math.IsNaN(row.Error) {
+						t.Fatalf("%s error = %v, want NaN", row.Query, row.Error)
+					}
+					continue
+				}
+				others = append(others, pgb.QueryID(i+1))
+			}
+			if len(others) != len(rep.Rows)-2 {
+				t.Fatalf("rows %v: want CD and EVC among them", rep.Rows)
+			}
+			alone := pgb.CompareQueries(tc.truth, tc.syn, 1, others).Rows
+			for i, q := range others {
+				if got, want := fmt.Sprint(rep.Rows[q-1]), fmt.Sprint(alone[i]); got != want {
+					t.Fatalf("row %d = %s, asked alone %s", q, got, want)
+				}
 			}
 		})
 	}

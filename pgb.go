@@ -221,7 +221,8 @@ func Compare(truth, syn *Graph, seed int64) QueryReport {
 // CompareQueries is Compare restricted to a query subset; nil evaluates
 // the built-in fifteen. Custom queries from RegisterQuery are accepted.
 // A nil graph on either side is profiled as the empty graph rather than
-// panicking; the affected rows degrade to NaN/zero errors.
+// panicking; the affected rows degrade to NaN/zero errors. On graphs of
+// different node counts the per-node queries (CD, EVC) score NaN.
 func CompareQueries(truth, syn *Graph, seed int64, queries []QueryID) QueryReport {
 	if truth == nil {
 		truth = graph.New(0)
