@@ -34,12 +34,14 @@ func TestBudgetCompositionWithinEpsilon(t *testing.T) {
 		//pgb:deterministic each split gets a fresh accountant; iterations share no state
 		for name, fracs := range splits {
 			acct := dp.NewAccountant(eps)
+			spent := 0.0
 			for i, f := range fracs {
 				if err := acct.Spend(f * eps); err != nil {
 					t.Errorf("%s at eps=%g: stage %d over-spent: %v", name, eps, i, err)
 				}
+				spent += f * eps
 			}
-			if spent := acct.Spent(); spent > eps*(1+1e-9) {
+			if spent > eps*(1+1e-9) {
 				t.Errorf("%s at eps=%g: total spent %g exceeds budget", name, eps, spent)
 			}
 		}

@@ -51,16 +51,16 @@ func TestEdgeCountRoughlyPreserved(t *testing.T) {
 func TestDenseRegionFoundByQuadtree(t *testing.T) {
 	// plant a dense block among nodes 0..31 and near-nothing elsewhere;
 	// the reconstruction should put most edges back inside the block
-	b := graph.NewBuilder(128)
+	var edges []graph.Edge
 	r := rng(3)
 	for i := 0; i < 300; i++ {
 		u, v := int32(r.Intn(32)), int32(r.Intn(32))
-		_ = b.AddEdge(u, v)
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	for i := 0; i < 20; i++ {
-		_ = b.AddEdge(int32(32+r.Intn(96)), int32(32+r.Intn(96)))
+		edges = append(edges, graph.Edge{U: int32(32 + r.Intn(96)), V: int32(32 + r.Intn(96))})
 	}
-	g := b.Build()
+	g := graph.FromEdges(128, edges)
 	syn, err := Default().Generate(g, 10, rng(4), algo.Params{})
 	if err != nil {
 		t.Fatal(err)

@@ -15,26 +15,24 @@ import (
 // density), a disconnected forest (no giant component), and an empty
 // graph with many nodes.
 func pathologicalGraphs() map[string]*graph.Graph {
-	star := graph.NewBuilder(60)
+	var star []graph.Edge
 	for i := int32(1); i < 60; i++ {
-		_ = star.AddEdge(0, i)
+		star = append(star, graph.Edge{U: 0, V: i})
 	}
-	complete := graph.NewBuilder(30)
+	var complete []graph.Edge
 	for u := int32(0); u < 30; u++ {
 		for v := u + 1; v < 30; v++ {
-			_ = complete.AddEdge(u, v)
+			complete = append(complete, graph.Edge{U: u, V: v})
 		}
 	}
-	forest := graph.NewBuilder(80)
+	var forest []graph.Edge
 	for i := int32(0); i < 80; i += 4 {
-		_ = forest.AddEdge(i, i+1)
-		_ = forest.AddEdge(i+1, i+2)
-		_ = forest.AddEdge(i+2, i+3)
+		forest = append(forest, graph.Edge{U: i, V: i + 1}, graph.Edge{U: i + 1, V: i + 2}, graph.Edge{U: i + 2, V: i + 3})
 	}
 	return map[string]*graph.Graph{
-		"star":     star.Build(),
-		"complete": complete.Build(),
-		"forest":   forest.Build(),
+		"star":     graph.FromEdges(60, star),
+		"complete": graph.FromEdges(30, complete),
+		"forest":   graph.FromEdges(80, forest),
 		"empty":    graph.New(50),
 	}
 }

@@ -244,10 +244,9 @@ func randomizeEdges(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	q := dp.FlipProbability(eps)
 	// Collect surviving and flipped-in edges into a flat list and build
-	// the CSR arena directly: FromEdges deduplicates exactly like the
-	// legacy per-node Builder maps did, without their allocations. The
-	// rng draw sequence (one Float64 per true edge in canonical order,
-	// then two Intn per flip-in attempt) is unchanged.
+	// the CSR arena directly: FromEdges deduplicates with no per-node
+	// maps. The rng draw sequence (one Float64 per true edge in
+	// canonical order, then two Intn per flip-in attempt) is unchanged.
 	edges := make([]graph.Edge, 0, g.M())
 	for e := range g.EdgeSeq() {
 		if rng.Float64() >= q {

@@ -104,11 +104,11 @@ func TestQuickLouvainValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(40)
-		b := graph.NewBuilder(n)
+		var edges []graph.Edge
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 		}
-		g := b.Build()
+		g := graph.FromEdges(n, edges)
 		res := Louvain(g, r)
 		if len(res.Labels) != n {
 			return false

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -216,13 +217,14 @@ func (w *checkpointWriter) append(res CellResult) error {
 func (w *checkpointWriter) close() error { return w.f.Close() }
 
 // loadManifest parses a manifest, stopping at the first line that is
-// incomplete (no trailing newline) or does not parse — the torn tail of
-// an interrupted run. It returns the header, the completed cells, and
-// the byte offset of the valid prefix, to which a resuming writer
-// truncates before appending. The newline requirement matters: a torn
-// line can be byte-for-byte valid JSON missing only its '\n', and
-// counting it into the prefix would glue the next appended record onto
-// the same line, corrupting every later resume.
+// incomplete (no trailing newline), does not parse, or holds a cell not
+// shaped by the header's queries — a torn tail or a garbled line. It
+// returns the header, the completed cells, and the byte offset of the
+// valid prefix, to which a resuming writer truncates before appending.
+// The newline requirement matters: a torn line can be byte-for-byte
+// valid JSON missing only its '\n', and counting it into the prefix
+// would glue the next appended record onto the same line, corrupting
+// every later resume.
 func loadManifest(path string) (manifestHeader, []manifestCell, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -255,7 +257,8 @@ func loadManifest(path string) (manifestHeader, []manifestCell, int64, error) {
 			break // EOF, or a torn tail — everything before it stands
 		}
 		var c manifestCell
-		if jerr := json.Unmarshal(line, &c); jerr != nil || c.Algorithm == "" {
+		if jerr := json.Unmarshal(line, &c); jerr != nil || c.Algorithm == "" ||
+			!slices.Equal(c.Queries, h.Queries) || len(c.Errors) != len(h.Queries) || len(c.StdDev) != len(h.Queries) {
 			break // garbled line — stop at the valid prefix
 		}
 		cells = append(cells, c)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -400,4 +401,77 @@ func TestRunRejectsInvalidEpsilon(t *testing.T) {
 			t.Errorf("eps=%g: run did work before failing: %q", eps, pc.lines)
 		}
 	}
+}
+
+// TestResumeRecomputesMisshapenCell: a cell record whose errors list is
+// shorter than its query list is a garbled line, however well it
+// parses. Resume keeps the prefix before it and recomputes that cell
+// and every later one, so the tables never index past the short list,
+// and the recomputed values are the ones the pristine manifest holds.
+func TestResumeRecomputesMisshapenCell(t *testing.T) {
+	raw, err := os.ReadFile("testdata/manifest-v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(data []byte) *Results {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Resume(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = res.FormatTable7()
+		return res
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	var c manifestCell
+	if err := json.Unmarshal([]byte(lines[3]), &c); err != nil {
+		t.Fatal(err)
+	}
+	c.Errors = c.Errors[:3]
+	cut, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[3] = string(cut) + "\n"
+	assertSameCellValues(t, resume(raw), resume([]byte(strings.Join(lines, ""))))
+}
+
+// FuzzLoadManifest: the manifest reader takes arbitrary bytes without
+// panicking. Every cell it accepts has the header's shape, and the
+// offset it returns ends the valid prefix on a newline within the file.
+func FuzzLoadManifest(f *testing.F) {
+	paths, err := filepath.Glob("testdata/manifest-v1*.jsonl")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed manifests: %v", err)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	path := filepath.Join(f.TempDir(), "run.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, cells, offset, err := loadManifest(path)
+		if err != nil {
+			return
+		}
+		if offset <= 0 || offset > int64(len(data)) || data[offset-1] != '\n' {
+			t.Fatalf("offset %d does not end a line of the %d-byte file", offset, len(data))
+		}
+		for i, c := range cells {
+			if !reflect.DeepEqual(c.Queries, h.Queries) || len(c.Errors) != len(h.Queries) || len(c.StdDev) != len(h.Queries) {
+				t.Fatalf("cell %d accepted with queries %v, %d errors, %d stddevs; header queries %v",
+					i, c.Queries, len(c.Errors), len(c.StdDev), h.Queries)
+			}
+		}
+	})
 }

@@ -244,7 +244,8 @@ func TestRunWithQuerySubsetAndCustomQuery(t *testing.T) {
 	id, err := RegisterQuery(QuerySpec{
 		Symbol: "TestDensity",
 		Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
-			return g.Density()
+			n := float64(g.N())
+			return 2 * float64(g.M()) / (n * (n - 1))
 		},
 	})
 	if err != nil {

@@ -49,26 +49,11 @@ func LaplaceMechanism(rng *rand.Rand, value, sensitivity, epsilon float64) float
 	return value + Laplace(rng, sensitivity/epsilon)
 }
 
-// LaplaceVector perturbs each entry of values with i.i.d. Laplace noise of
-// scale sensitivity/epsilon, where sensitivity is the L1 sensitivity of the
-// whole vector. The input is not modified.
-func LaplaceVector(rng *rand.Rand, values []float64, sensitivity, epsilon float64) []float64 {
-	if epsilon <= 0 {
-		panic("dp: non-positive epsilon")
-	}
-	b := sensitivity / epsilon
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v + Laplace(rng, b)
-	}
-	return out
-}
-
-// LaplaceVectorInto is LaplaceVector without the allocation: it writes
-// values[i] + noise into dst, which must be at least len(values) long, and
-// returns dst[:len(values)]. dst and values may be the same slice for
-// in-place perturbation. Draws are identical to LaplaceVector's — one per
-// entry, in order — so the two are interchangeable on a fixed rng stream.
+// LaplaceVectorInto writes values[i] plus i.i.d. Laplace noise of scale
+// sensitivity/epsilon (sensitivity being the L1 sensitivity of the whole
+// vector), one draw per entry in order, into dst, which must be at least
+// len(values) long, and returns dst[:len(values)]. dst and values may be
+// the same slice for in-place perturbation.
 func LaplaceVectorInto(rng *rand.Rand, dst, values []float64, sensitivity, epsilon float64) []float64 {
 	if epsilon <= 0 {
 		panic("dp: non-positive epsilon")
@@ -179,18 +164,3 @@ func (a *Accountant) Spend(eps float64) error {
 	a.spent += eps
 	return nil
 }
-
-// Spent returns the consumed budget.
-func (a *Accountant) Spent() float64 { return a.spent }
-
-// Remaining returns the unconsumed budget.
-func (a *Accountant) Remaining() float64 {
-	r := a.total - a.spent
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Total returns the total budget.
-func (a *Accountant) Total() float64 { return a.total }

@@ -66,6 +66,21 @@ func TestLaplaceMechanismPanicsOnBadEps(t *testing.T) {
 	LaplaceMechanism(rng(), 1, 1, 0)
 }
 
+// LaplaceVector is the allocating reference LaplaceVectorInto is
+// checked against: a copy of values with one Laplace draw of scale
+// sensitivity/epsilon added to each entry, in order.
+func LaplaceVector(rng *rand.Rand, values []float64, sensitivity, epsilon float64) []float64 {
+	if epsilon <= 0 {
+		panic("dp: non-positive epsilon")
+	}
+	b := sensitivity / epsilon
+	out := make([]float64, len(values))
+	for i, v := range values {
+		out[i] = v + Laplace(rng, b)
+	}
+	return out
+}
+
 func TestLaplaceVector(t *testing.T) {
 	r := rng()
 	in := []float64{1, 2, 3}
@@ -207,11 +222,11 @@ func TestAccountantEnforcesBudget(t *testing.T) {
 	if err := a.Spend(0.01); err == nil {
 		t.Fatal("over-spend accepted")
 	}
-	if a.Spent() != 1.0 {
-		t.Fatalf("spent = %g", a.Spent())
+	if a.spent != 1.0 {
+		t.Fatalf("spent = %g", a.spent)
 	}
-	if a.Remaining() != 0 {
-		t.Fatalf("remaining = %g", a.Remaining())
+	if r := a.total - a.spent; r != 0 {
+		t.Fatalf("remaining = %g", r)
 	}
 }
 
@@ -257,15 +272,15 @@ func TestAccountantFloatBoundary(t *testing.T) {
 	}
 }
 
-// property: accountant never reports Spent > Total after any sequence of
-// successful spends.
+// property: the accountant never holds spent > total after any sequence
+// of successful spends.
 func TestQuickAccountantInvariant(t *testing.T) {
 	f := func(parts []float64) bool {
 		a := NewAccountant(1)
 		for _, p := range parts {
 			_ = a.Spend(math.Abs(p))
 		}
-		return a.Spent() <= a.Total()*(1+1e-9)
+		return a.spent <= a.total*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -357,11 +357,11 @@ func TestQuickHavelHakimiExact(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 4 + r.Intn(20)
 		// generate a graphical sequence by reading degrees off a random graph
-		b := graph.NewBuilder(n)
+		var edges []graph.Edge
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 		}
-		d := b.Build().Degrees()
+		d := graph.FromEdges(n, edges).Degrees()
 		g := HavelHakimi(d)
 		got := g.Degrees()
 		for i := range d {

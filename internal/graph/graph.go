@@ -6,7 +6,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -19,7 +18,7 @@ import (
 // nbr[off[u]:off[u+1]]. The flat layout keeps every adjacency scan on
 // one contiguous allocation — the hot kernels (triangle counting, BFS)
 // walk it cache-line by cache-line instead of chasing one pointer per
-// node. Construction goes through Builder or FromEdges (which
+// node. Construction goes through FromEdges or EdgeSet (which
 // deduplicate); a finished Graph is immutable by convention, which is
 // what lets it memoize its own Fingerprint.
 type Graph struct {
@@ -138,14 +137,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Density returns 2m / (n(n-1)), the fraction of possible edges present.
-func (g *Graph) Density() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	return 2 * float64(g.m) / (float64(g.n) * float64(g.n-1))
-}
-
 // Validate checks structural invariants: consistent offsets, sorted
 // adjacency, symmetry, no self-loops, no duplicates, and consistent edge
 // count, in two linear sweeps (validateShape, then the symmetric
@@ -195,92 +186,6 @@ func (g *Graph) validateShape() error {
 // String implements fmt.Stringer.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{n=%d, m=%d}", g.n, g.m)
-}
-
-// ErrNodeRange is returned by Builder.AddEdge for out-of-range endpoints.
-var ErrNodeRange = errors.New("graph: node index out of range")
-
-// Builder accumulates edges and produces an immutable Graph. Duplicate
-// edges and self-loops are silently dropped, so algorithm construction
-// stages can emit candidate edges freely.
-type Builder struct {
-	n   int
-	adj []map[int32]struct{}
-}
-
-// NewBuilder returns a Builder for a graph with n nodes.
-func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, adj: make([]map[int32]struct{}, n)}
-	return b
-}
-
-// N returns the number of nodes the builder was created with.
-func (b *Builder) N() int { return b.n }
-
-// AddEdge inserts the undirected edge {u, v}, ignoring self-loops and
-// duplicates. Returns ErrNodeRange if an endpoint is out of range.
-func (b *Builder) AddEdge(u, v int32) error {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		return ErrNodeRange
-	}
-	if u == v {
-		return nil
-	}
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int32]struct{})
-	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]struct{})
-	}
-	b.adj[u][v] = struct{}{}
-	b.adj[v][u] = struct{}{}
-	return nil
-}
-
-// HasEdge reports whether {u, v} has been added.
-func (b *Builder) HasEdge(u, v int32) bool {
-	if u < 0 || int(u) >= b.n || b.adj[u] == nil {
-		return false
-	}
-	_, ok := b.adj[u][v]
-	return ok
-}
-
-// M returns the current number of distinct edges.
-func (b *Builder) M() int {
-	half := 0
-	for _, s := range b.adj {
-		half += len(s)
-	}
-	return half / 2
-}
-
-// Degree returns the current degree of node u.
-func (b *Builder) Degree(u int32) int {
-	if u < 0 || int(u) >= b.n {
-		return 0
-	}
-	return len(b.adj[u])
-}
-
-// Build finalizes the builder into an immutable CSR Graph.
-func (b *Builder) Build() *Graph {
-	off := make([]int64, b.n+1)
-	for u := 0; u < b.n; u++ {
-		off[u+1] = off[u] + int64(len(b.adj[u]))
-	}
-	nbr := make([]int32, off[b.n])
-	for u := 0; u < b.n; u++ {
-		if len(b.adj[u]) == 0 {
-			continue
-		}
-		seg := nbr[off[u]:off[u]:off[u+1]]
-		for v := range b.adj[u] {
-			seg = append(seg, v)
-		}
-		slices.Sort(seg)
-	}
-	return &Graph{n: b.n, m: int(off[b.n] / 2), off: off, nbr: nbr}
 }
 
 // FromEdges constructs a graph with n nodes from an edge list, dropping
@@ -374,8 +279,8 @@ func FromEdges(n int, edges []Edge) *Graph {
 // the edges: Build reads them back out of it, in slot order, which
 // FromEdges makes immaterial. A set made by NewEdgeSetOver starts out
 // holding a graph's edges without copying or hashing them. Semantics
-// match Builder exactly: self-loops, duplicates, and out-of-range
-// endpoints are silently dropped.
+// match FromEdges: self-loops, duplicates, and out-of-range endpoints
+// are silently dropped.
 type EdgeSet struct {
 	n     int
 	base  *Graph   // edges held from the start (NewEdgeSetOver), or nil
@@ -441,21 +346,9 @@ func (s *EdgeSet) inBase(u, v int32) bool {
 	return s.base != nil && s.base.HasEdge(u, v)
 }
 
-// Has reports whether the set holds the undirected edge {u, v}.
-func (s *EdgeSet) Has(u, v int32) bool {
-	if !s.valid(u, v) {
-		return false
-	}
-	if s.inBase(u, v) {
-		return true
-	}
-	key := packEdge(u, v)
-	return s.slots[s.slot(key)] == key
-}
-
 // Add inserts the undirected edge {u, v}, ignoring self-loops,
 // duplicates, and out-of-range endpoints, and reports whether the edge
-// was new — so a rejection loop needs no Has probe before it.
+// was new — so a rejection loop needs no membership probe before it.
 func (s *EdgeSet) Add(u, v int32) bool {
 	if !s.valid(u, v) || s.inBase(u, v) {
 		return false
@@ -507,63 +400,31 @@ func (s *EdgeSet) Build() *Graph {
 	return FromEdges(s.n, edges)
 }
 
-// Subgraph returns the induced subgraph on the given nodes, relabelled to
-// 0..len(nodes)-1 in the given order.
-func (g *Graph) Subgraph(nodes []int32) *Graph {
-	idx := make(map[int32]int32, len(nodes))
-	for i, u := range nodes {
-		idx[u] = int32(i)
-	}
-	var edges []Edge
-	for i, u := range nodes {
-		for _, v := range g.Neighbors(u) {
-			if j, ok := idx[v]; ok {
-				edges = append(edges, Canon(int32(i), j))
-			}
-		}
-	}
-	return FromEdges(len(nodes), edges)
-}
-
-// LargestComponent returns the node set of the largest connected component.
+// LargestComponent returns the node set of the largest connected
+// component (the first found, on a tie) in breadth-first order from its
+// smallest node, or nil for an empty graph.
 func (g *Graph) LargestComponent() []int32 {
-	comp := g.Components()
-	best := 0
-	for i := range comp {
-		if len(comp[i]) > len(comp[best]) {
-			best = i
-		}
-	}
-	if len(comp) == 0 {
-		return nil
-	}
-	return comp[best]
-}
-
-// Components returns the connected components as node-ID slices.
-func (g *Graph) Components() [][]int32 {
 	seen := make([]bool, g.n)
-	var comps [][]int32
-	queue := make([]int32, 0, g.n)
+	order := make([]int32, 0, g.n) // each component's BFS order, back to back
+	var best []int32
 	for s := 0; s < g.n; s++ {
 		if seen[s] {
 			continue
 		}
 		seen[s] = true
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		comp := []int32{int32(s)}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Neighbors(u) {
+		start := len(order)
+		order = append(order, int32(s))
+		for head := start; head < len(order); head++ {
+			for _, v := range g.Neighbors(order[head]) {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
-					comp = append(comp, v)
+					order = append(order, v)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		if len(order)-start > len(best) {
+			best = order[start:len(order):len(order)]
+		}
 	}
-	return comps
+	return best
 }

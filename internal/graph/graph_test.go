@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,45 +22,6 @@ func TestNewNegative(t *testing.T) {
 	g := New(-3)
 	if g.N() != 0 {
 		t.Fatalf("New(-3) n = %d, want 0", g.N())
-	}
-}
-
-func TestBuilderBasic(t *testing.T) {
-	b := NewBuilder(4)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 0); err != nil { // duplicate reversed
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(2, 2); err != nil { // self loop dropped
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Build()
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Fatal("edge 0-1 missing")
-	}
-	if g.HasEdge(2, 2) {
-		t.Fatal("self loop present")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuilderRange(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddEdge(0, 3); err != ErrNodeRange {
-		t.Fatalf("got %v, want ErrNodeRange", err)
-	}
-	if err := b.AddEdge(-1, 0); err != ErrNodeRange {
-		t.Fatalf("got %v, want ErrNodeRange", err)
 	}
 }
 
@@ -106,25 +68,29 @@ func TestCanon(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if d := g.Density(); d != 1 {
-		t.Fatalf("K4 density = %g, want 1", d)
+// Components returns the connected components as node-ID slices, each
+// in breadth-first order from its smallest node: the reference
+// LargestComponent is checked against.
+func (g *Graph) Components() [][]int32 {
+	seen := make([]bool, g.n)
+	var comps [][]int32
+	for s := 0; s < g.n; s++ {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		comp := []int32{int32(s)}
+		for head := 0; head < len(comp); head++ {
+			for _, v := range g.Neighbors(comp[head]) {
+				if !seen[v] {
+					seen[v] = true
+					comp = append(comp, v)
+				}
+			}
+		}
+		comps = append(comps, comp)
 	}
-	if New(1).Density() != 0 {
-		t.Fatal("single-node density should be 0")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
-	sub := g.Subgraph([]int32{1, 2, 3})
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("subgraph n=%d m=%d, want 3, 2", sub.N(), sub.M())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatal("subgraph edges wrong")
-	}
+	return comps
 }
 
 func TestComponents(t *testing.T) {
@@ -136,6 +102,30 @@ func TestComponents(t *testing.T) {
 	lc := g.LargestComponent()
 	if len(lc) != 3 {
 		t.Fatalf("largest component size = %d, want 3", len(lc))
+	}
+	if New(0).LargestComponent() != nil {
+		t.Fatal("empty graph has a largest component")
+	}
+
+	// LargestComponent is the first largest of Components, node for node.
+	f := func(seed int64, rawN uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(rawN % 60)
+		edges := make([]Edge, n)
+		for i := range edges {
+			edges[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+		}
+		g := FromEdges(n, edges)
+		var want []int32
+		for _, c := range g.Components() {
+			if len(c) > len(want) {
+				want = c
+			}
+		}
+		return slices.Equal(g.LargestComponent(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -152,11 +142,11 @@ func TestQuickBuildInvariants(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := int(rawN%50) + 2
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+		edges := make([]Edge, 3*n)
+		for i := range edges {
+			edges[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
 		}
-		g := b.Build()
+		g := FromEdges(n, edges)
 		if g.Validate() != nil {
 			return false
 		}
@@ -171,10 +161,10 @@ func TestQuickBuildInvariants(t *testing.T) {
 	}
 }
 
-// property: the direct-CSR FromEdges path is equivalent to Builder
-// construction (the pre-CSR reference semantics) for any edge-list
-// permutation and orientation: identical Neighbors, HasEdge, Edges,
-// and Fingerprint.
+// property: the direct-CSR FromEdges path is equivalent to the
+// map-per-node reference construction (referenceGraph) for any
+// edge-list permutation and orientation: identical Neighbors, HasEdge,
+// Edges, and Fingerprint.
 func TestQuickFromEdgesPermutationInvariant(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -187,11 +177,7 @@ func TestQuickFromEdgesPermutationInvariant(t *testing.T) {
 			v := int32(rng.Intn(n+2) - 1)
 			edges = append(edges, Edge{U: u, V: v})
 		}
-		b := NewBuilder(n)
-		for _, e := range edges {
-			_ = b.AddEdge(e.U, e.V)
-		}
-		ref := b.Build()
+		ref := referenceGraph(n, edges)
 
 		perm := append([]Edge(nil), edges...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -289,11 +275,11 @@ func TestQuickHasEdgeConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20
-		b := NewBuilder(n)
-		for i := 0; i < 30; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+		edges := make([]Edge, 30)
+		for i := range edges {
+			edges[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
 		}
-		g := b.Build()
+		g := FromEdges(n, edges)
 		set := map[Edge]bool{}
 		for _, e := range g.Edges() {
 			set[e] = true
@@ -312,32 +298,40 @@ func TestQuickHasEdgeConsistency(t *testing.T) {
 	}
 }
 
-// property: EdgeSet matches Builder step for step — same Has answers
-// mid-construction (the generator control-flow contract), same M, and an
-// identical built graph — for arbitrary candidate streams with
+// property: EdgeSet matches a map of canonical pairs step for step —
+// the same Has answers before and after every Add (the generator
+// control-flow contract), Add reporting exactly the new edges, the
+// same M, and a built graph identical to the reference graph of the
+// edges the map holds — for arbitrary candidate streams with
 // self-loops, duplicates, and out-of-range endpoints.
-func TestQuickEdgeSetMatchesBuilder(t *testing.T) {
+func TestQuickEdgeSetMatchesMap(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rawN%40) + 2
-		b := NewBuilder(n)
+		ref := map[Edge]bool{}
+		var held []Edge
 		s := NewEdgeSet(n, 0)
 		for i := 0; i < 6*n; i++ {
 			u := int32(rng.Intn(n+2) - 1)
 			v := int32(rng.Intn(n+2) - 1)
-			if b.HasEdge(u, v) != s.Has(u, v) {
+			valid := u != v && u >= 0 && v >= 0 && int(u) < n && int(v) < n
+			e := Canon(u, v)
+			if s.Has(u, v) != (valid && ref[e]) {
 				return false
 			}
-			wasNew := !b.HasEdge(u, v) && u != v && u >= 0 && v >= 0 && int(u) < n && int(v) < n
-			_ = b.AddEdge(u, v)
+			wasNew := valid && !ref[e]
 			if s.Add(u, v) != wasNew {
 				return false
 			}
-			if b.HasEdge(u, v) != s.Has(u, v) || b.M() != s.M() {
+			if wasNew {
+				ref[e] = true
+				held = append(held, e)
+			}
+			if s.Has(u, v) != valid || s.M() != len(ref) {
 				return false
 			}
 		}
-		return s.Build().Fingerprint() == b.Build().Fingerprint()
+		return s.Build().Fingerprint() == referenceGraph(n, held).Fingerprint()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

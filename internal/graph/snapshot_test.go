@@ -389,3 +389,49 @@ func TestSnapshotLyingHeaderIsCheap(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenSnapshotV1 pins format version 1 with a committed file,
+// written once from the graph below: both readers must accept it, it must
+// hash to the fingerprint its header records, and WriteSnapshotFile
+// must still write exactly these bytes. A layout change that breaks
+// any of this needs a new SnapshotVersion and a new golden file.
+func TestGoldenSnapshotV1(t *testing.T) {
+	const path = "testdata/csr-v1.pgb"
+	// A triangle with a pendant path, and an isolated node.
+	g := FromEdges(7, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeSnapshotHeader(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Version != 1 || h.Fingerprint != g.Fingerprint() {
+		t.Fatalf("header version %d fingerprint %016x, want version 1 fingerprint %016x", h.Version, h.Fingerprint, g.Fingerprint())
+	}
+
+	read, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("ReadSnapshotFile: %v", err)
+	}
+	equalGraphs(t, g, read)
+	opened, closer, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatalf("OpenSnapshot: %v", err)
+	}
+	defer closer.Close()
+	equalGraphs(t, g, opened)
+
+	out := filepath.Join(t.TempDir(), "csr.pgb")
+	if err := WriteSnapshotFile(out, g); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("WriteSnapshotFile wrote %d bytes that differ from the %d-byte golden file", len(written), len(golden))
+	}
+}

@@ -42,18 +42,11 @@ func (r Ref) Key() string { return fmt.Sprintf("%s@%g#%d", r.Dataset, r.Scale, r
 // Store resolves dataset references to graphs. Implementations are safe
 // for concurrent use. Graphs returned by Open are shared and immutable:
 // callers must not modify them (a snapshot-backed graph is hardware
-// read-only; writing through it faults).
+// read-only; writing through it faults). Filling a store is up to the
+// concrete type (MemStore.Put, SnapshotStore.Put).
 type Store interface {
 	// Open returns the graph ref names, or ErrNotFound.
 	Open(ref Ref) (*Graph, error)
-	// Put stores g under ref, replacing any previous association.
-	Put(ref Ref, g *Graph) error
-	// Has reports whether Open(ref) would succeed, without loading.
-	Has(ref Ref) bool
-	// FingerprintOf returns the stored graph's fingerprint without
-	// loading its payload; ok is false when ref is absent. `pgb ingest`
-	// uses it to report an already-ingested dataset.
-	FingerprintOf(ref Ref) (fp uint64, ok bool)
 }
 
 // ---- MemStore ---------------------------------------------------------
@@ -65,12 +58,11 @@ type Store interface {
 type MemStore struct {
 	mu     sync.Mutex
 	graphs map[string]*Graph
-	fps    map[string]uint64
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{graphs: make(map[string]*Graph), fps: make(map[string]uint64)}
+	return &MemStore{graphs: make(map[string]*Graph)}
 }
 
 // Open implements Store.
@@ -84,33 +76,17 @@ func (s *MemStore) Open(ref Ref) (*Graph, error) {
 	return g, nil
 }
 
-// Put implements Store.
+// Put stores g under ref, replacing any previous association.
+//
+//pgb:export how callers of pgb.NewMemStore outside the module fill the store
 func (s *MemStore) Put(ref Ref, g *Graph) error {
 	if g == nil {
 		return errors.New("graph: cannot store a nil graph")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := ref.Key()
-	s.graphs[key] = g
-	s.fps[key] = g.Fingerprint()
+	s.graphs[ref.Key()] = g
 	return nil
-}
-
-// Has implements Store.
-func (s *MemStore) Has(ref Ref) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.graphs[ref.Key()]
-	return ok
-}
-
-// FingerprintOf implements Store.
-func (s *MemStore) FingerprintOf(ref Ref) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fp, ok := s.fps[ref.Key()]
-	return fp, ok
 }
 
 // ---- SnapshotStore ----------------------------------------------------
@@ -194,9 +170,6 @@ func OpenSnapshotStore(dir string) (*SnapshotStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *SnapshotStore) Dir() string { return s.dir }
-
 func (s *SnapshotStore) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
 // SnapshotPath returns the file path of the snapshot holding fp,
@@ -231,10 +204,10 @@ func (s *SnapshotStore) Open(ref Ref) (*Graph, error) {
 	return g, nil
 }
 
-// Put implements Store: the graph is written as a snapshot file named
-// by its fingerprint (skipped when that file already exists — content
-// addressing makes the write idempotent) and the ref index is updated
-// atomically (temp file + rename).
+// Put stores g under ref as a snapshot file named by its fingerprint
+// (skipped when that file already exists — content addressing makes the
+// write idempotent) and updates the ref index atomically (temp file +
+// rename).
 func (s *SnapshotStore) Put(ref Ref, g *Graph) error {
 	if g == nil {
 		return errors.New("graph: cannot store a nil graph")
@@ -279,8 +252,8 @@ func (s *SnapshotStore) writeIndexLocked() error {
 	return os.Rename(tmp.Name(), s.indexPath())
 }
 
-// Has implements Store: true only when the index entry AND its snapshot
-// file are both present (a deleted payload must not report available).
+// Has reports whether Open(ref) would find the graph, without loading
+// it: a deleted payload does not count.
 func (s *SnapshotStore) Has(ref Ref) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -295,7 +268,8 @@ func (s *SnapshotStore) Has(ref Ref) bool {
 	return err == nil
 }
 
-// FingerprintOf implements Store.
+// FingerprintOf returns the stored graph's fingerprint from the index,
+// without loading it; ok is false when ref is absent.
 func (s *SnapshotStore) FingerprintOf(ref Ref) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

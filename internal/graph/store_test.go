@@ -7,17 +7,18 @@ import (
 	"testing"
 )
 
-// storeContract exercises the Store interface semantics shared by both
+// fillableStore is a Store that can also be filled, as both concrete
+// stores can.
+type fillableStore interface {
+	Store
+	Put(ref Ref, g *Graph) error
+}
+
+// storeContract exercises the Open and Put semantics shared by both
 // implementations.
-func storeContract(t *testing.T, st Store) {
+func storeContract(t *testing.T, st fillableStore) {
 	t.Helper()
 	ref := Ref{Dataset: "X", Scale: 0.5, Seed: 7}
-	if st.Has(ref) {
-		t.Fatal("empty store claims to hold a ref")
-	}
-	if _, ok := st.FingerprintOf(ref); ok {
-		t.Fatal("empty store reports a fingerprint")
-	}
 	if _, err := st.Open(ref); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
@@ -25,13 +26,6 @@ func storeContract(t *testing.T, st Store) {
 	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	if err := st.Put(ref, g); err != nil {
 		t.Fatalf("Put: %v", err)
-	}
-	if !st.Has(ref) {
-		t.Fatal("Has false after Put")
-	}
-	fp, ok := st.FingerprintOf(ref)
-	if !ok || fp != g.Fingerprint() {
-		t.Fatalf("FingerprintOf = %016x, %v; want %016x, true", fp, ok, g.Fingerprint())
 	}
 	got, err := st.Open(ref)
 	if err != nil {
@@ -41,14 +35,11 @@ func storeContract(t *testing.T, st Store) {
 
 	// A distinct ref stays distinct.
 	other := Ref{Dataset: "X", Scale: 0.5, Seed: 8}
-	if st.Has(other) {
-		t.Fatal("sibling ref resolved without a Put")
+	if _, err := st.Open(other); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("sibling ref resolved without a Put: %v", err)
 	}
 	if err := st.Put(other, g); err != nil {
 		t.Fatal(err)
-	}
-	if fp2, _ := st.FingerprintOf(other); fp2 != fp {
-		t.Fatalf("identical graph under two refs has two fingerprints: %016x vs %016x", fp2, fp)
 	}
 	if err := st.Put(ref, New(2)); err != nil {
 		t.Fatalf("re-Put: %v", err)
@@ -73,6 +64,37 @@ func TestSnapshotStoreContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+
+	// Has and FingerprintOf answer from the index, without loading.
+	ref := Ref{Dataset: "Y", Scale: 0.5, Seed: 7}
+	if st.Has(ref) {
+		t.Fatal("empty store claims to hold a ref")
+	}
+	if _, ok := st.FingerprintOf(ref); ok {
+		t.Fatal("empty store reports a fingerprint")
+	}
+	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	if err := st.Put(ref, g); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if !st.Has(ref) {
+		t.Fatal("Has false after Put")
+	}
+	fp, ok := st.FingerprintOf(ref)
+	if !ok || fp != g.Fingerprint() {
+		t.Fatalf("FingerprintOf = %016x, %v; want %016x, true", fp, ok, g.Fingerprint())
+	}
+	other := Ref{Dataset: "Y", Scale: 0.5, Seed: 8}
+	if st.Has(other) {
+		t.Fatal("sibling ref resolved without a Put")
+	}
+	if err := st.Put(other, g); err != nil {
+		t.Fatal(err)
+	}
+	if fp2, _ := st.FingerprintOf(other); fp2 != fp {
+		t.Fatalf("identical graph under two refs has two fingerprints: %016x vs %016x", fp2, fp)
+	}
+
 	storeContract(t, st)
 }
 

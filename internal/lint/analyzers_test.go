@@ -16,6 +16,7 @@ func TestRngSource(t *testing.T)     { linttest.Run(t, lint.RngSource, "rngsourc
 func TestWallTime(t *testing.T)      { linttest.Run(t, lint.WallTime, "walltime") }
 func TestNonFiniteGate(t *testing.T) { linttest.Run(t, lint.NonFiniteGate, "nonfinitegate") }
 func TestErrClose(t *testing.T)      { linttest.Run(t, lint.ErrClose, "errclose") }
+func TestTestOnly(t *testing.T)      { linttest.Run(t, lint.TestOnly, "testonly") }
 
 // TestDirectiveMachinery covers the escape-hatch contract itself: a
 // directive without a reason is a finding, an unknown name is a

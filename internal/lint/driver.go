@@ -14,18 +14,18 @@ import (
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var all []Finding
 	for _, pkg := range pkgs {
-		all = append(all, RunPackage(pkg, analyzers, true)...)
+		all = append(all, RunPackage(pkg, pkgs, analyzers, true)...)
 	}
 	sortFindings(all)
 	return all
 }
 
-// RunPackage checks a single package. When applyScope is false every
+// RunPackage checks pkg, one of module. When applyScope is false every
 // analyzer runs regardless of its AppliesTo filter (the fixture
 // harness uses this). The full suite's directive names are always
 // registered, so directive findings are consistent whichever analyzers
 // run.
-func RunPackage(pkg *Package, analyzers []*Analyzer, applyScope bool) []Finding {
+func RunPackage(pkg *Package, module []*Package, analyzers []*Analyzer, applyScope bool) []Finding {
 	dirs := collectDirectives(pkg)
 
 	known := map[string]bool{}
@@ -48,6 +48,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, applyScope bool) []Finding 
 			Files:    pkg.Files,
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
+			Module:   module,
 		}
 		pass.report = func(d diag) { raw = append(raw, d) }
 		a.Run(pass)

@@ -69,6 +69,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	Module   []*Package // every package loaded in the run, Pkg's included
 
 	report func(diag)
 }
@@ -118,7 +119,7 @@ func sortFindings(fs []Finding) {
 
 // Analyzers returns the full pgblint suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapRange, RngSource, WallTime, NonFiniteGate, ErrClose}
+	return []*Analyzer{MapRange, RngSource, WallTime, NonFiniteGate, ErrClose, TestOnly}
 }
 
 // prefixFilter returns an AppliesTo function matching any of the given

@@ -34,6 +34,8 @@ var (
 // loader pgblint itself uses, runs the single analyzer over it (scope
 // filters bypassed) together with the directive machinery, and checks
 // the findings against the fixture's want comments.
+//
+//pgb:export the fixture harness: lint's own tests are its only importers, by design
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
 	pkgs, err := lint.Load(".", "./testdata/src/"+fixture)
@@ -71,7 +73,7 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 		}
 	}
 
-	findings := lint.RunPackage(pkg, []*lint.Analyzer{a}, false)
+	findings := lint.RunPackage(pkg, pkgs, []*lint.Analyzer{a}, false)
 	for _, f := range findings {
 		matched := false
 		for _, w := range wants {

@@ -157,10 +157,6 @@ func (s *Server) Close() {
 	}
 }
 
-// RunsExecuted reports how many grid runs were handed to core.Run — the
-// counter tests use to assert cache hits never recompute.
-func (s *Server) RunsExecuted() int64 { return s.jobs.started.Load() }
-
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /version", s.handleVersion)

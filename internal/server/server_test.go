@@ -539,7 +539,7 @@ func TestRunLifecycle(t *testing.T) {
 	if final.Completed != 3 {
 		t.Fatalf("done job reports %d/%d cells", final.Completed, final.Total)
 	}
-	if n := s.RunsExecuted(); n != 1 {
+	if n := s.jobs.started.Load(); n != 1 {
 		t.Fatalf("runs executed = %d, want 1", n)
 	}
 
@@ -592,7 +592,7 @@ func TestRunLifecycle(t *testing.T) {
 	if dup.ID != st.ID || dup.State != StateDone {
 		t.Fatalf("duplicate submission = %+v, want done job %s", dup, st.ID)
 	}
-	if n := s.RunsExecuted(); n != 1 {
+	if n := s.jobs.started.Load(); n != 1 {
 		t.Fatalf("duplicate submission recomputed: runs executed = %d", n)
 	}
 
@@ -645,7 +645,7 @@ func TestRunCancelResubmit(t *testing.T) {
 	if done.Completed != 3 {
 		t.Fatalf("resumed job completed %d/3 cells", done.Completed)
 	}
-	if n := s.RunsExecuted(); n != 2 {
+	if n := s.jobs.started.Load(); n != 2 {
 		t.Fatalf("runs executed = %d, want 2 (original + resume)", n)
 	}
 
@@ -715,7 +715,7 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 	if done.Completed != 3 {
 		t.Fatalf("recovered job completed %d/3 cells", done.Completed)
 	}
-	if n := s2.RunsExecuted(); n != 1 {
+	if n := s2.jobs.started.Load(); n != 1 {
 		t.Fatalf("recovery executed %d runs, want 1 (the resume)", n)
 	}
 	var res struct {

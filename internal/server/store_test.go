@@ -123,7 +123,7 @@ func TestCompareServedFromSnapshotParity(t *testing.T) {
 	}
 	snapSrv, snapTS := newTestServer(t, snapDir)
 	for _, name := range []string{"ER", "BA"} {
-		if !snapSrv.store.Has(datasets.RefFor(name, 0.05, 3)) {
+		if !snapSrv.ownStore.Has(datasets.RefFor(name, 0.05, 3)) {
 			t.Fatalf("server did not adopt the ingested snapshot for %s", name)
 		}
 	}

@@ -73,29 +73,29 @@ func refExact(g *graph.Graph) DistanceStats {
 // several components and long paths, unlike the dense randomGraph.
 func sparseGraph(seed int64, n int, avgDeg float64) *graph.Graph {
 	r := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i < int(avgDeg*float64(n)/2); i++ {
-		_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+		edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 func pathGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i+1 < n; i++ {
-		_ = b.AddEdge(int32(i), int32(i+1))
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 1)})
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 func completeGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			_ = b.AddEdge(int32(i), int32(j))
+			edges = append(edges, graph.Edge{U: int32(i), V: int32(j)})
 		}
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 // twoComponents lays a path over nodes [0, pathLen) and a star over the
@@ -108,14 +108,14 @@ func twoComponents(pathLen, starSize int, pathFirst bool) *graph.Graph {
 	if !pathFirst {
 		pathAt, starAt = starSize, 0
 	}
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i+1 < pathLen; i++ {
-		_ = b.AddEdge(int32(pathAt+i), int32(pathAt+i+1))
+		edges = append(edges, graph.Edge{U: int32(pathAt + i), V: int32(pathAt + i + 1)})
 	}
 	for i := 1; i < starSize; i++ {
-		_ = b.AddEdge(int32(starAt), int32(starAt+i))
+		edges = append(edges, graph.Edge{U: int32(starAt), V: int32(starAt + i)})
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 type namedGraph struct {
@@ -206,13 +206,13 @@ func decodeGraph(data []byte) *graph.Graph {
 		return graph.FromEdges(0, nil)
 	}
 	n := int(data[0]) % 201
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	if n > 0 {
 		for i := 1; i+1 < len(data); i += 2 {
-			_ = b.AddEdge(int32(int(data[i])%n), int32(int(data[i+1])%n))
+			edges = append(edges, graph.Edge{U: int32(int(data[i]) % n), V: int32(int(data[i+1]) % n)})
 		}
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 // encodeGraph is decodeGraph's inverse for graphs with n ≤ 200, used to

@@ -84,11 +84,11 @@ func TestDistancesIgnoreStaleScratch(t *testing.T) {
 // (t−2, t−1, t) of the path as a triangle.
 func TestTrianglesIgnoreStaleScratch(t *testing.T) {
 	const n = 1500
-	ring := graph.NewBuilder(n)
+	var ring []graph.Edge
 	for i := 0; i < n; i++ {
-		_ = ring.AddEdge(int32(i), int32((i+2)%n))
+		ring = append(ring, graph.Edge{U: int32(i), V: int32((i + 2) % n)})
 	}
-	big := ring.Build()
+	big := graph.FromEdges(n, ring)
 	dirty := func() {
 		held := make([]*Scratch, 4)
 		for i := range held {

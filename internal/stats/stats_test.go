@@ -350,18 +350,16 @@ func FuzzEVCMatchesReference(f *testing.F) {
 // heavy-tail structure so parallel shards are non-trivial.
 func randomGraph(seed int64, n int) *graph.Graph {
 	r := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i < 4*n; i++ {
-		_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+		edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 	}
 	// plant some triangles so the triangle kernel has real work
 	for i := 0; i < n/2; i++ {
 		u, v, w := int32(r.Intn(n)), int32(r.Intn(n)), int32(r.Intn(n))
-		_ = b.AddEdge(u, v)
-		_ = b.AddEdge(v, w)
-		_ = b.AddEdge(u, w)
+		edges = append(edges, graph.Edge{U: u, V: v}, graph.Edge{U: v, V: w}, graph.Edge{U: u, V: w})
 	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 // Parallel triangle counting and clustering must be bit-identical to
@@ -439,11 +437,11 @@ func TestQuickClusteringBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(30)
-		b := graph.NewBuilder(n)
+		var edges []graph.Edge
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 		}
-		g := b.Build()
+		g := graph.FromEdges(n, edges)
 		gcc, acc := globalClustering(g), avgClustering(g)
 		return gcc >= 0 && gcc <= 1 && acc >= 0 && acc <= 1
 	}
@@ -458,11 +456,11 @@ func TestQuickTrianglesAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 4 + r.Intn(12)
-		b := graph.NewBuilder(n)
+		var edges []graph.Edge
 		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 		}
-		g := b.Build()
+		g := graph.FromEdges(n, edges)
 		naive := 0.0
 		for u := int32(0); u < int32(n); u++ {
 			for v := u + 1; v < int32(n); v++ {
@@ -486,11 +484,11 @@ func TestQuickAssortativityBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(25)
-		b := graph.NewBuilder(n)
+		var edges []graph.Edge
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			edges = append(edges, graph.Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
 		}
-		g := b.Build()
+		g := graph.FromEdges(n, edges)
 		a := Assortativity(g)
 		return a >= -1-1e-9 && a <= 1+1e-9
 	}

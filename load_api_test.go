@@ -1,6 +1,7 @@
 package pgb_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"pgb"
+	"pgb/internal/graph"
 )
 
 // TestLoadThroughStore covers the store seam end to end: a snapshot put
@@ -49,7 +51,7 @@ func TestLoadThroughStore(t *testing.T) {
 	if missed.Fingerprint() != gen.Fingerprint() {
 		t.Fatal("store-miss fallback generated a different graph")
 	}
-	if mem.Has(missSrc.Ref()) {
+	if _, err := mem.Open(missSrc.Ref()); !errors.Is(err, graph.ErrNotFound) {
 		t.Fatal("Load wrote a store miss back implicitly")
 	}
 }

@@ -120,16 +120,16 @@ type Source struct {
 	// equal Sources always denote bit-identical graphs.
 	Seed int64
 	// Store, when non-nil, is consulted first: a reference previously
-	// ingested (pgb ingest, Store.Put) loads from the store instead of
-	// being re-materialized. On a store miss the dataset is generated;
-	// the miss is NOT written back (use Store.Put or `pgb ingest` to
-	// persist deliberately).
+	// ingested (pgb ingest, a store's Put) loads from the store instead
+	// of being re-materialized. On a store miss the dataset is
+	// generated; the miss is NOT written back (use the store's Put or
+	// `pgb ingest` to persist deliberately).
 	Store Store
 }
 
 // Ref is the canonical store key of the source: the dataset name with
 // scale normalized exactly as Load normalizes it, so the key under
-// which `pgb ingest` (or Store.Put) recorded a graph is the key Load
+// which `pgb ingest` (or a store's Put) recorded a graph is the key Load
 // looks up.
 func (s Source) Ref() Ref {
 	return datasets.RefFor(s.Dataset, s.Scale, s.Seed)
