@@ -14,6 +14,7 @@
 //	BenchmarkTriangles/*       — triangle kernel, serial vs sharded, two scales
 //	BenchmarkBFS/*             — BFS sweep kernel, serial vs sharded, two scales
 //	BenchmarkANF/*             — HyperANF distance estimator (-distance anf)
+//	BenchmarkLouvain/*         — Louvain (Q12, PrivGraph) on the eight datasets
 //	BenchmarkTmFFilterAblation — TmF high-pass filter vs naive matrix
 //	BenchmarkDPdKSensitivity   — smooth vs global sensitivity (DP-dK)
 //	BenchmarkDGGConstruction   — BTER vs Chung-Lu construction (DGG)
@@ -45,6 +46,7 @@ import (
 	"pgb/internal/algo/privgraph"
 	"pgb/internal/algo/privhrg"
 	"pgb/internal/algo/tmf"
+	"pgb/internal/community"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/gen"
@@ -291,6 +293,49 @@ func BenchmarkANF(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLouvain measures one serial Louvain call (the CD query and
+// PrivGraph's community phase) on each of the eight datasets at scale
+// 0.1, plus an ER copy with 10% of its edges rewired — the shape of the
+// synthetic side of a served compare, which takes Louvain more passes
+// than the clean stand-in.
+func BenchmarkLouvain(b *testing.B) {
+	graphs := map[string]*graph.Graph{}
+	names := datasets.Names()
+	for _, name := range names {
+		spec, err := datasets.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs[name] = spec.Load(0.1, 42)
+	}
+	graphs["ER-perturbed"] = rewire(graphs["ER"], 0.1, rand.New(rand.NewSource(5)))
+	for _, name := range append(names, "ER-perturbed") {
+		g := graphs[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				community.Louvain(g, rand.New(rand.NewSource(int64(i))))
+			}
+		})
+	}
+}
+
+// rewire returns g with a frac share of its edges, drawn by rng,
+// replaced by uniformly random new ones.
+func rewire(g *graph.Graph, frac float64, rng *rand.Rand) *graph.Graph {
+	edges := g.Edges()
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	k := int(frac * float64(len(edges)))
+	set := graph.NewEdgeSet(g.N(), len(edges))
+	for _, e := range edges[k:] {
+		set.Add(e.U, e.V)
+	}
+	for set.M() < len(edges) {
+		set.Add(int32(rng.Intn(g.N())), int32(rng.Intn(g.N())))
+	}
+	return set.Build()
 }
 
 // BenchmarkQueries isolates the cost of the fifteen-query profile, the

@@ -6,7 +6,7 @@ package community
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pgb/internal/graph"
 	"pgb/internal/stats"
@@ -20,38 +20,37 @@ type Result struct {
 	Modularity     float64
 }
 
-// weighted multigraph used for Louvain aggregation levels, in the same
-// flat CSR layout as graph.Graph (off/nbr plus a parallel weight arena).
-// The dominant Louvain cost is the neighbor-community scan in localMove;
-// on the flat arenas it is a contiguous sweep with no per-node maps or
-// allocations. Every weight is an exact integer held in a float64 (level
-// 0 weights are 1, aggregation only sums them), so accumulation order
-// can never change a value — the determinism lever the whole package
-// leans on (DESIGN.md §2).
+// weighted multigraph used for Louvain levels, in the same flat CSR
+// layout as graph.Graph (off/nbr plus a parallel weight arena). The
+// dominant Louvain cost is the neighbor-community scan in localMove; on
+// the flat arenas it is a contiguous sweep with no per-node maps or
+// allocations. Level 0 is g itself: its off/nbr are g's own arenas and
+// wt is nil, every weight being 1. Every weight is an exact integer
+// (aggregation only sums unit weights), so accumulation order can never
+// change a value — the determinism lever the whole package leans on
+// (DESIGN.md §2).
 type wgraph struct {
 	n        int
 	off      []int64   // len n+1
 	nbr      []int32   // neighbor ids
-	wt       []float64 // parallel to nbr
+	wt       []int64   // parallel to nbr; nil on a unit-weight level
 	selfLoop []float64 // intra weight (counted once per collapsed edge)
 	totalW   float64   // sum of edge weights (each undirected edge once), incl. self loops
 }
 
+// weight returns the weight of arc i: 1 on a unit-weight level.
+func (w *wgraph) weight(i int64) int64 {
+	if w.wt == nil {
+		return 1
+	}
+	return w.wt[i]
+}
+
+// fromGraph views g as Louvain's level 0: g's CSR read in place, unit
+// weights and no self loops. Nothing is copied.
 func fromGraph(g *graph.Graph) *wgraph {
 	n := g.N()
-	w := &wgraph{n: n, off: make([]int64, n+1), selfLoop: make([]float64, n), totalW: float64(g.M())}
-	for u := 0; u < n; u++ {
-		w.off[u+1] = w.off[u] + int64(g.Degree(int32(u)))
-	}
-	w.nbr = make([]int32, w.off[n])
-	w.wt = make([]float64, w.off[n])
-	for u := 0; u < n; u++ {
-		copy(w.nbr[w.off[u]:w.off[u+1]], g.Neighbors(int32(u)))
-	}
-	for i := range w.wt {
-		w.wt[i] = 1
-	}
-	return w
+	return &wgraph{n: n, off: g.Offsets(), nbr: g.Arcs(), selfLoop: make([]float64, n), totalW: float64(g.M())}
 }
 
 // Louvain runs the two-phase Louvain algorithm to convergence and returns
@@ -73,11 +72,11 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Result {
 
 	w := fromGraph(g)
 	// mapping from original node -> current community label chain
-	assign := make([]int, n)
+	assign := make([]int32, n)
 	for i := range assign {
-		assign[i] = i
+		assign[i] = int32(i)
 	}
-	first := make([]int, n) // first-seen relabel table, reused by every compaction
+	first := make([]int32, n) // first-seen relabel table, reused by every compaction
 
 	for level := 0; level < 64; level++ {
 		comm, moved := localMove(w, rng)
@@ -99,20 +98,24 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Result {
 	}
 
 	k := compact(assign, first)
+	labels := make([]int, n)
+	for i, c := range assign {
+		labels[i] = int(c)
+	}
 	return Result{
-		Labels:         assign,
+		Labels:         labels,
 		NumCommunities: k,
-		Modularity:     stats.Modularity(g, assign),
+		Modularity:     stats.Modularity(g, labels),
 	}
 }
 
 // compact relabels xs in place to 0..k-1 in first-seen order and
 // returns k. Every x must lie in [0, len(first)); first is scratch.
-func compact(xs, first []int) int {
+func compact(xs, first []int32) int {
 	for i := range first {
 		first[i] = -1
 	}
-	k := 0
+	k := int32(0)
 	for i, c := range xs {
 		if first[c] < 0 {
 			first[c] = k
@@ -120,14 +123,20 @@ func compact(xs, first []int) int {
 		}
 		xs[i] = first[c]
 	}
-	return k
+	return int(k)
 }
 
 // localMove is Louvain phase one: greedily move nodes to the neighboring
 // community with the highest modularity gain until no move improves.
-// Neighbor-community weights accumulate into a reused scratch vector
-// (weights are strictly positive, so nbw[c] == 0 means "not seen"; no
-// level's nbr holds u itself, so no self check is needed).
+// Neighbor-community weights accumulate into a reused integer scratch
+// vector (weights are strictly positive, so nbw[c] == 0 means "not
+// seen"; no level's nbr holds u itself, so no self check is needed). A
+// unit-weight level counts arcs, nbw[c]++, and reads no weight at all.
+//
+// Integer accumulation changes no gain: every weight is an exact
+// integer, so float64(nbw[c]) is the value the float sum held. The gain
+// keeps its float operands and operation order, because at aggregated
+// levels the rounding of commTotDeg[c]*deg[u]/m2 decides near-ties.
 //
 // The move rule, which fixes tie-breaking and hence the whole run, is an
 // ascending scan of the touched communities in which a community becomes
@@ -136,29 +145,33 @@ func compact(xs, first []int) int {
 // strict improvers over 0 are kept: the rest can never beat a best that
 // starts at 0 and never falls. bestMove then finds the scan's winner
 // among those few without sorting them.
-func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
+func localMove(w *wgraph, rng *rand.Rand) ([]int32, bool) {
 	n := w.n
-	comm := make([]int, n)
+	off, nbr, wt := w.off, w.nbr, w.wt
+	comm := make([]int32, n)
 	commTotDeg := make([]float64, n) // Σ degree of nodes in community
 	deg := make([]float64, n)
 	maxDeg := int64(0)
 	for u := 0; u < n; u++ {
-		comm[u] = u
-		d := w.selfLoop[u] * 2
-		for i := w.off[u]; i < w.off[u+1]; i++ {
-			d += w.wt[i]
+		comm[u] = int32(u)
+		d := off[u+1] - off[u]
+		if wt != nil {
+			d = 0
+			for _, x := range wt[off[u]:off[u+1]] {
+				d += x
+			}
 		}
-		deg[u] = d
-		commTotDeg[u] = d
-		maxDeg = max(maxDeg, w.off[u+1]-w.off[u])
+		deg[u] = w.selfLoop[u]*2 + float64(d)
+		commTotDeg[u] = deg[u]
+		maxDeg = max(maxDeg, off[u+1]-off[u])
 	}
 	m2 := 2 * w.totalW
 	if m2 == 0 {
 		return comm, false
 	}
 
-	nbw := make([]float64, n)      // weight from u to community c, zeroed after each node
-	cands := make([]int, maxDeg)   // communities touched for the current node
+	nbw := make([]int64, n)        // weight from u to community c, zeroed after each node
+	cands := make([]int32, maxDeg) // communities touched for the current node
 	ups := make([]move, 0, maxDeg) // the touched communities that improve on staying
 	order := rng.Perm(n)
 	movedAny := false
@@ -166,19 +179,30 @@ func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 		movedThisPass := false
 		for _, u := range order {
 			cu := comm[u]
+			lo, hi := off[u], off[u+1]
 			k := 0
-			for i := w.off[u]; i < w.off[u+1]; i++ {
-				c := comm[w.nbr[i]]
-				cands[k] = c
-				k += b2i(nbw[c] == 0)
-				nbw[c] += w.wt[i]
+			if wt == nil {
+				for _, v := range nbr[lo:hi] {
+					c := comm[v]
+					cands[k] = c
+					k += b2i(nbw[c] == 0)
+					nbw[c]++
+				}
+			} else {
+				for i, v := range nbr[lo:hi] {
+					c := comm[v]
+					cands[k] = c
+					k += b2i(nbw[c] == 0)
+					nbw[c] += wt[lo+int64(i)]
+				}
 			}
 			// remove u from its community
-			commTotDeg[cu] -= deg[u]
-			baseGain := nbw[cu] - commTotDeg[cu]*deg[u]/m2
+			du := deg[u]
+			commTotDeg[cu] -= du
+			baseGain := float64(nbw[cu]) - commTotDeg[cu]*du/m2
 			ups = ups[:0]
 			for _, c := range cands[:k] {
-				gain := nbw[c] - commTotDeg[c]*deg[u]/m2
+				gain := float64(nbw[c]) - commTotDeg[c]*du/m2
 				if gain-baseGain > 1e-12 {
 					ups = append(ups, move{c, gain - baseGain})
 				}
@@ -186,7 +210,7 @@ func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 			}
 			bestC := bestMove(ups, cu)
 			comm[u] = bestC
-			commTotDeg[bestC] += deg[u]
+			commTotDeg[bestC] += du
 			if bestC != cu {
 				movedThisPass = true
 				movedAny = true
@@ -208,7 +232,7 @@ func localMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 // larger communities, since the record is the smallest. That is one pass
 // per record, rarely more than a handful, over a shrinking set. ups is
 // overwritten.
-func bestMove(ups []move, stay int) int {
+func bestMove(ups []move, stay int32) int32 {
 	best := stay
 	for len(ups) > 0 {
 		i := 0
@@ -232,7 +256,7 @@ func bestMove(ups []move, stay int) int {
 
 // move is a candidate community and its modularity gain over staying.
 type move struct {
-	c    int
+	c    int32
 	gain float64
 }
 
@@ -248,7 +272,7 @@ func b2i(b bool) int {
 // Members are visited in ascending node order per community and the super
 // adjacency is emitted in sorted community order, keeping the output a
 // pure function of (w, comm).
-func aggregate(w *wgraph, comm []int, k int) *wgraph {
+func aggregate(w *wgraph, comm []int32, k int) *wgraph {
 	out := &wgraph{n: k, selfLoop: make([]float64, k), totalW: w.totalW}
 
 	// counting-sort nodes by community
@@ -267,34 +291,33 @@ func aggregate(w *wgraph, comm []int, k int) *wgraph {
 		pos[c]++
 	}
 
-	nbw := make([]float64, k)
-	var cands []int
+	nbw := make([]int64, k)
+	var cands []int32
 	off := make([]int64, 1, k+1)
 	var nbr []int32
-	var wts []float64
-	for cu := 0; cu < k; cu++ {
+	var wts []int64
+	for cu := int32(0); int(cu) < k; cu++ {
 		cands = cands[:0]
-		for _, u32 := range members[bucketOff[cu]:bucketOff[cu+1]] {
-			u := int(u32)
+		for _, u := range members[bucketOff[cu]:bucketOff[cu+1]] {
 			out.selfLoop[cu] += w.selfLoop[u]
 			for i := w.off[u]; i < w.off[u+1]; i++ {
-				v := int(w.nbr[i])
+				v := w.nbr[i]
 				cv := comm[v]
 				if cv == cu {
 					if u < v {
-						out.selfLoop[cu] += w.wt[i]
+						out.selfLoop[cu] += float64(w.weight(i))
 					}
 				} else {
 					if nbw[cv] == 0 {
 						cands = append(cands, cv)
 					}
-					nbw[cv] += w.wt[i]
+					nbw[cv] += w.weight(i)
 				}
 			}
 		}
-		sort.Ints(cands)
+		slices.Sort(cands)
 		for _, cv := range cands {
-			nbr = append(nbr, int32(cv))
+			nbr = append(nbr, cv)
 			wts = append(wts, nbw[cv])
 			nbw[cv] = 0
 		}

@@ -1,6 +1,7 @@
 package community
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -174,7 +175,7 @@ func refLouvain(g *graph.Graph, rng *rand.Rand) Result {
 		if k == w.n {
 			break
 		}
-		w = aggregate(w, comm, k)
+		w = aggregate(w, labels32(comm), k)
 		if !moved {
 			break
 		}
@@ -196,6 +197,16 @@ func refCompact(xs []int) int {
 	return len(remap)
 }
 
+// labels32 converts reference labels to the int32 labels aggregate and
+// localMove use.
+func labels32(xs []int) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
+}
+
 // refLocalMove is phase one as first written: every touched community,
 // self entries skipped, fully sorted and scanned.
 func refLocalMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
@@ -207,7 +218,7 @@ func refLocalMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 		comm[u] = u
 		d := w.selfLoop[u] * 2
 		for i := w.off[u]; i < w.off[u+1]; i++ {
-			d += w.wt[i]
+			d += float64(w.weight(i))
 		}
 		deg[u] = d
 		commTotDeg[u] = d
@@ -234,7 +245,7 @@ func refLocalMove(w *wgraph, rng *rand.Rand) ([]int, bool) {
 				if nbw[c] == 0 {
 					cands = append(cands, c)
 				}
-				nbw[c] += w.wt[i]
+				nbw[c] += float64(w.weight(i))
 			}
 			commTotDeg[cu] -= deg[u]
 			bestC, bestGain := cu, 0.0
@@ -308,7 +319,7 @@ func TestLocalMoveMatchesReferenceOnLevels(t *testing.T) {
 			ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			got, gotMoved := localMove(w, ra)
 			want, wantMoved := refLocalMove(w, rb)
-			if !slices.Equal(got, want) || gotMoved != wantMoved || ra.Int63() != rb.Int63() {
+			if !slices.Equal(got, labels32(want)) || gotMoved != wantMoved || ra.Int63() != rb.Int63() {
 				t.Fatalf("%s level %d: localMove differs from the reference", name, level)
 			}
 			k := refCompact(want)
@@ -318,7 +329,7 @@ func TestLocalMoveMatchesReferenceOnLevels(t *testing.T) {
 				}
 				break
 			}
-			w = aggregate(w, want, k)
+			w = aggregate(w, labels32(want), k)
 		}
 	}
 }
@@ -360,11 +371,11 @@ func TestBestMoveMatchesSortedScan(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		ups := make([]move, r.Intn(12))
 		for i, c := range r.Perm(40)[:len(ups)] {
-			ups[i] = move{c, levels[r.Intn(len(levels))]}
+			ups[i] = move{int32(c), levels[r.Intn(len(levels))]}
 		}
 		sorted := slices.Clone(ups)
-		slices.SortFunc(sorted, func(a, b move) int { return a.c - b.c })
-		want, bestGain := -1, 0.0
+		slices.SortFunc(sorted, func(a, b move) int { return cmp.Compare(a.c, b.c) })
+		want, bestGain := int32(-1), 0.0
 		for _, mv := range sorted {
 			if mv.gain > bestGain+1e-12 {
 				want, bestGain = mv.c, mv.gain

@@ -8,6 +8,7 @@ import (
 
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/par"
 )
 
 // memoRuns makes each run of a memo test use seeds no earlier run in
@@ -188,6 +189,50 @@ func compareUncached(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// TestCompareGraphsWorkerInvariant: CompareGraphs profiles its two sides
+// at once, on a shared budget, yet its rows are the serial uncached rows
+// at Workers 1, 2 and 4 and under an externally owned budget, for the
+// full and the structural query set, and when both sides are one graph.
+// Each run compares graphs no earlier run cached, so every pass runs
+// under the configuration being checked.
+func TestCompareGraphsWorkerInvariant(t *testing.T) {
+	memoRuns++
+	structural := []QueryID{QNumNodes, QNumEdges, QTriangles, QAvgDegree, QDegreeVariance,
+		QDegreeDistribution, QGlobalClustering, QAvgClustering, QAssortativity, QEigenvectorCentrality}
+	configs := []struct {
+		name string
+		opt  ProfileOptions
+	}{
+		{"workers=1", ProfileOptions{Workers: 1}},
+		{"workers=2", ProfileOptions{Workers: 2}},
+		{"workers=4", ProfileOptions{Workers: 4}},
+		{"budget", ProfileOptions{Workers: 3, Budget: par.NewBudget(2)}},
+	}
+	graphSeed := 5000 * memoRuns
+	for _, set := range []struct {
+		name    string
+		queries []QueryID
+	}{{"full", AllQueries()}, {"structural", structural}} {
+		for _, c := range configs {
+			for _, same := range []bool{false, true} {
+				graphSeed += 2
+				truth := gen.GNM(700, 2100, rng(graphSeed))
+				syn := gen.GNM(700, 2800, rng(graphSeed+1))
+				if same {
+					syn = truth
+				}
+				opt := c.opt
+				opt.Queries = set.queries
+				got := CompareGraphs(truth, syn, graphSeed, opt)
+				want := compareUncached(truth, syn, graphSeed, ProfileOptions{Queries: set.queries, Workers: 1})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s same=%t: rows differ from the serial uncached rows:\n got %+v\nwant %+v", set.name, c.name, same, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestCompareGraphsMatchesUncached: comparing one synthetic graph again

@@ -23,6 +23,7 @@ import (
 
 	"pgb/internal/graph"
 	"pgb/internal/metrics"
+	"pgb/internal/par"
 )
 
 // QueryID identifies a PGB graph query. IDs 1..15 are the paper's queries
@@ -365,8 +366,7 @@ type CompareRow struct {
 // PerNode query has no defined score and its Error is NaN
 // (CheckNodeCounts is the check for callers that want an error).
 func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
-	pt := ComputeProfileCached(truth, opt, SubSeed(seed, 0))
-	ps := ComputeProfileCached(syn, opt, SubSeed(seed, 1))
+	pt, ps := compareProfiles(truth, syn, seed, opt)
 	rows := make([]CompareRow, 0, len(opt.Queries))
 	for _, q := range opt.Queries {
 		v, higher := math.NaN(), q.HigherBetter()
@@ -378,4 +378,34 @@ func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []Co
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// compareProfiles computes the two sides of CompareGraphs at once: the
+// calling goroutine and at most one helper claim the sides from one
+// queue, and both sides draw their pass and kernel helpers from one
+// budget, opt.Budget or a new one of workers-1, so the pair never runs
+// more than opt.Workers CPU-bound goroutines. Each side keeps its own
+// sub-seed, so the profiles do not depend on the schedule. One worker
+// without an external budget gets no helper, so the caller profiles
+// truth, then synthetic. Two sides with one fingerprint run in that order too: the
+// synthetic side then reuses the truth side's seed-free passes from the
+// memo instead of computing them a second time beside it.
+func compareProfiles(truth, syn *graph.Graph, seed int64, opt ProfileOptions) (pt, ps *Profile) {
+	workers := opt.effectiveWorkers()
+	if truth.Fingerprint() == syn.Fingerprint() {
+		return ComputeProfileCached(truth, opt, SubSeed(seed, 0)), ComputeProfileCached(syn, opt, SubSeed(seed, 1))
+	}
+	opt.Workers = workers
+	if opt.Budget == nil {
+		opt.Budget = par.NewBudget(workers - 1)
+	}
+	sides := [2]*graph.Graph{truth, syn}
+	var profiles [2]*Profile
+	claim := par.Queue(len(sides))
+	opt.Budget.Do(1, func() {
+		for i, ok := claim(); ok; i, ok = claim() {
+			profiles[i] = ComputeProfileCached(sides[i], opt, SubSeed(seed, uint64(i)))
+		}
+	})
+	return profiles[0], profiles[1]
 }

@@ -70,6 +70,12 @@ func (g *Graph) Neighbors(u int32) []int32 { return g.nbr[g.off[u]:g.off[u+1]] }
 // modify the returned slice.
 func (g *Graph) Offsets() []int64 { return g.off }
 
+// Arcs returns the CSR neighbor arena: len 2m, node u's sorted
+// neighbors at [Offsets()[u], Offsets()[u+1]). Louvain reads it in
+// place as its first level. The caller must not modify the returned
+// slice.
+func (g *Graph) Arcs() []int32 { return g.nbr }
+
 // HasEdge reports whether the undirected edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int32) bool {
 	if u < 0 || v < 0 || int(u) >= g.n || int(v) >= g.n || u == v {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -102,5 +104,44 @@ func TestPrefixFilter(t *testing.T) {
 		if got := f(c.path); got != c.want {
 			t.Errorf("filter(%q) = %v, want %v", c.path, got, c.want)
 		}
+	}
+}
+
+// TestUnusedDirectiveNeedsSelectedAnalyzer: a subset run reports as
+// unused only the directives of the analyzers it ran, while the full
+// suite reports every unused directive, also one whose analyzer is out
+// of the package's scope.
+func TestUnusedDirectiveNeedsSelectedAnalyzer(t *testing.T) {
+	pkg := parseTestPkg(t, `package p
+
+//pgb:errclose nothing here to waive
+func a() {}
+
+//pgb:deterministic nothing here to waive either
+func b() {}
+`)
+	noop := func(directive string, inScope bool) *Analyzer {
+		return &Analyzer{
+			Name:      directive,
+			Directive: directive,
+			AppliesTo: func(string) bool { return inScope },
+			Run:       func(*Pass) {},
+		}
+	}
+	unused := func(analyzers ...*Analyzer) []int {
+		var lines []int
+		for _, f := range RunPackage(pkg, []*Package{pkg}, analyzers, true) {
+			if f.Analyzer != "directive" || !strings.HasPrefix(f.Message, "unused //pgb:") {
+				t.Fatalf("unexpected finding %s: %s", f.Pos, f.Message)
+			}
+			lines = append(lines, f.Pos.Line)
+		}
+		return lines
+	}
+	if got := unused(noop("errclose", true)); !slices.Equal(got, []int{3}) {
+		t.Errorf("subset run: unused directives on lines %v, want [3]", got)
+	}
+	if got := unused(noop("errclose", true), noop("deterministic", false)); !slices.Equal(got, []int{3, 6}) {
+		t.Errorf("full run with an out-of-scope analyzer: unused directives on lines %v, want [3 6]", got)
 	}
 }

@@ -24,7 +24,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 // analyzer runs regardless of its AppliesTo filter (the fixture
 // harness uses this). The full suite's directive names are always
 // registered, so directive findings are consistent whichever analyzers
-// run.
+// run. A directive is reported unused only when its analyzer is one of
+// analyzers: a subset run (pgblint -only) cannot tell whether the
+// others' directives suppress anything. A selected analyzer that is out
+// of pkg's scope still counts, so the full suite flags a directive
+// left in a package its analyzer never checks.
 func RunPackage(pkg *Package, module []*Package, analyzers []*Analyzer, applyScope bool) []Finding {
 	dirs := collectDirectives(pkg)
 
@@ -32,6 +36,7 @@ func RunPackage(pkg *Package, module []*Package, analyzers []*Analyzer, applySco
 	for _, a := range Analyzers() {
 		known[a.Directive] = true
 	}
+	selected := map[string]bool{}
 
 	var raw []diag
 	// External test packages share their base package's contract
@@ -39,6 +44,7 @@ func RunPackage(pkg *Package, module []*Package, analyzers []*Analyzer, applySco
 	scopePath := strings.TrimSuffix(pkg.ImportPath, "_test")
 	for _, a := range analyzers {
 		known[a.Directive] = true
+		selected[a.Directive] = true
 		if applyScope && a.AppliesTo != nil && !a.AppliesTo(scopePath) {
 			continue
 		}
@@ -78,7 +84,7 @@ func RunPackage(pkg *Package, module []*Package, analyzers []*Analyzer, applySco
 			f.Message = "unknown directive //pgb:" + d.name + " (known: " + strings.Join(knownNames(known), ", ") + ")"
 		case d.reason == "":
 			f.Message = "//pgb:" + d.name + " requires a reason (\"//pgb:" + d.name + " why this is safe\")"
-		case !used[i]:
+		case !used[i] && selected[d.name]:
 			f.Message = "unused //pgb:" + d.name + " directive: nothing to suppress on this line or the next"
 		default:
 			continue

@@ -23,6 +23,8 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,7 +61,9 @@ type Options struct {
 	// WorkersPerRun is the Config.Workers each executed run gets (grid
 	// cells × kernel helpers, one shared budget). Default 1.
 	WorkersPerRun int
-	// CacheEntries bounds the content-addressed result cache. Default 128.
+	// CacheEntries bounds the content-addressed result cache, and
+	// separately the compare request memo that maps a body's digest to
+	// its result key. Default 128.
 	CacheEntries int
 	// Store resolves dataset references (graphRef and grid-run datasets)
 	// before generation is attempted: refs previously ingested with
@@ -100,7 +104,11 @@ type Server struct {
 	// cache maps request digests (core.ConfigDigest for runs, a
 	// fingerprint tuple for compares) to results (DESIGN.md §9.3).
 	cache *lru.Cache[string, any]
-	jobs  *jobManager
+	// bodies maps the SHA-256 of a compare body that succeeded to its
+	// result key in cache, so a byte-identical repeat is answered
+	// before it is decoded.
+	bodies *lru.Cache[[sha256.Size]byte, string]
+	jobs   *jobManager
 	// sem bounds concurrent synchronous computations (generate/compare)
 	// so request handlers cannot oversubscribe the box under the job
 	// pool.
@@ -123,6 +131,7 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		mux:     http.NewServeMux(),
 		cache:   lru.New[string, any](opts.CacheEntries),
+		bodies:  lru.New[[sha256.Size]byte, string](opts.CacheEntries),
 		sem:     make(chan struct{}, opts.Workers),
 		store:   opts.Store,
 		dsCache: newDatasetCache(),
@@ -196,9 +205,34 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 
 // decodeBody strictly decodes the JSON request body into v: unknown
 // fields, trailing garbage, and oversize bodies are errors — a malformed
-// submission must fail loudly, not run a subtly different benchmark.
+// submission must fail loudly, not run a subtly different benchmark. It
+// streams, so its buffer grows only with the bytes that arrive.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// bodyPresizeCap bounds readBody's Content-Length presizing: a client
+// that announces a large body and stalls holds this much, not the
+// announced size.
+const bodyPresizeCap = 1 << 20
+
+// readBody reads the whole request body. A body over maxBodyBytes is an
+// *http.MaxBytesError. The buffer is sized from Content-Length, up to
+// bodyPresizeCap, so a typical graph payload is read without regrowing
+// it. Only handleCompare calls it, under its slot.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom wants MinRead bytes free before it sees EOF.
+		buf.Grow(int(min(n, bodyPresizeCap)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// decodeJSON is decodeBody's strict decode of the JSON object rd holds.
+func decodeJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -345,6 +379,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_entries":     s.cache.Len(),
 		"profile_cache":     core.ProfileCacheStats(),
 		"result_cache":      s.cache.Stats(),
+		"request_memo":      s.bodies.Stats(),
 		"dataset_cache":     s.dsCache.stats(),
 	})
 }
@@ -444,16 +479,33 @@ type compareRequest struct {
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// As in handleGenerate, the slot covers body decode (inline graphs
 	// build their CSR inside UnmarshalJSON), graph resolution (dataset
-	// references generate full graphs — and even a cache hit must
-	// resolve both sides to learn its fingerprints, the price of
-	// content-addressing by value rather than by request shape), and
-	// the profile computation itself.
+	// references generate full graphs — and a cache hit on a body not
+	// seen before must resolve both sides to learn its fingerprints,
+	// the price of content-addressing by value rather than by request
+	// shape), and the profile computation itself. It covers the body
+	// read too, so at most one body per slot is held in memory.
 	if !s.acquire(r) {
 		return
 	}
 	defer s.release()
+	body, err := readBody(w, r)
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	// A body seen before with a successful answer names its result key
+	// directly: the repeat skips decode, resolution and fingerprints.
+	// Errors never enter the memo, so a bad body is decoded every time.
+	digest := sha256.Sum256(body)
+	key, known := s.bodies.Get(digest)
+	if known {
+		if v, ok := s.cache.Get(key); ok {
+			writeJSON(w, http.StatusOK, map[string]any{"rows": v, "cached": true})
+			return
+		}
+	}
 	var req compareRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
@@ -495,15 +547,21 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if core.ProfileSeedInvariant(queries) {
 		keySeed = 0
 	}
-	key := fmt.Sprintf("cmp|%016x|%016x|%d|%s|%v", truth.Fingerprint(), syn.Fingerprint(), keySeed, mode, queries)
-	if v, ok := s.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, map[string]any{"rows": v, "cached": true})
-		return
+	key = fmt.Sprintf("cmp|%016x|%016x|%d|%s|%v", truth.Fingerprint(), syn.Fingerprint(), keySeed, mode, queries)
+	// A known body whose result was evicted has just missed under this
+	// very key; asking again would count a second miss.
+	if !known {
+		if v, ok := s.cache.Get(key); ok {
+			s.bodies.Add(digest, key)
+			writeJSON(w, http.StatusOK, map[string]any{"rows": v, "cached": true})
+			return
+		}
 	}
 	s.compares.Add(1)
 
 	rows := core.CompareGraphs(truth, syn, req.Seed, core.ProfileOptions{Queries: queries, DistanceMode: mode})
 	s.cache.Add(key, rows)
+	s.bodies.Add(digest, key)
 	writeJSON(w, http.StatusOK, map[string]any{"rows": rows, "cached": false})
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -364,6 +365,40 @@ func TestOversizeBodyIs413(t *testing.T) {
 	}
 }
 
+// TestAnnouncedBodySizeIsNotPreallocated: a client that announces a
+// large Content-Length and sends a few bytes makes the server allocate
+// for the bytes it sent, not for the size it announced. The body
+// endpoints stream their decode; /v1/compare, which reads its body
+// whole under its slot, presizes at most bodyPresizeCap.
+func TestAnnouncedBodySizeIsNotPreallocated(t *testing.T) {
+	s, _ := newTestServer(t, t.TempDir())
+	// slack covers the handler's own allocations, which the race
+	// detector inflates; the announced size is 16 times larger.
+	const slack = 4 << 20
+	for _, ep := range []struct {
+		path  string
+		bound uint64
+	}{
+		{"/v1/runs", slack},
+		{"/v1/generate", slack},
+		{"/v1/compare", bodyPresizeCap + slack},
+	} {
+		req := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(`{"`))
+		req.ContentLength = maxBodyBytes
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s with a truncated body: status %d, want 400", ep.path, rec.Code)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > ep.bound {
+			t.Errorf("POST %s announcing %d bytes and sending 2: allocated %d bytes, want at most %d", ep.path, maxBodyBytes, got, ep.bound)
+		}
+	}
+}
+
 // TestDecodeBodyRejectsTrailingData: each endpoint's valid body is
 // accepted with trailing whitespace and rejected as bad_request with
 // anything else after it — including a stray ']' or '}', before which
@@ -506,6 +541,143 @@ func TestCompareReusesSyntheticPasses(t *testing.T) {
 		if !bytes.Equal(got[i].Rows, want.Rows) {
 			t.Errorf("compare %d rows differ from a fresh server's:\n got %s\nwant %s", i, got[i].Rows, want.Rows)
 		}
+	}
+}
+
+// postRaw posts body to url as is and returns the status and the
+// response bytes.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: reading the response: %v", url, err)
+	}
+	return resp.StatusCode, data
+}
+
+// cacheHealth is the part of /healthz the request-memo tests read.
+type cacheHealth struct {
+	ResultCache      lru.Stats `json:"result_cache"`
+	RequestMemo      lru.Stats `json:"request_memo"`
+	ComparesExecuted int64     `json:"compares_executed"`
+}
+
+// TestCompareBodyMemo: a byte-identical compare body is answered from
+// the request memo with exactly the bytes of the fingerprint-keyed hit a
+// whitespace variant of the body gets, and each answer counts one
+// result_cache hit. The variant misses the memo, since its bytes differ,
+// but its fingerprints still find the cached rows.
+func TestCompareBodyMemo(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	body := `{"truth":{"dataset":"ER","scale":0.05,"seed":2002},"synthetic":{"dataset":"BA","scale":0.05,"seed":2002},"seed":3,"queries":["|E|","GCC","CD"]}`
+	variant := strings.Replace(body, `"seed":3,`, `"seed": 3, `, 1)
+	health := func() cacheHealth {
+		var h cacheHealth
+		if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
+			t.Fatalf("healthz status %d", code)
+		}
+		return h
+	}
+	var first struct {
+		Rows   json.RawMessage `json:"rows"`
+		Cached bool            `json:"cached"`
+	}
+	code, data := postRaw(t, ts.URL+"/v1/compare", body)
+	if err := json.Unmarshal(data, &first); code != http.StatusOK || err != nil || first.Cached {
+		t.Fatalf("first compare: status %d cached=%v err=%v: %s", code, first.Cached, err, data)
+	}
+
+	h0 := health()
+	code, byKey := postRaw(t, ts.URL+"/v1/compare", variant)
+	h1 := health()
+	if code != http.StatusOK || h1.ResultCache.Hits != h0.ResultCache.Hits+1 {
+		t.Fatalf("whitespace variant: status %d, result_cache %+v -> %+v; want one more hit", code, h0.ResultCache, h1.ResultCache)
+	}
+	if h1.RequestMemo.Hits != h0.RequestMemo.Hits || h1.RequestMemo.Misses != h0.RequestMemo.Misses+1 {
+		t.Fatalf("whitespace variant: request_memo %+v -> %+v; want one more miss", h0.RequestMemo, h1.RequestMemo)
+	}
+
+	code, byDigest := postRaw(t, ts.URL+"/v1/compare", body)
+	h2 := health()
+	if code != http.StatusOK || h2.ResultCache.Hits != h1.ResultCache.Hits+1 || h2.ResultCache.Misses != h1.ResultCache.Misses {
+		t.Fatalf("repeat: status %d, result_cache %+v -> %+v; want exactly one more hit", code, h1.ResultCache, h2.ResultCache)
+	}
+	if h2.RequestMemo.Hits != h1.RequestMemo.Hits+1 {
+		t.Fatalf("repeat: request_memo %+v -> %+v; want one more hit", h1.RequestMemo, h2.RequestMemo)
+	}
+	if !bytes.Equal(byDigest, byKey) {
+		t.Fatalf("memo hit answered\n%s\nthe fingerprint-keyed hit\n%s", byDigest, byKey)
+	}
+	var repeat struct {
+		Rows   json.RawMessage `json:"rows"`
+		Cached bool            `json:"cached"`
+	}
+	if err := json.Unmarshal(byDigest, &repeat); err != nil || !repeat.Cached || !bytes.Equal(repeat.Rows, first.Rows) {
+		t.Fatalf("repeat = %s (err %v), want the first rows with cached=true", byDigest, err)
+	}
+	if h2.ComparesExecuted != 1 {
+		t.Fatalf("compares executed = %d, want 1", h2.ComparesExecuted)
+	}
+}
+
+// TestCompareBodyMemoSkipsErrors: an error answer never enters the
+// request memo, so a bad body sent twice is decoded and rejected twice,
+// and an oversize body is still 413 before any memo lookup, also when
+// its Content-Length announces the size.
+func TestCompareBodyMemoSkipsErrors(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	memo := func() lru.Stats {
+		var h cacheHealth
+		getJSON(t, ts.URL+"/healthz", &h)
+		return h.RequestMemo
+	}
+	for _, bad := range []struct{ body, code string }{
+		{`{"truth":{"dataset":"ER","scale":0.02},"synthetic":{"dataset":"ER","scale":0.02},"queries":["NoSuchQ"]}`, "unknown_query"},
+		{`{"truth":{"dataset":"ER","scale":0.02},"synthetic":{"graph":{"n":3,"edges":[0,1]}},"queries":["CD"]}`, "invalid_argument"},
+		{`{"truth":{"dataset":"ER","scale":0.02},"synthetic":{"dataset":"ER"},"bogus":1}`, "bad_request"},
+	} {
+		before := memo()
+		var answers [2][]byte
+		for i := range answers {
+			var code int
+			code, answers[i] = postRaw(t, ts.URL+"/v1/compare", bad.body)
+			var e map[string]apiError
+			if err := json.Unmarshal(answers[i], &e); code != http.StatusBadRequest || err != nil || e["error"].Code != bad.code {
+				t.Fatalf("%s, send %d: status %d %s, want 400 %s", bad.body, i, code, answers[i], bad.code)
+			}
+		}
+		if after := memo(); after.Misses != before.Misses+2 || after.Hits != before.Hits || after.Entries != before.Entries {
+			t.Fatalf("%s sent twice: request_memo %+v -> %+v, want two misses and no entry", bad.body, before, after)
+		}
+		if !bytes.Equal(answers[0], answers[1]) {
+			t.Fatalf("%s: the two error answers differ:\n%s\n%s", bad.body, answers[0], answers[1])
+		}
+	}
+
+	before := memo()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compare",
+		io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, maxBodyBytes), strings.NewReader("}")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxBodyBytes + 2
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST oversize: %v", err)
+	}
+	var e map[string]apiError
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e["error"].Code != "too_large" {
+		t.Fatalf("oversize body with Content-Length: status %d code %q, want 413 too_large", resp.StatusCode, e["error"].Code)
+	}
+	if after := memo(); after != before {
+		t.Fatalf("oversize body touched the request memo: %+v -> %+v", before, after)
 	}
 }
 
