@@ -7,7 +7,6 @@ package algo
 
 import (
 	"math/rand"
-	"runtime"
 
 	"pgb/internal/graph"
 	"pgb/internal/par"
@@ -51,18 +50,10 @@ type Params struct {
 	Budget *par.Budget
 }
 
-// effectiveWorkers resolves the Workers default.
-func (p Params) effectiveWorkers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ForEach runs fn over fixed-grain blocks of [0, n) on up to Workers
 // concurrent goroutines drawn from the params' budget — the sharded-pass
 // primitive of the parallel generators. The decomposition depends only
 // on n and grain, so passes with exact merges are worker-count-invariant.
 func (p Params) ForEach(n, grain int, fn func(lo, hi int)) {
-	par.ForEachBlock(p.Budget, p.effectiveWorkers(), n, grain, fn)
+	par.ForEachBlock(p.Budget, par.Workers(p.Workers), n, grain, fn)
 }

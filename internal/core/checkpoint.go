@@ -42,10 +42,13 @@ type manifestHeader struct {
 	Seed    int64   `json:"seed"`
 	Workers int     `json:"workers"`
 
-	ExactPathLimit int  `json:"exact_path_limit"`
-	PathSamples    int  `json:"path_samples"`
-	EVCIterations  int  `json:"evc_iterations"`
-	ExactDiameter  bool `json:"exact_diameter,omitempty"`
+	ExactPathLimit int `json:"exact_path_limit"`
+	PathSamples    int `json:"path_samples"`
+	EVCIterations  int `json:"evc_iterations"`
+	// ExactDiameter is only read, to refuse a manifest that sets it: no
+	// profile option selects the exact diameter. It stays in the digest,
+	// so digests of earlier manifests do not change.
+	ExactDiameter bool `json:"exact_diameter,omitempty"`
 	// DistanceMode is the resolved Q7–Q9 estimator ("" = auto). It joins
 	// the digest only when non-empty, so manifests written before the
 	// field existed resume unchanged.

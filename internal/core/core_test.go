@@ -259,6 +259,24 @@ func TestVerifyDPdK(t *testing.T) {
 	}
 }
 
+// TestVerifyDPdKGolden pins Table XI's exact text.
+// testdata/table11.golden was captured when the exact iFUB diameter
+// was still a profile option; the table now computes it beside the
+// profile and must print the same bytes.
+func TestVerifyDPdKGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/table11.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := VerifyDPdK(0.05, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("VerifyDPdK drifted from testdata/table11.golden:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // Table XI treats reps ≤ 0 as the default ten like every other -reps,
 // instead of averaging over no repetitions and printing zeros.
 func TestVerifyDPdKDefaultReps(t *testing.T) {

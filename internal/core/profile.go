@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"pgb/internal/community"
 	"pgb/internal/graph"
@@ -84,11 +84,6 @@ const (
 // ProfileOptions tunes the expensive queries and the execution of the
 // profile computation itself.
 type ProfileOptions struct {
-	// ExactDiameter replaces the sampled diameter lower bound with the
-	// exact iFUB computation on the largest component — used by the
-	// verification appendix, where diameter is compared in absolute
-	// terms rather than relative across algorithms.
-	ExactDiameter bool
 	// DistanceMode selects the Q7–Q9 estimator: auto (exact up to
 	// exactPathLimit nodes, sampled above), exact, sampled, or anf. Unknown
 	// values behave like auto; validate boundary input with
@@ -113,19 +108,11 @@ type ProfileOptions struct {
 	Budget *par.Budget
 }
 
-// effectiveWorkers resolves the parallelism budget: 0 selects GOMAXPROCS.
-func (o ProfileOptions) effectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // exactBFS reports whether the distance pass runs all-pairs BFS on a
 // graph of n nodes: DistanceExact, or auto (and unrecognised) modes up to
 // exactPathLimit nodes. Exact BFS is the one distance estimator that
-// draws no randomness; the distance pass and the profile memo's key
-// both ask here, so they cannot disagree.
+// draws no randomness; the distance pass and passKey both ask here, so
+// they cannot disagree.
 func (o ProfileOptions) exactBFS(n int) bool {
 	switch o.DistanceMode {
 	case DistanceExact:
@@ -151,15 +138,6 @@ func SubSeed(seed int64, stream uint64) int64 {
 	return int64(z)
 }
 
-// profileTask is one schedulable pass of the profile computation.
-type profileTask struct {
-	cost CostClass
-	// order breaks cost ties so the dispatch sequence is deterministic.
-	order int
-	seed  int64
-	run   func(rng *rand.Rand)
-}
-
 // ComputeProfileSeeded evaluates the selected queries on g. Independent
 // compute groups (structural scans, the triangle/clustering pass, the BFS
 // sweep, Louvain, power iteration, and each custom query) run concurrently,
@@ -171,176 +149,181 @@ type profileTask struct {
 // worker-count-invariant, so the result is identical for a fixed seed
 // regardless of parallelism.
 func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	return computeProfile(g, opt, opt.Queries, seed)
+	return profiles([]*graph.Graph{g}, []int64{seed}, opt, false)[0]
 }
 
-// computeProfile is ComputeProfileSeeded restricted to the passes the
-// selected queries need (nil: every registered query). Custom passes
-// still receive the caller's opt, whose Queries may differ from
-// selected.
-func computeProfile(g *graph.Graph, opt ProfileOptions, selected []QueryID, seed int64) *Profile {
-	workers := opt.effectiveWorkers()
+// ComputeProfileCached is ComputeProfileSeeded behind a process-wide
+// memo of individual passes, keyed by graph fingerprint, pass, the
+// options the pass reads, and the seed when the pass draws randomness.
+// A fresh seed therefore recomputes only the seed-consuming passes
+// (Louvain, custom queries, and non-exact distances) on their usual
+// sub-seeds, so the result equals ComputeProfileSeeded's. Use it for
+// graphs whose profile is requested repeatedly — the benchmark runner's
+// true graphs, both sides of CompareGraphs, and the verification
+// appendix. The returned profile shares its slices with the memo:
+// callers must treat it as read-only.
+func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
+	return profiles([]*graph.Graph{g}, []int64{seed}, opt, true)[0]
+}
+
+// profileTask is one pass of one graph: the unit the profile pool
+// schedules.
+type profileTask struct {
+	pass  profilePass
+	graph int // index into the graphs being profiled
+	cost  CostClass
+	seed  int64
+	run   func(p *Profile, rng *rand.Rand)
+	out   *Profile // the fields of pass, once run has written them
+	// memo, when non-nil, is the LRU that stores out under key.
+	memo *lru.Cache[passKey, *Profile]
+	key  passKey
+}
+
+// profiles computes the profile of each graph gs[i] on seed seeds[i]
+// from one pool in which every pass of every graph is one task. When
+// cached, each task is first looked up in the pass memo, only the misses
+// run, and their results are stored afterwards. The misses run heaviest
+// first, deterministic within a cost class, on the calling goroutine
+// plus helpers drawn from one allowance — opt.Budget, or a new one of
+// Workers-1 — that the kernels inside the heavy passes draw from too.
+// Each pass owns its RNG stream and every pass writes only its own
+// fields (copyPass lists them), so the profiles do not depend on the
+// schedule and tasks need no locking.
+func profiles(gs []*graph.Graph, seeds []int64, opt ProfileOptions, cached bool) []*Profile {
+	workers := par.Workers(opt.Workers)
 	budget := opt.Budget
 	if budget == nil && workers > 1 {
 		budget = par.NewBudget(workers - 1)
 	}
-
-	p := &Profile{}
-	tasks := profileTasks(g, opt, selected, seed, p, workers, budget)
-	if len(tasks) == 0 {
-		return p
+	passes := passesOf(opt.Queries)
+	out := make([]*Profile, len(gs))
+	var tasks []profileTask
+	for i, g := range gs {
+		out[i] = &Profile{}
+		for _, ps := range passes {
+			t := profileTask{pass: ps, graph: i, seed: SubSeed(seeds[i], ps.order())}
+			if cached {
+				key, seeded := opt.passKey(g.Fingerprint(), g.N(), ps, seeds[i])
+				t.memo, t.key = seedFreePasses, key
+				if seeded {
+					t.memo = seededPasses
+				}
+				if hit, ok := t.memo.Get(key); ok {
+					copyPass(out[i], hit, ps)
+					continue
+				}
+			}
+			t.cost, t.run = passTask(g, opt, ps, workers, budget)
+			t.out = &Profile{}
+			tasks = append(tasks, t)
+		}
 	}
 
-	// Heaviest passes first, deterministic within a class.
+	// Heaviest passes first, then in pass order, then in graph order.
 	sort.SliceStable(tasks, func(i, j int) bool {
 		if tasks[i].cost != tasks[j].cost {
 			return tasks[i].cost > tasks[j].cost
 		}
-		return tasks[i].order < tasks[j].order
+		return tasks[i].pass.order() < tasks[j].pass.order()
 	})
-
-	extra := workers - 1
-	if extra > len(tasks)-1 {
-		extra = len(tasks) - 1
-	}
 	claim := par.Queue(len(tasks))
-	budget.Do(extra, func() {
+	budget.Do(min(workers, len(tasks))-1, func() {
 		for i, ok := claim(); ok; i, ok = claim() {
 			t := tasks[i]
-			t.run(rand.New(rand.NewSource(t.seed)))
+			t.run(t.out, rand.New(rand.NewSource(t.seed)))
 		}
 	})
-	return p
+
+	for _, t := range tasks {
+		entry := t.out
+		if t.memo != nil {
+			// Concurrent misses on one key both compute; Add keeps the
+			// first copy.
+			entry = t.memo.Add(t.key, entry)
+		}
+		copyPass(out[t.graph], entry, t.pass)
+	}
+	return out
 }
 
-// profileTasks assembles the passes the selected queries need. Each pass
-// writes a disjoint set of Profile fields (copyPass lists them), so
-// passes are race-free without locking; custom passes share the Custom
-// map behind a mutex. workers and budget parameterise the kernels inside
-// the heavy passes — the same allowance the pass pool itself draws from.
-func profileTasks(g *graph.Graph, opt ProfileOptions, selected []QueryID, seed int64, p *Profile, workers int, budget *par.Budget) []profileTask {
-	if selected == nil {
-		selected = RegisteredQueries()
-	}
-	groups := make(map[GroupID]bool)
-	var custom []QuerySpec
-	for _, q := range selected {
-		s, ok := registry.spec(q)
-		if !ok {
-			continue
+// passTask returns the cost class of pass ps on g and the function that
+// writes the pass's fields into a profile. workers and budget
+// parameterise the kernels inside the heavy passes — the same allowance
+// the pool itself draws from.
+func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, budget *par.Budget) (CostClass, func(p *Profile, rng *rand.Rand)) {
+	switch ps.group {
+	case GroupStructure:
+		return CostLight, func(p *Profile, _ *rand.Rand) {
+			p.NumNodes = stats.NumNodes(g)
+			p.NumEdges = stats.NumEdges(g)
+			p.AvgDegree = stats.AvgDegree(g)
+			p.DegreeVariance = stats.DegreeVariance(g)
+			p.DegreeDist = stats.DegreeDistribution(g)
+			p.Assortativity = stats.Assortativity(g)
 		}
-		if s.Group == GroupCustom {
-			custom = append(custom, s)
-			continue
+	case GroupTriangles:
+		return CostHeavy, func(p *Profile, _ *rand.Rand) {
+			// One forward-orientation pass yields Q3, Q10 and Q11 together.
+			tri, wedges, acc := stats.TriangleProfileParallel(g, workers, budget)
+			p.Triangles = tri
+			p.GCC = stats.GlobalClusteringFrom(tri, wedges)
+			p.ACC = acc
 		}
-		groups[s.Group] = true
-	}
-
-	var tasks []profileTask
-	add := func(group GroupID, cost CostClass, run func(rng *rand.Rand)) {
-		if !groups[group] {
-			return
+	case GroupDistances:
+		// ANF replaces the BFS sweep with O(diameter) register rounds — a
+		// bounded iterative pass, so it schedules as CostMedium rather than
+		// CostHeavy.
+		cost := CostHeavy
+		if opt.DistanceMode == DistanceANF {
+			cost = CostMedium
 		}
-		tasks = append(tasks, profileTask{
-			cost:  cost,
-			order: int(group),
-			seed:  SubSeed(seed, uint64(group)),
-			run:   run,
-		})
-	}
-
-	add(GroupStructure, CostLight, func(*rand.Rand) {
-		p.NumNodes = stats.NumNodes(g)
-		p.NumEdges = stats.NumEdges(g)
-		p.AvgDegree = stats.AvgDegree(g)
-		p.DegreeVariance = stats.DegreeVariance(g)
-		p.DegreeDist = stats.DegreeDistribution(g)
-		p.Assortativity = stats.Assortativity(g)
-	})
-	add(GroupTriangles, CostHeavy, func(*rand.Rand) {
-		// One forward-orientation pass yields Q3, Q10 and Q11 together.
-		tri, wedges, acc := stats.TriangleProfileParallel(g, workers, budget)
-		p.Triangles = tri
-		p.GCC = stats.GlobalClusteringFrom(tri, wedges)
-		p.ACC = acc
-	})
-	// ANF replaces the BFS sweep with O(diameter) register rounds — a
-	// bounded iterative pass, so it schedules as CostMedium rather than
-	// CostHeavy.
-	distCost := CostHeavy
-	if opt.DistanceMode == DistanceANF {
-		distCost = CostMedium
-	}
-	add(GroupDistances, distCost, func(rng *rand.Rand) {
-		var ds stats.DistanceStats
-		switch {
-		case opt.exactBFS(g.N()):
-			ds = stats.ExactDistancesParallel(g, workers, budget)
-		case opt.DistanceMode == DistanceANF:
-			ds = stats.ANFDistancesParallel(g, rng, workers, budget)
-		default: // sampled, and auto or unrecognised above exactPathLimit
-			ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
+		return cost, func(p *Profile, rng *rand.Rand) {
+			var ds stats.DistanceStats
+			switch {
+			case opt.exactBFS(g.N()):
+				ds = stats.ExactDistancesParallel(g, workers, budget)
+			case opt.DistanceMode == DistanceANF:
+				ds = stats.ANFDistancesParallel(g, rng, workers, budget)
+			default: // sampled, and auto or unrecognised above exactPathLimit
+				ds = stats.SampledDistancesParallel(g, pathSamples, rng, workers, budget)
+			}
+			p.Diameter = ds.Diameter
+			p.AvgPath = ds.AvgPath
+			p.DistanceDist = ds.Distribution
 		}
-		p.Diameter = ds.Diameter
-		p.AvgPath = ds.AvgPath
-		p.DistanceDist = ds.Distribution
-		if opt.ExactDiameter {
-			p.Diameter = float64(stats.ExactDiameter(g, rng))
+	case GroupCommunity:
+		return CostHeavy, func(p *Profile, rng *rand.Rand) {
+			cd := community.Louvain(g, rng)
+			p.CommunityLabels = cd.Labels
+			p.Modularity = cd.Modularity
 		}
-	})
-	add(GroupCommunity, CostHeavy, func(rng *rand.Rand) {
-		cd := community.Louvain(g, rng)
-		p.CommunityLabels = cd.Labels
-		p.Modularity = cd.Modularity
-	})
-	add(GroupCentrality, CostMedium, func(*rand.Rand) {
-		p.EVC = stats.EigenvectorCentrality(g, evcIterations, 0)
-	})
-
-	if len(custom) > 0 {
-		p.Custom = make(map[QueryID]float64, len(custom))
-		var mu sync.Mutex
-		for _, s := range custom {
-			s := s
-			tasks = append(tasks, profileTask{
-				cost:  s.Cost,
-				order: int(GroupCustom) + int(s.ID),
-				seed:  SubSeed(seed, uint64(GroupCustom)+uint64(s.ID)),
-				run: func(rng *rand.Rand) {
-					v := s.Compute(g, opt, rng)
-					mu.Lock()
-					p.Custom[s.ID] = v
-					mu.Unlock()
-				},
-			})
+	case GroupCentrality:
+		return CostMedium, func(p *Profile, _ *rand.Rand) {
+			p.EVC = stats.EigenvectorCentrality(g, evcIterations, 0)
 		}
 	}
-	return tasks
+	// Custom passes receive the caller's opt, whole.
+	s, _ := registry.spec(ps.query)
+	return s.Cost, func(p *Profile, rng *rand.Rand) {
+		p.Custom = map[QueryID]float64{s.ID: s.Compute(g, opt, rng)}
+	}
 }
 
 // ProfileSeedInvariant reports whether a profile restricted to queries
-// is independent of its seed: true when no selected pass consumes its
-// RNG stream. Structure, triangle/clustering, and centrality passes are
-// deterministic functions of the graph; Louvain and custom queries draw
-// from the seed, and so does the distance group unless it runs exact
-// BFS (sampling and ANF hashing draw; exact BFS draws nothing). Whether
-// it runs exact BFS depends on the graph's node count, which this
-// function cannot see, so any distance query makes it report false.
-// Callers can normalise the seed in cache keys for invariant query sets
-// so repeated requests with cosmetically different seeds share one
-// entry. nil selects every registered query, which includes RNG
-// consumers.
+// is independent of its seed: true when no selected pass draws
+// randomness on a graph too large for exact BFS — the distance pass's
+// one seed-free estimator, so any distance query makes it report false,
+// as do Louvain and custom queries. Callers can normalise the seed in
+// cache keys for invariant query sets so repeated requests with
+// cosmetically different seeds share one entry. nil selects every
+// registered query, which includes RNG consumers.
 func ProfileSeedInvariant(queries []QueryID) bool {
 	if queries == nil {
 		return false
 	}
-	for _, q := range queries {
-		s, ok := registry.spec(q)
-		if !ok {
-			continue
-		}
-		switch s.Group {
-		case GroupDistances, GroupCommunity, GroupCustom:
+	for _, ps := range passesOf(queries) {
+		if _, seeded := (ProfileOptions{}).passKey(0, math.MaxInt, ps, 0); seeded {
 			return false
 		}
 	}
@@ -352,6 +335,33 @@ func ProfileSeedInvariant(queries []QueryID) bool {
 type profilePass struct {
 	group GroupID
 	query QueryID // custom passes only
+}
+
+// order is the pass's RNG stream index and its tie-break among passes of
+// one cost class.
+func (ps profilePass) order() uint64 { return uint64(ps.group) + uint64(ps.query) }
+
+// passesOf lists the distinct passes queries need, in first-use order;
+// nil selects every registered query, and unregistered ids are skipped.
+func passesOf(queries []QueryID) []profilePass {
+	if queries == nil {
+		queries = RegisteredQueries()
+	}
+	var passes []profilePass
+	for _, q := range queries {
+		s, ok := registry.spec(q)
+		if !ok {
+			continue
+		}
+		ps := profilePass{group: s.Group}
+		if s.Group == GroupCustom {
+			ps.query = s.ID
+		}
+		if !slices.Contains(passes, ps) {
+			passes = append(passes, ps)
+		}
+	}
+	return passes
 }
 
 // copyPass copies the Profile fields that pass ps writes from src to dst.
@@ -383,29 +393,28 @@ func copyPass(dst, src *Profile, ps profilePass) {
 type passKey struct {
 	fp   uint64
 	pass profilePass
-	// Distance passes read mode and exactDiameter; custom passes read
-	// the whole ProfileOptions, so they add the query list.
-	mode          DistanceMode
-	exactDiameter bool
-	queries       string
-	seed          int64
+	// Distance passes read the mode; custom passes read the whole
+	// ProfileOptions, so they add the query list.
+	mode    DistanceMode
+	queries string
+	seed    int64
 }
 
 // passKey builds the memo key of pass ps on a graph with fingerprint fp
-// and n nodes, and reports whether the pass draws randomness — the
-// decision that picks its LRU, since a caller's seed may itself be 0.
+// and n nodes, and reports whether the pass draws randomness: the one
+// place that decides it, for the memo's choice of LRU (a caller's seed
+// may itself be 0) and for ProfileSeedInvariant. The distance pass draws
+// exactly when it does not run exact BFS.
 func (o ProfileOptions) passKey(fp uint64, n int, ps profilePass, seed int64) (k passKey, seeded bool) {
 	k = passKey{fp: fp, pass: ps}
 	switch ps.group {
 	case GroupStructure, GroupTriangles, GroupCentrality:
 	case GroupDistances:
-		k.mode, k.exactDiameter = o.DistanceMode, o.ExactDiameter
-		// iFUB seeds its root from the pass's stream (ExactDiameter).
-		seeded = !o.exactBFS(n) || o.ExactDiameter
+		k.mode, seeded = o.DistanceMode, !o.exactBFS(n)
 	case GroupCommunity:
 		seeded = true
 	default:
-		k.mode, k.exactDiameter, seeded = o.DistanceMode, o.ExactDiameter, true
+		k.mode, seeded = o.DistanceMode, true
 		ids := make([]byte, 0, 4*len(o.Queries))
 		for _, q := range o.Queries {
 			ids = strconv.AppendInt(append(ids, ','), int64(q), 10)
@@ -431,74 +440,6 @@ var (
 	seedFreePasses = lru.New[passKey, *Profile](256)
 	seededPasses   = lru.New[passKey, *Profile](64)
 )
-
-// ComputeProfileCached is ComputeProfileSeeded behind a process-wide
-// memo of individual passes, keyed by graph fingerprint, pass, the
-// options the pass reads, and the seed when the pass draws randomness.
-// A fresh seed therefore recomputes only the seed-consuming passes
-// (Louvain, custom queries, and non-exact distances); the missing
-// passes run together in one restricted profile computation on their
-// usual sub-seeds, so the result equals ComputeProfileSeeded's. Use it
-// for graphs whose profile is requested repeatedly — the benchmark
-// runner's true graphs, both sides of CompareGraphs, and the
-// verification appendix. The returned profile shares its slices with
-// the memo: callers must treat it as read-only.
-func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	fp, n := g.Fingerprint(), g.N()
-	selected := opt.Queries
-	if selected == nil {
-		selected = RegisteredQueries()
-	}
-	type miss struct {
-		pass profilePass
-		key  passKey
-		memo *lru.Cache[passKey, *Profile]
-	}
-	p := &Profile{}
-	var missing []miss
-	var restricted []QueryID // the selected queries of the missing passes
-	hit := make(map[profilePass]bool)
-	for _, q := range selected {
-		s, ok := registry.spec(q)
-		if !ok {
-			continue // profileTasks skips unregistered ids too
-		}
-		ps := profilePass{group: s.Group}
-		if s.Group == GroupCustom {
-			ps.query = s.ID
-		}
-		found, seen := hit[ps]
-		if !seen {
-			key, seeded := opt.passKey(fp, n, ps, seed)
-			memo := seedFreePasses
-			if seeded {
-				memo = seededPasses
-			}
-			var cached *Profile
-			if cached, found = memo.Get(key); found {
-				copyPass(p, cached, ps)
-			} else {
-				missing = append(missing, miss{ps, key, memo})
-			}
-			hit[ps] = found
-		}
-		if !found {
-			restricted = append(restricted, q)
-		}
-	}
-	if len(missing) == 0 {
-		return p
-	}
-	fresh := computeProfile(g, opt, restricted, seed)
-	for _, m := range missing {
-		// Each entry holds only its own pass's fields. Concurrent misses
-		// on one key both compute; Add keeps the first copy.
-		entry := &Profile{}
-		copyPass(entry, fresh, m.pass)
-		copyPass(p, m.memo.Add(m.key, entry), m.pass)
-	}
-	return p
-}
 
 // ProfileCacheStats reports the profile memo's counters and size, summed
 // over its two LRUs; every pass lookup counts one hit or one miss.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -71,7 +72,6 @@ func TestProfileCacheMemoizes(t *testing.T) {
 	g := gen.GNM(200, 600, rng(51)) // auto mode: exact BFS, no randomness
 	all := ProfileOptions{Queries: AllQueries()}
 	sampled := ProfileOptions{Queries: AllQueries(), DistanceMode: DistanceSampled}
-	xdiam := ProfileOptions{Queries: AllQueries(), ExactDiameter: true}
 	g2 := gen.GNM(200, 600, rng(52+base)) // new each run: seed-free passes outlive a run
 	if g2.Fingerprint() == g.Fingerprint() {
 		t.Fatal("test graphs share a fingerprint")
@@ -89,8 +89,6 @@ func TestProfileCacheMemoizes(t *testing.T) {
 		{"new seed reruns Louvain only", g, all, base + 1, 4, 1},
 		{"sampled distances read the mode", g, sampled, base, 4, 1},
 		{"sampled distances read the seed", g, sampled, base + 2, 3, 2},
-		{"ExactDiameter reads the seed", g, xdiam, base, 4, 1},
-		{"ExactDiameter, new seed", g, xdiam, base + 3, 3, 2},
 		{"different graph", g2, all, base, 0, 5},
 		{"repeat after the others", g, all, base + 1, 5, 0},
 	} {
@@ -105,8 +103,7 @@ func TestProfileCacheMemoizes(t *testing.T) {
 }
 
 // TestProfileCachedMatchesSeeded: across every distance mode (an
-// unrecognised one included), with and without ExactDiameter, on both
-// sides of exactPathLimit and with seeds interleaved so seed-free
+// unrecognised one included), on both sides of exactPathLimit and with seeds interleaved so seed-free
 // entries are reused across seeds, the memo returns exactly
 // ComputeProfileSeeded's profile. A custom pass sees the caller's
 // opt.Queries, not the memo's restricted list.
@@ -121,24 +118,22 @@ func TestProfileCachedMatchesSeeded(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for _, mode := range []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"} {
-			for _, xd := range []bool{false, true} {
-				for i, queries := range [][]QueryID{
-					nil,
-					{QDiameter, QModularity, custom, QNumEdges},
-				} {
-					opt := ProfileOptions{Queries: queries, DistanceMode: mode, ExactDiameter: xd}
-					for _, seed := range []int64{base, base + 1, base} {
-						got := ComputeProfileCached(g, opt, seed)
-						for _, seen := range takeRecorded() {
-							if !reflect.DeepEqual(seen, queries) {
-								t.Fatalf("n=%d mode=%q xd=%t: custom pass got Queries %v, want the caller's %v", g.N(), mode, xd, seen, queries)
-							}
+			for i, queries := range [][]QueryID{
+				nil,
+				{QDiameter, QModularity, custom, QNumEdges},
+			} {
+				opt := ProfileOptions{Queries: queries, DistanceMode: mode}
+				for _, seed := range []int64{base, base + 1, base} {
+					got := ComputeProfileCached(g, opt, seed)
+					for _, seen := range takeRecorded() {
+						if !reflect.DeepEqual(seen, queries) {
+							t.Fatalf("n=%d mode=%q: custom pass got Queries %v, want the caller's %v", g.N(), mode, seen, queries)
 						}
-						want := ComputeProfileSeeded(g, opt, seed)
-						takeRecorded()
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("n=%d mode=%q xd=%t queries#%d seed=%d: cached profile differs from ComputeProfileSeeded", g.N(), mode, xd, i, seed)
-						}
+					}
+					want := ComputeProfileSeeded(g, opt, seed)
+					takeRecorded()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d mode=%q queries#%d seed=%d: cached profile differs from ComputeProfileSeeded", g.N(), mode, i, seed)
 					}
 				}
 			}
@@ -146,18 +141,18 @@ func TestProfileCachedMatchesSeeded(t *testing.T) {
 	}
 }
 
-// FuzzProfileCachedMatchesSeeded: on byte-derived small graphs, any
-// distance mode and either ExactDiameter setting, two cached calls with
+// FuzzProfileCachedMatchesSeeded: on byte-derived small graphs and any
+// distance mode, two cached calls with
 // different seeds each equal ComputeProfileSeeded. The memo persists
 // across inputs, so entries of one graph or seed must never answer for
 // another.
 func FuzzProfileCachedMatchesSeeded(f *testing.F) {
-	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, int64(1), uint8(0), false)
-	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, int64(2), uint8(2), true)
-	f.Add([]byte{30, 0, 1, 2, 3, 4, 5, 6, 7, 1, 9, 9, 4}, int64(-7), uint8(3), false)
-	f.Add([]byte{}, int64(0), uint8(4), true)
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, int64(1), uint8(0))
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, int64(2), uint8(2))
+	f.Add([]byte{30, 0, 1, 2, 3, 4, 5, 6, 7, 1, 9, 9, 4}, int64(-7), uint8(3))
+	f.Add([]byte{}, int64(0), uint8(4))
 	modes := []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"}
-	f.Fuzz(func(t *testing.T, data []byte, seed int64, rawMode uint8, xd bool) {
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, rawMode uint8) {
 		n := 0
 		if len(data) > 0 {
 			n, data = int(data[0]%48), data[1:]
@@ -167,10 +162,10 @@ func FuzzProfileCachedMatchesSeeded(f *testing.F) {
 			edges = append(edges, graph.Canon(int32(int(data[i])%n), int32(int(data[i+1])%n)))
 		}
 		g := graph.FromEdges(n, edges)
-		opt := ProfileOptions{DistanceMode: modes[int(rawMode)%len(modes)], ExactDiameter: xd, Queries: AllQueries()}
+		opt := ProfileOptions{DistanceMode: modes[int(rawMode)%len(modes)], Queries: AllQueries()}
 		for _, s := range []int64{seed, seed + 1} {
 			if got, want := ComputeProfileCached(g, opt, s), ComputeProfileSeeded(g, opt, s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d m=%d mode=%q xd=%t seed=%d: cached profile differs from ComputeProfileSeeded", g.N(), g.M(), opt.DistanceMode, xd, s)
+				t.Fatalf("n=%d m=%d mode=%q seed=%d: cached profile differs from ComputeProfileSeeded", g.N(), g.M(), opt.DistanceMode, s)
 			}
 		}
 	})
@@ -301,4 +296,53 @@ func TestSeededPassesCannotEvictSeedFree(t *testing.T) {
 	if _, hits, misses := cachedDelta(b, seedFree, base+100); hits != 3 || misses != 0 {
 		t.Fatalf("graph B after 100 fresh-seed CD profiles of A: %d hits, %d misses; want 3, 0", hits, misses)
 	}
+}
+
+// FuzzCompareGraphsMatchesUncached: on byte-derived graph pairs (two
+// graphs, or one graph on both sides), any seed and distance mode and
+// 1, 2 or 4 workers, the CompareGraphs rows equal the uncached rows bit
+// for bit, NaN rows included. The memo persists across inputs, so
+// entries of one graph, side or seed must never answer for another.
+func FuzzCompareGraphsMatchesUncached(f *testing.F) {
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 5, 6, 6, 7}, int64(1), uint8(0), uint8(0), false)
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 5, 6, 6, 7}, int64(2), uint8(2), uint8(1), true)
+	f.Add([]byte{30, 0, 1, 2, 3, 4, 5, 6, 7, 1, 9, 9, 4, 20, 21}, int64(-7), uint8(3), uint8(2), false)
+	f.Add([]byte{}, int64(0), uint8(4), uint8(1), true)
+	modes := []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"}
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, rawMode, rawWorkers uint8, same bool) {
+		n := 0
+		if len(data) > 0 {
+			n, data = int(data[0]%48), data[1:]
+		}
+		graphOf := func(data []byte) *graph.Graph {
+			edges := make([]graph.Edge, 0, len(data)/2)
+			for i := 0; i+1 < len(data) && n > 0; i += 2 {
+				edges = append(edges, graph.Canon(int32(int(data[i])%n), int32(int(data[i+1])%n)))
+			}
+			return graph.FromEdges(n, edges)
+		}
+		truth, syn := graphOf(data[:len(data)/2]), graphOf(data[len(data)/2:])
+		if same {
+			syn = truth
+		}
+		opt := ProfileOptions{
+			DistanceMode: modes[int(rawMode)%len(modes)],
+			Queries:      AllQueries(),
+			Workers:      []int{1, 2, 4}[int(rawWorkers)%3],
+		}
+		got, want := CompareGraphs(truth, syn, seed, opt), compareUncached(truth, syn, seed, opt)
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, want %d", len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.Query != w.Query || g.Metric != w.Metric || g.HigherBetter != w.HigherBetter ||
+				math.Float64bits(g.TrueValue) != math.Float64bits(w.TrueValue) ||
+				math.Float64bits(g.SynValue) != math.Float64bits(w.SynValue) ||
+				math.Float64bits(g.Error) != math.Float64bits(w.Error) {
+				t.Fatalf("n=%d mode=%q workers=%d same=%t seed=%d: row %d = %+v, want %+v",
+					n, opt.DistanceMode, opt.Workers, same, seed, i, g, w)
+			}
+		}
+	})
 }

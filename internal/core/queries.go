@@ -23,7 +23,6 @@ import (
 
 	"pgb/internal/graph"
 	"pgb/internal/metrics"
-	"pgb/internal/par"
 )
 
 // QueryID identifies a PGB graph query. IDs 1..15 are the paper's queries
@@ -359,14 +358,25 @@ type CompareRow struct {
 
 // CompareGraphs profiles truth and syn on opt.Queries and scores each
 // query, one row per query in opt.Queries order. The two profiles draw
-// from independent sub-seeds of seed. Both go through the pass memo, so
-// a baseline or a synthetic graph seen before reruns only the passes
-// that draw from the new seed; the rows equal those of
-// ComputeProfileSeeded on both sides. When the node counts differ, a
-// PerNode query has no defined score and its Error is NaN
-// (CheckNodeCounts is the check for callers that want an error).
+// from independent sub-seeds of seed, and their passes share one pool
+// and one worker allowance. Both go through the pass memo, so a
+// baseline or a synthetic graph seen before reruns only the passes that
+// draw from the new seed; the rows equal those of ComputeProfileSeeded
+// on both sides. When the node counts differ, a PerNode query has no
+// defined score and its Error is NaN (CheckNodeCounts is the check for
+// callers that want an error).
 func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
-	pt, ps := compareProfiles(truth, syn, seed, opt)
+	gs, seeds := []*graph.Graph{truth, syn}, []int64{SubSeed(seed, 0), SubSeed(seed, 1)}
+	var sides []*Profile
+	if truth.Fingerprint() == syn.Fingerprint() {
+		// One graph on both sides: truth first, so the synthetic side
+		// reuses its seed-free passes from the memo instead of computing
+		// them a second time beside it.
+		sides = append(profiles(gs[:1], seeds[:1], opt, true), profiles(gs[1:], seeds[1:], opt, true)...)
+	} else {
+		sides = profiles(gs, seeds, opt, true)
+	}
+	pt, ps := sides[0], sides[1]
 	rows := make([]CompareRow, 0, len(opt.Queries))
 	for _, q := range opt.Queries {
 		v, higher := math.NaN(), q.HigherBetter()
@@ -378,34 +388,4 @@ func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []Co
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// compareProfiles computes the two sides of CompareGraphs at once: the
-// calling goroutine and at most one helper claim the sides from one
-// queue, and both sides draw their pass and kernel helpers from one
-// budget, opt.Budget or a new one of workers-1, so the pair never runs
-// more than opt.Workers CPU-bound goroutines. Each side keeps its own
-// sub-seed, so the profiles do not depend on the schedule. One worker
-// without an external budget gets no helper, so the caller profiles
-// truth, then synthetic. Two sides with one fingerprint run in that order too: the
-// synthetic side then reuses the truth side's seed-free passes from the
-// memo instead of computing them a second time beside it.
-func compareProfiles(truth, syn *graph.Graph, seed int64, opt ProfileOptions) (pt, ps *Profile) {
-	workers := opt.effectiveWorkers()
-	if truth.Fingerprint() == syn.Fingerprint() {
-		return ComputeProfileCached(truth, opt, SubSeed(seed, 0)), ComputeProfileCached(syn, opt, SubSeed(seed, 1))
-	}
-	opt.Workers = workers
-	if opt.Budget == nil {
-		opt.Budget = par.NewBudget(workers - 1)
-	}
-	sides := [2]*graph.Graph{truth, syn}
-	var profiles [2]*Profile
-	claim := par.Queue(len(sides))
-	opt.Budget.Do(1, func() {
-		for i, ok := claim(); ok; i, ok = claim() {
-			profiles[i] = ComputeProfileCached(sides[i], opt, SubSeed(seed, uint64(i)))
-		}
-	})
-	return profiles[0], profiles[1]
 }

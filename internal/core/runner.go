@@ -45,8 +45,8 @@ type Config struct {
 	// GenBytes) vary, as they observe the shared process.
 	Workers int
 	// DistanceMode selects the Q7–Q9 estimator for every cell profile
-	// (auto/exact/sampled/anf); the other profile knobs keep their
-	// defaults. See ParseDistanceMode for validation of user input.
+	// (auto/exact/sampled/anf), at the fixed tuning the checkpoint
+	// header records. See ParseDistanceMode for validation of user input.
 	DistanceMode DistanceMode
 	// CheckpointPath, when non-empty, streams every finished cell to a
 	// JSONL run manifest at that path (DESIGN.md §5). If the file already
@@ -105,9 +105,7 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.Workers = par.Workers(c.Workers)
 	return c
 }
 

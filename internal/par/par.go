@@ -12,9 +12,19 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Workers resolves a worker request: n > 0 is kept, and 0 (or negative)
+// selects GOMAXPROCS — the one default of every Workers knob.
+func Workers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // Queue returns a claim function that hands out each index in [0, n)
 // exactly once across concurrent callers — the shared work queue every

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,9 +171,7 @@ func fwdTriangles(off []int64, nbr []int32, lo, hi int, stamp []uint32, cnt []in
 // normWorkers resolves a worker request against the amount of work:
 // 0 (or negative) selects GOMAXPROCS, and the count never exceeds items.
 func normWorkers(workers, items int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	if workers > items {
 		workers = items
 	}
