@@ -89,12 +89,14 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerate measures one generation per parallelized algorithm
-// at ε = 1 on a 4k-node BA graph — the per-algorithm unit the CI gate
-// pins (README "Benchmarking in CI") so generator regressions trip it.
-// Generation runs at the default worker count (Params{}), exactly as
-// pgb.Generate executes it; outputs are bit-identical at any parallelism
-// (DESIGN.md §10), so ns/op and allocs/op are the only things that vary.
+// BenchmarkGenerate measures one generation per algorithm at ε = 1 on
+// a 4k-node BA graph — the per-algorithm unit the CI gate pins (README
+// "Benchmarking in CI") so generator regressions trip it. The list is
+// the pinned set: LDPGen, whose passes shard, and the four whose
+// counting passes run serially (DESIGN.md §10.2). Generation runs at
+// the default worker count (Params{}), exactly as pgb.Generate executes
+// it; outputs are bit-identical at any parallelism (DESIGN.md §10), so
+// ns/op and allocs/op are the only things that vary.
 func BenchmarkGenerate(b *testing.B) {
 	g := gen.BarabasiAlbert(4000, 8, rand.New(rand.NewSource(21)))
 	for _, algName := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF"} {

@@ -9,8 +9,17 @@
 //	pgb complexity                   Table VIII (theoretical complexity)
 //	pgb fig2     [flags]             Fig. 2    (error vs ε series)
 //	pgb fig7     [flags]             Fig. 7    (DER comparison; grid flags apply)
+//	pgb all      [flags]             Tables VI, VII, XII, IX and Fig. 2 from one grid run
+//	pgb html     [flags]             one grid run as a standalone HTML page
+//	pgb csv      [flags]             one grid run as CSV (per-query mean, stddev)
+//	pgb stability [flags]            per-algorithm repeatability (coefficient of variation)
+//	pgb types    [flags]             best counts by graph domain (Table II taxonomy)
 //	pgb verify   -alg {dpdk,tmf,privskg}   appendix verification
 //	pgb generate -alg A -dataset D -eps E  one synthetic graph to stdout
+//	pgb report   -alg A -dataset D -eps E  extended multi-metric report for one cell
+//	pgb ablation -name N                   one design-choice ablation (DESIGN.md §7)
+//	pgb ldp      -dataset D                Edge-LDP mechanisms against DGG
+//	pgb recommend -nodes N -acc A -eps E   mechanism selection guidelines
 //	pgb ingest   -snapshot DIR             persist datasets as CSR snapshots
 //	pgb serve    -addr :8080 -data-dir DIR benchmark-as-a-service HTTP API
 //	pgb fidelity -out FIDELITY_PR.json     pinned-grid fidelity manifest
@@ -101,6 +110,7 @@ commands:
   complexity  print Table VIII (theoretical complexity)
   fig2        print the Fig. 2 error-vs-epsilon series
   fig7        print the Fig. 7 DER comparison
+  all         one grid run printing Tables VI, VII, XII, IX and Fig. 2
   verify      print appendix verification (-alg dpdk|tmf|privskg)
   generate    run one algorithm once and print the synthetic graph
               (-format edgelist|csv|dot)

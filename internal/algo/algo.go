@@ -52,8 +52,9 @@ type Params struct {
 
 // ForEach runs fn over fixed-grain blocks of [0, n) on up to Workers
 // concurrent goroutines drawn from the params' budget — the sharded-pass
-// primitive of the parallel generators. The decomposition depends only
-// on n and grain, so passes with exact merges are worker-count-invariant.
+// primitive of LDPGen, the one generator whose own passes shard. The
+// decomposition depends only on n and grain, so passes with exact
+// merges are worker-count-invariant.
 func (p Params) ForEach(n, grain int, fn func(lo, hi int)) {
 	par.ForEachBlock(p.Budget, par.Workers(p.Workers), n, grain, fn)
 }

@@ -92,10 +92,8 @@ func TestConformanceDeterminism(t *testing.T) {
 // generator, Generate at workers 2 and 8 (shared budget included) must
 // produce a valid graph bit-identical to the one-worker result
 // — the conformance-level statement of the DESIGN.md §10 contract. The
-// graph is deliberately larger than the generators' shardGrain (256),
-// so the sharded passes really decompose into multiple blocks here —
-// a grain-sized graph would silently take the single-block serial path
-// at every worker count.
+// graph is large enough that PrivSKG's triangle kernel, the one sharded
+// pass among these mechanisms, really splits into several chunks.
 func TestConformanceParallelMatchesSerial(t *testing.T) {
 	g := gen.PlantedPartition(700, 4, 0.08, 0.01, rand.New(rand.NewSource(9)))
 	for _, a := range generators() {

@@ -14,17 +14,12 @@ package dpdk
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
-
-// shardGrain is the node-block size of the sharded passes; fixed so the
-// decomposition never depends on the worker count.
-const shardGrain = 256
 
 // Model selects the dK-series order.
 type Model int
@@ -67,35 +62,29 @@ func New(opt Options) *DPdK {
 func Default() *DPdK { return New(Options{Model: DK2}) }
 
 // Generate implements algo.Generator. The representation stage — the
-// degree histogram (dK-1) or the joint degree matrix (dK-2) — is a
-// node-sharded counting pass over the adjacency with exact integer
-// merges (atomic adds into flat arenas), so the output is bit-identical
-// at any worker count. The Laplace draws and the stub-matching
-// construction stay on rng in the serial order.
-func (d *DPdK) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// degree histogram (dK-1) or the joint degree matrix (dK-2) — is one
+// serial counting pass over the adjacency into a flat arena; sharding
+// it measured no faster (DESIGN.md §10.2), so Params is unused. The
+// Laplace draws and the stub-matching construction stay on rng in the
+// serial order.
+func (d *DPdK) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	if err := acct.Spend(eps); err != nil {
 		return nil, err
 	}
 	if d.opt.Model == DK1 {
-		return d.generate1K(g, eps, rng, prm), nil
+		return d.generate1K(g, eps, rng), nil
 	}
-	return d.generate2K(g, eps, rng, prm), nil
+	return d.generate2K(g, eps, rng), nil
 }
 
 // generate1K perturbs the degree histogram and realises a sampled
 // sequence via Havel-Hakimi.
-func (d *DPdK) generate1K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) *graph.Graph {
+func (d *DPdK) generate1K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
 	n := g.N()
-	histC := make([]int64, g.MaxDegree()+1)
-	prm.ForEach(n, shardGrain, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			atomic.AddInt64(&histC[g.Degree(int32(u))], 1)
-		}
-	})
-	hist := make([]float64, len(histC))
-	for i, c := range histC {
-		hist[i] = float64(c)
+	hist := make([]float64, g.MaxDegree()+1)
+	for u := 0; u < n; u++ {
+		hist[g.Degree(int32(u))]++
 	}
 	// Global L1 sensitivity of the histogram under edge CDP is 4.
 	noisy := dp.LaplaceVectorInto(rng, hist, hist, 4, eps)
@@ -134,7 +123,7 @@ func (d *DPdK) generate1K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.
 // noisy matrix: per-entry noise has huge variance in aggregate (hundreds
 // of entries × O(d_max) scale), so without the anchor the synthetic edge
 // count would drift by multiples of m at small ε.
-func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) *graph.Graph {
+func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
 	epsTotal := eps * 0.1 // noisy edge count, global sensitivity 1
 	eps = eps - epsTotal
 	mNoisy := dp.LaplaceMechanism(rng, float64(g.M()), 1, epsTotal)
@@ -144,9 +133,8 @@ func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.
 	n := g.N()
 	// The JDM lives in a flat degree-class arena instead of the legacy
 	// map: distinct degrees are renumbered densely (D classes, D² cells,
-	// far smaller than d_max²), and a node-sharded pass counts each edge
-	// once into its (class_j, class_k) cell with an atomic add — an exact
-	// integer merge, identical at any worker count.
+	// far smaller than d_max²), and one pass counts each edge once into
+	// its (class_j, class_k) cell.
 	maxDeg := g.MaxDegree()
 	present := make([]bool, maxDeg+1)
 	deg := make([]int, n)
@@ -164,20 +152,18 @@ func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.
 	}
 	nc := len(classDeg)
 	counts := make([]int64, nc*nc)
-	prm.ForEach(n, shardGrain, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			cu := classOf[deg[u]]
-			for _, v := range g.Neighbors(int32(u)) {
-				if int32(u) < v {
-					a, b := cu, classOf[deg[v]]
-					if a > b {
-						a, b = b, a
-					}
-					atomic.AddInt64(&counts[int(a)*nc+int(b)], 1)
+	for u := 0; u < n; u++ {
+		cu := classOf[deg[u]]
+		for _, v := range g.Neighbors(int32(u)) {
+			if int32(u) < v {
+				a, b := cu, classOf[deg[v]]
+				if a > b {
+					a, b = b, a
 				}
+				counts[int(a)*nc+int(b)]++
 			}
 		}
-	})
+	}
 	var scale float64
 	if d.opt.GlobalSensitivity {
 		// Global sensitivity of the JDM: removing an edge incident to a

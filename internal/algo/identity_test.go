@@ -128,10 +128,12 @@ func TestGenerateGoldenIdentity(t *testing.T) {
 	}
 }
 
-// TestGenerateParallelWorkerInvarianceLarger exercises the sharded paths
-// on a graph big enough that every parallel generator actually splits
-// into multiple blocks, comparing workers 2 and 8 against the
-// one-worker result (no golden needed — that run is the reference).
+// TestGenerateParallelWorkerInvarianceLarger runs Generate on a graph
+// big enough that the sharded passes (LDPGen's report scans, PrivSKG's
+// triangle kernel) split into multiple blocks, comparing workers 2 and 8
+// against the one-worker result (no golden needed — that run is the
+// reference). The serial mechanisms stay listed: Params must not change
+// their values either.
 func TestGenerateParallelWorkerInvarianceLarger(t *testing.T) {
 	g := gen.PlantedPartition(1200, 6, 0.05, 0.004, rand.New(rand.NewSource(17)))
 	for _, name := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF", "PrivSKG"} {

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"pgb/internal/algo"
 	"pgb/internal/community"
@@ -26,10 +25,6 @@ import (
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
-
-// shardGrain is the node-block size of the sharded accumulation pass;
-// fixed so the decomposition never depends on the worker count.
-const shardGrain = 256
 
 // maxDenseInter caps the dense inter-community count arena at 2M entries
 // (16 MB): beyond that — degenerate partitions with thousands of
@@ -67,12 +62,11 @@ func Default() *PrivGraph { return New(Options{}) }
 
 // Generate implements algo.Generator. The phase-2 statistics scan —
 // intra-community degrees and inter-community edge counts over every
-// adjacency — is node-sharded across prm's workers into flat arenas
-// with exact integer merges (atomic counts), so the output is
-// bit-identical at any worker count; the randomized-response draws,
-// Louvain post-processing, Laplace noise and construction sampling all
-// stay on rng in the serial order.
-func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// adjacency — is one serial pass into a flat arena; sharding it
+// measured no faster (DESIGN.md §10.2), so Params is unused. The
+// randomized-response draws, Louvain post-processing, Laplace noise and
+// construction sampling all draw from rng in the serial order.
+func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * p.opt.Split[0]
 	eps2 := eps * p.opt.Split[1]
@@ -96,12 +90,10 @@ func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm al
 		members[c] = append(members[c], int32(u))
 	}
 
-	// ---- Phase 2a+2b: one node-sharded scan accumulates both the
-	// intra-community degree sequences (disjoint per-node writes) and the
-	// inter-community edge counts (integer adds — atomic on the dense
-	// arena, so the merged values are exact regardless of schedule).
-	// A node's intra degree is its count of same-community neighbors —
-	// identical to the legacy per-edge double increment.
+	// ---- Phase 2a+2b: one scan accumulates both the intra-community
+	// degree sequences and the inter-community edge counts. A node's
+	// intra degree is its count of same-community neighbors — identical
+	// to the legacy per-edge double increment.
 	intraDegrees := make([][]float64, k)
 	for c := range members {
 		intraDegrees[c] = make([]float64, len(members[c]))
@@ -117,44 +109,29 @@ func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm al
 	var interMap map[[2]int]float64
 	if k > 0 && k <= maxDenseInter/k {
 		interArena = make([]int64, k*k)
-		prm.ForEach(n, shardGrain, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				cu := labels[u]
-				intra := 0
-				for _, v := range g.Neighbors(int32(u)) {
-					cv := labels[v]
-					if cv == cu {
-						intra++
-					} else if int32(u) < v {
-						a, b := cu, cv
-						if a > b {
-							a, b = b, a
-						}
-						atomic.AddInt64(&interArena[a*k+b], 1)
-					}
-				}
-				intraDegrees[cu][pos[u]] = float64(intra)
-			}
-		})
 	} else {
 		interMap = make(map[[2]int]float64)
-		for u := 0; u < n; u++ {
-			cu := labels[u]
-			intra := 0
-			for _, v := range g.Neighbors(int32(u)) {
-				cv := labels[v]
-				if cv == cu {
-					intra++
-				} else if int32(u) < v {
-					a, b := cu, cv
-					if a > b {
-						a, b = b, a
-					}
+	}
+	for u := 0; u < n; u++ {
+		cu := labels[u]
+		intra := 0
+		for _, v := range g.Neighbors(int32(u)) {
+			cv := labels[v]
+			if cv == cu {
+				intra++
+			} else if int32(u) < v {
+				a, b := cu, cv
+				if a > b {
+					a, b = b, a
+				}
+				if interArena != nil {
+					interArena[a*k+b]++
+				} else {
 					interMap[[2]int{a, b}]++
 				}
 			}
-			intraDegrees[cu][pos[u]] = float64(intra)
 		}
+		intraDegrees[cu][pos[u]] = float64(intra)
 	}
 	for c := range intraDegrees {
 		for i := range intraDegrees[c] {

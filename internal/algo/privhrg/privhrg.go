@@ -19,16 +19,11 @@ package privhrg
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/graph"
 )
-
-// shardGrain is the block size of the sharded counting passes; fixed so
-// the decomposition never depends on the worker count.
-const shardGrain = 256
 
 // structureFraction is the share of ε spent sampling the dendrogram (ε1);
 // the rest perturbs edge counts (ε2).
@@ -62,9 +57,6 @@ type dendrogram struct {
 	e       []float64 // crossing edge count (internal nodes)
 	root    int32
 	g       *graph.Graph
-	// prm is the execution-only worker allowance of the sharded counting
-	// passes; it never affects values (exact integer merges only).
-	prm algo.Params
 	// leafA is the reusable leaf-collection scratch buffer of the
 	// per-MCMC-step edgesBetween calls; mark[u] == stamp marks u as a
 	// leaf of the call's larger side.
@@ -73,7 +65,7 @@ type dendrogram struct {
 	stamp uint32
 }
 
-func newDendrogram(g *graph.Graph, rng *rand.Rand, prm algo.Params) *dendrogram {
+func newDendrogram(g *graph.Graph, rng *rand.Rand) *dendrogram {
 	n := g.N()
 	total := 2*n - 1
 	d := &dendrogram{
@@ -84,7 +76,6 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand, prm algo.Params) *dendrogram 
 		nLeaves: make([]int32, total),
 		e:       make([]float64, total),
 		g:       g,
-		prm:     prm,
 		leafA:   make([]int32, 0, n),
 		mark:    make([]uint32, n),
 	}
@@ -125,9 +116,8 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand, prm algo.Params) *dendrogram 
 	return d
 }
 
-// recountEdges recomputes all crossing counts from scratch via LCA. The
-// per-edge LCA walk is node-sharded; each edge adds one exact integer
-// count (atomically), so the totals are identical at any worker count.
+// recountEdges fills the crossing counts of a fresh dendrogram: each
+// edge adds one to the count of its endpoints' lowest common ancestor.
 func (d *dendrogram) recountEdges() {
 	depth := make([]int32, len(d.parent))
 	var computeDepth func(u int32) int32
@@ -141,19 +131,8 @@ func (d *dendrogram) recountEdges() {
 	for i := range depth {
 		computeDepth(int32(i))
 	}
-	counts := make([]int64, len(d.e))
-	g := d.g
-	d.prm.ForEach(d.n, shardGrain, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				if int32(u) < v {
-					atomic.AddInt64(&counts[d.lca(int32(u), v, depth)], 1)
-				}
-			}
-		}
-	})
-	for i, c := range counts {
-		d.e[i] = float64(c)
+	for e := range d.g.EdgeSeq() {
+		d.e[d.lca(e.U, e.V, depth)]++
 	}
 }
 
@@ -191,10 +170,8 @@ func (d *dendrogram) stampLeaves(u int32) {
 
 // edgesBetween counts graph edges between the leaf sets of subtrees a and
 // s. It stamps the larger side's leaves straight from the tree walk and
-// scans the smaller side's neighbor lists. A scan of at most shardGrain
-// leaves runs inline; a bigger one is sharded across the dendrogram's
-// workers (the count is an exact integer merge). The leaf buffer and
-// marks are reused, so a small step allocates nothing.
+// scans the smaller side's neighbor lists. The leaf buffer and marks are
+// reused, so a step allocates nothing.
 func (d *dendrogram) edgesBetween(a, s int32) float64 {
 	if d.nLeaves[a] > d.nLeaves[s] {
 		a, s = s, a
@@ -208,29 +185,14 @@ func (d *dendrogram) edgesBetween(a, s int32) float64 {
 	la := d.collectLeaves(a, d.leafA[:0])
 	d.leafA = la
 	mark, stamp := d.mark, d.stamp
-	if len(la) <= shardGrain {
-		cnt := 0
-		for _, u := range la {
-			for _, v := range d.g.Neighbors(u) {
-				if mark[v] == stamp {
-					cnt++
-				}
+	cnt := 0
+	for _, u := range la {
+		for _, v := range d.g.Neighbors(u) {
+			if mark[v] == stamp {
+				cnt++
 			}
 		}
-		return float64(cnt)
 	}
-	var cnt int64
-	d.prm.ForEach(len(la), shardGrain, func(lo, hi int) {
-		part := int64(0)
-		for _, u := range la[lo:hi] {
-			for _, v := range d.g.Neighbors(u) {
-				if mark[v] == stamp {
-					part++
-				}
-			}
-		}
-		atomic.AddInt64(&cnt, part)
-	})
 	return float64(cnt)
 }
 
@@ -276,14 +238,13 @@ func (d *dendrogram) pairs(r int32) float64 {
 }
 
 // Generate implements algo.Generator. The MCMC chain is inherently
-// sequential (each Metropolis step conditions on the last), so PrivHRG
-// shards the deterministic counting inside it instead: the initial LCA
-// recount and each step's cross-subtree edge count split across prm's
-// workers with exact integer merges. Every rng draw — the chain's
-// proposals and acceptances, the Laplace noise, the construction
-// sampling — stays on the calling goroutine in the serial order, so the
-// output is bit-identical at any worker count.
-func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// sequential (each Metropolis step conditions on the last), and the
+// counting inside it — the initial LCA recount and each step's
+// cross-subtree edge count — runs serially too: sharding it measured no
+// faster (DESIGN.md §10.2), so Params is unused. Every rng draw — the
+// chain's proposals and acceptances, the Laplace noise, the
+// construction sampling — follows the serial order.
+func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * structureFraction
 	eps2 := eps - eps1
@@ -297,7 +258,7 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 	if n < 2 {
 		return graph.New(n), nil
 	}
-	d := newDendrogram(g, rng, prm)
+	d := newDendrogram(g, rng)
 
 	steps := p.opt.MCMCSteps
 	if steps <= 0 {

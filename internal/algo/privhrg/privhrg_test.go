@@ -17,7 +17,7 @@ func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestDendrogramInvariants(t *testing.T) {
 	g := gen.GNM(50, 120, rng(1))
-	d := newDendrogram(g, rng(2), algo.Params{Workers: 1})
+	d := newDendrogram(g, rng(2))
 	// every internal node's leaf count equals |left| + |right|
 	for u := int32(g.N()); u < int32(2*g.N()-1); u++ {
 		if d.nLeaves[u] != d.nLeaves[d.left[u]]+d.nLeaves[d.right[u]] {
@@ -127,48 +127,46 @@ func bruteCrossing(d *dendrogram, a, s int32) float64 {
 // TestEdgesBetweenMatchesBruteForce drives random swaps through the
 // chain's own bookkeeping, then checks edgesBetween and every stored
 // crossing count against a pair-by-pair count. At n = 1200 the subtrees
-// near the root exceed shardGrain leaves on both sides, so the sharded
-// path runs as well as the inline one.
+// near the root hold more than 256 leaves on both sides, so large scans
+// are checked as well as small ones.
 func TestEdgesBetweenMatchesBruteForce(t *testing.T) {
 	g := gen.PlantedPartition(1200, 6, 0.05, 0.003, rng(11))
-	for _, workers := range []int{1, 4} {
-		d := newDendrogram(g, rng(12), algo.Params{Workers: workers})
-		r0 := rng(13)
-		n := g.N()
-		for step := 0; step < 3000; step++ {
-			r := int32(n) + int32(r0.Intn(n-1))
-			if r == d.root {
-				continue
-			}
-			par := d.parent[r]
-			sib := d.left[par]
-			if sib == r {
-				sib = d.right[par]
-			}
-			keep, move := d.left[r], d.right[r]
-			if r0.Intn(2) == 1 {
-				keep, move = move, keep
-			}
-			x := d.edgesBetween(keep, sib)
-			if step%100 == 0 {
-				if want := bruteCrossing(d, keep, sib); x != want {
-					t.Fatalf("workers=%d step %d: edgesBetween = %g, brute force %g", workers, step, x, want)
-				}
-			}
-			d.swap(r, keep, move, sib, x, d.e[r]+d.e[par]-x)
+	d := newDendrogram(g, rng(12))
+	r0 := rng(13)
+	n := g.N()
+	for step := 0; step < 3000; step++ {
+		r := int32(n) + int32(r0.Intn(n-1))
+		if r == d.root {
+			continue
 		}
-		big := false
-		for r := int32(n); r < int32(2*n-1); r++ {
-			l, rr := d.left[r], d.right[r]
-			want := bruteCrossing(d, l, rr)
-			if got := d.edgesBetween(l, rr); got != want || d.e[r] != want {
-				t.Fatalf("workers=%d node %d: edgesBetween = %g, stored %g, brute force %g", workers, r, got, d.e[r], want)
+		par := d.parent[r]
+		sib := d.left[par]
+		if sib == r {
+			sib = d.right[par]
+		}
+		keep, move := d.left[r], d.right[r]
+		if r0.Intn(2) == 1 {
+			keep, move = move, keep
+		}
+		x := d.edgesBetween(keep, sib)
+		if step%100 == 0 {
+			if want := bruteCrossing(d, keep, sib); x != want {
+				t.Fatalf("step %d: edgesBetween = %g, brute force %g", step, x, want)
 			}
-			big = big || min(d.nLeaves[l], d.nLeaves[rr]) > shardGrain
 		}
-		if !big {
-			t.Fatalf("workers=%d: no node's smaller side exceeds shardGrain", workers)
+		d.swap(r, keep, move, sib, x, d.e[r]+d.e[par]-x)
+	}
+	big := false
+	for r := int32(n); r < int32(2*n-1); r++ {
+		l, rr := d.left[r], d.right[r]
+		want := bruteCrossing(d, l, rr)
+		if got := d.edgesBetween(l, rr); got != want || d.e[r] != want {
+			t.Fatalf("node %d: edgesBetween = %g, stored %g, brute force %g", r, got, d.e[r], want)
 		}
+		big = big || min(d.nLeaves[l], d.nLeaves[rr]) > 256
+	}
+	if !big {
+		t.Fatal("no node's smaller side exceeds 256 leaves")
 	}
 }
 

@@ -19,16 +19,11 @@ package tmf
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"pgb/internal/algo"
 	"pgb/internal/dp"
 	"pgb/internal/graph"
 )
-
-// shardGrain is the block size of the sharded passes; fixed so the
-// decomposition never depends on the worker count.
-const shardGrain = 4096
 
 // edgeCountFraction is the share of ε spent on the noisy edge count m̃;
 // the rest perturbs matrix cells. The paper's implementation uses a small
@@ -56,15 +51,15 @@ func Default() *TmF { return New(Options{}) }
 
 // Generate implements algo.Generator. TmF's hot loop IS its noise
 // stream — one Laplace draw per true edge (per matrix cell in the naive
-// ablation), order-pinned to rng — so the draws stay serial and the
-// sharded work is everything deterministic around them: the naive
-// path's adjacency-membership scan and the top-m̃ selection filter. The
-// full sort of passing cells is replaced by an O(p) quickselect for the
-// m̃-th score plus a sharded keep-filter; boundary ties are broken in
-// scan order (the legacy unstable sort broke them arbitrarily; scores
-// are continuous draws, so ties have probability zero). Output is
-// bit-identical at any worker count.
-func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+// ablation), order-pinned to rng. The deterministic work around it (the
+// naive path's adjacency mask and the top-m̃ selection) is serial too:
+// sharding it measured no faster (DESIGN.md §10.2), so Params is
+// unused. The full sort of passing cells is replaced by an O(p)
+// quickselect for the m̃-th score plus one keep-filter scan; boundary
+// ties are broken in scan order (the legacy unstable sort broke them
+// arbitrarily; scores are continuous draws, so ties have probability
+// zero).
+func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps2 := eps * edgeCountFraction // edge count
 	eps1 := eps - eps2              // cell noise
@@ -89,7 +84,7 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 	}
 
 	if t.opt.NaiveFullMatrix {
-		return t.generateNaive(g, eps1, mNoisy, rng, prm), nil
+		return t.generateNaive(g, eps1, mNoisy, rng), nil
 	}
 
 	// Stage 2: high-pass filter threshold. Following the paper, θ is
@@ -154,29 +149,23 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 	}
 
 	// Stage 3: keep the top-m̃ passing cells.
-	return graph.FromEdges(n, topM(edges, scores, mNoisy, prm)), nil
+	return graph.FromEdges(n, topM(edges, scores, mNoisy)), nil
 }
 
 // generateNaive is the ablation baseline: noise every cell explicitly.
-// The adjacency-membership of all n(n-1)/2 cells is precomputed by a
-// row-sharded bitmask pass (deterministic, exact), so the serial noise
-// loop does one bit test per cell instead of one binary search.
-func (t *TmF) generateNaive(g *graph.Graph, eps1 float64, mNoisy int, rng *rand.Rand, prm algo.Params) *graph.Graph {
+// The adjacency-membership of all n(n-1)/2 cells is precomputed into a
+// bitmask, so the noise loop does one bit test per cell instead of one
+// binary search.
+func (t *TmF) generateNaive(g *graph.Graph, eps1 float64, mNoisy int, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	if n < 2 {
 		return graph.New(n)
 	}
 	mask := make([]uint64, (n*n+63)/64)
-	prm.ForEach(n, 64, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				if v > int32(u) {
-					bit := u*n + int(v)
-					atomic.OrUint64(&mask[bit>>6], 1<<(bit&63))
-				}
-			}
-		}
-	})
+	for e := range g.EdgeSeq() {
+		bit := int(e.U)*n + int(e.V)
+		mask[bit>>6] |= 1 << (bit & 63)
+	}
 	edges := make([]graph.Edge, 0, n*(n-1)/2)
 	scores := make([]float64, 0, n*(n-1)/2)
 	for u := int32(0); u < int32(n); u++ {
@@ -190,15 +179,13 @@ func (t *TmF) generateNaive(g *graph.Graph, eps1 float64, mNoisy int, rng *rand.
 			scores = append(scores, val+dp.Laplace(rng, 1/eps1))
 		}
 	}
-	return graph.FromEdges(n, topM(edges, scores, mNoisy, prm))
+	return graph.FromEdges(n, topM(edges, scores, mNoisy))
 }
 
 // topM returns the edges of the k highest-scoring candidates. The k-th
-// score is found by an O(p) quickselect on a copy; the keep-filter is
-// block-sharded with per-block result lists concatenated in block order,
-// so the kept set — including scan-order tie-breaking at the boundary —
-// is identical at any worker count.
-func topM(edges []graph.Edge, scores []float64, k int, prm algo.Params) []graph.Edge {
+// score is found by an O(p) quickselect on a copy; one scan then keeps
+// every edge above it and, in scan order, as many ties as fill k.
+func topM(edges []graph.Edge, scores []float64, k int) []graph.Edge {
 	if len(edges) <= k {
 		return edges
 	}
@@ -206,36 +193,19 @@ func topM(edges []graph.Edge, scores []float64, k int, prm algo.Params) []graph.
 		return nil
 	}
 	thresh := kthLargest(append([]float64(nil), scores...), k)
-	nblocks := (len(scores) + shardGrain - 1) / shardGrain
-	keptPer := make([][]graph.Edge, nblocks)
-	tiesPer := make([][]graph.Edge, nblocks)
-	prm.ForEach(len(scores), shardGrain, func(lo, hi int) {
-		var kept, ties []graph.Edge
-		for i := lo; i < hi; i++ {
-			if scores[i] > thresh {
-				kept = append(kept, edges[i])
-			} else if scores[i] == thresh {
-				ties = append(ties, edges[i])
-			}
-		}
-		keptPer[lo/shardGrain] = kept
-		tiesPer[lo/shardGrain] = ties
-	})
 	out := make([]graph.Edge, 0, k)
-	for _, kp := range keptPer {
-		out = append(out, kp...)
-	}
-	need := k - len(out)
-	for _, tp := range tiesPer {
-		for _, e := range tp {
-			if need <= 0 {
-				return out
-			}
-			out = append(out, e)
-			need--
+	var ties []graph.Edge
+	for i, s := range scores {
+		if s > thresh {
+			out = append(out, edges[i])
+		} else if s == thresh {
+			ties = append(ties, edges[i])
 		}
 	}
-	return out
+	// Finite scores leave 0 < need ≤ len(ties); the clamps keep a NaN
+	// score, which quickselect does not order, from panicking.
+	need := min(max(k-len(out), 0), len(ties))
+	return append(out, ties[:need]...)
 }
 
 // kthLargest returns the k-th largest value of s (1 ≤ k ≤ len(s)) by

@@ -167,9 +167,12 @@ type jobManager struct {
 	// a fresh job that resumes from the manifest, restoring every
 	// recorded cell instead of recomputing.
 	terminalOrder []string
+	// adopted maps the id of every job recover() adopted to the manifest
+	// it was found in, so a resubmission after the job is pruned resumes
+	// that file even when it is not manifestPath's <id>.jsonl.
+	adopted map[string]string
 
 	queue   chan *job
-	stop    chan struct{}
 	wg      sync.WaitGroup
 	closed  bool
 	started atomic.Int64 // runs handed to core.Run (cache misses; the recomputation counter)
@@ -177,7 +180,7 @@ type jobManager struct {
 	// baseCtx parents every run's context, so close() cancels runs that
 	// are in flight AND runs a racing worker starts after the shutdown
 	// sweep would have looked — no per-job cancel sweep can be that
-	// airtight.
+	// airtight. Its Done channel is also the pool workers' stop signal.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
@@ -190,8 +193,8 @@ func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, 
 		runWorkers: runWorkers,
 		logf:       logf,
 		jobs:       make(map[string]*job),
+		adopted:    make(map[string]string),
 		queue:      make(chan *job, 1024),
-		stop:       make(chan struct{}),
 	}
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	for i := 0; i < poolSize; i++ {
@@ -200,7 +203,7 @@ func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, 
 			defer m.wg.Done()
 			for {
 				select {
-				case <-m.stop:
+				case <-m.baseCtx.Done():
 					return
 				case j := <-m.queue:
 					m.execute(j)
@@ -211,8 +214,13 @@ func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, 
 	return m
 }
 
-// manifestPath is the job's durable identity on disk.
+// manifestPath is the job's durable identity on disk: the manifest
+// recover() adopted the job from, else <id>.jsonl. Called with m.mu
+// held.
 func (m *jobManager) manifestPath(id string) string {
+	if path, ok := m.adopted[id]; ok {
+		return path
+	}
 	return filepath.Join(m.dataDir, id+".jsonl")
 }
 
@@ -535,6 +543,7 @@ func (m *jobManager) recover() {
 			done:      make(chan struct{}),
 		}
 		m.jobs[id] = j
+		m.adopted[id] = path
 		m.mu.Unlock()
 		if err := m.enqueue(j); err != nil {
 			m.logf("recovery: %s: %v", path, err)
@@ -556,6 +565,5 @@ func (m *jobManager) close() {
 	m.closed = true
 	m.mu.Unlock()
 	m.baseCancel()
-	close(m.stop)
 	m.wg.Wait()
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"path/filepath"
 	"testing"
 
 	"pgb/internal/core"
@@ -75,5 +78,58 @@ func TestJobTablePrunesOldestTerminal(t *testing.T) {
 	}
 	if _, kept := m.get(jobs[extra+6].id); !kept {
 		t.Fatalf("job %d pruned; want only five more pruned", extra+6)
+	}
+}
+
+// TestPrunedAdoptedJobKeepsItsManifest: a job recover() adopted from a
+// renamed manifest is pruned from the table, and an identical
+// resubmission must resume that same file rather than start a fresh
+// manifest under <id>.jsonl, which would recompute every cell.
+func TestPrunedAdoptedJobKeepsItsManifest(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Seed: 4242}.Normalized()
+
+	// A run cancelled before its first dataset leaves a header-only
+	// manifest; the file name does not match the config digest.
+	renamed := filepath.Join(dir, "rrenamed.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run := cfg
+	run.Context = ctx
+	run.CheckpointPath = renamed
+	if _, err := core.Run(run); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v, want context.Canceled", err)
+	}
+
+	m := newJobManager(dir, 0, 1, nil, lru.New[string, any](4), func(string, ...any) {})
+	defer m.close()
+	m.recover()
+	id := jobID(core.ConfigDigest(cfg))
+	adopted, ok := m.get(id)
+	if !ok || adopted.manifest != renamed {
+		t.Fatalf("recover: adopted=%t; want job %s on %s", ok, id, renamed)
+	}
+	if err := m.cancelJob(adopted); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxRetainedJobs+2; i++ {
+		j, _, err := m.submit(core.Config{Seed: int64(1000 + i)}.Normalized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.cancelJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, kept := m.get(id); kept {
+		t.Fatalf("adopted job %s still retained; want it pruned", id)
+	}
+
+	fresh, absorbed, err := m.submit(cfg)
+	if err != nil || absorbed {
+		t.Fatalf("resubmit: absorbed=%t err=%v; want a fresh job", absorbed, err)
+	}
+	if fresh.manifest != renamed {
+		t.Fatalf("resubmitted job checkpoints to %s; want the adopted manifest %s", fresh.manifest, renamed)
 	}
 }

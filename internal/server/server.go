@@ -443,7 +443,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "source: %v", err)
 		return
 	}
-	// Same execution as pgb.Generate: the heavy generators shard their
+	// Same execution as pgb.Generate: LDPGen and PrivSKG shard their
 	// deterministic passes at GOMAXPROCS; the result is bit-identical to
 	// the serial path (DESIGN.md §10), so the response — fingerprint
 	// included — never depends on the schedule.

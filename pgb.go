@@ -165,8 +165,8 @@ func Load(src Source) (*Graph, error) {
 // schemes never mix: a grid cell's generation stream is seeded from its
 // own coordinates, not from this function.
 //
-// Execution: the heavy generators shard their deterministic passes
-// across GOMAXPROCS workers (DESIGN.md §10). This never changes the
+// Execution: LDPGen and PrivSKG shard their deterministic passes across
+// GOMAXPROCS workers (DESIGN.md §10). This never changes the
 // result — every noise and sampling draw stays on the call's private
 // rng in the serial order, so the output remains the same pure function
 // of (algorithm, g, eps, seed) as the fully serial implementation.
