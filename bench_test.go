@@ -238,7 +238,7 @@ func BenchmarkTriangles(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", mode.name, size.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					stats.TrianglesParallel(g, mode.workers, nil)
+					stats.TriangleProfileParallel(g, mode.workers, nil)
 				}
 			})
 		}

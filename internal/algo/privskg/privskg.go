@@ -31,10 +31,11 @@ type PrivSKG struct{}
 // Default returns PrivSKG with δ = 0.01 as benchmarked in PGB.
 func Default() *PrivSKG { return &PrivSKG{} }
 
-// Generate implements algo.Generator. The triangle moment is the one
-// sharded pass: stats.TrianglesParallel on prm's workers, an exact
-// integer count at any worker count. The three Laplace draws and the
-// rng-bound Kronecker sampling stay serial (DESIGN.md §10).
+// Generate implements algo.Generator. The triangle and wedge moments
+// come from the one sharded pass, stats.TriangleProfileParallel on prm's
+// workers, whose counts are exact at any worker count. The three
+// Laplace draws and the rng-bound Kronecker sampling stay serial
+// (DESIGN.md §10).
 func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	epsEach := eps / 3
@@ -50,14 +51,13 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 	// Moment 1: edge count — global sensitivity 1.
 	edges := dp.LaplaceMechanism(rng, float64(g.M()), 1, epsEach)
 
+	// The triangle pass also sums the wedge count; it draws nothing, so
+	// running it before moment 2 leaves the rng stream unchanged.
+	tri, wedges, _ := stats.TriangleProfileParallel(g, prm.Workers, prm.Budget)
+
 	// Moment 2: wedge count Σ C(d_u, 2). Flipping one edge changes two
 	// degrees by 1, changing the count by d_u + d_v ≤ 2·d_max; at Hamming
 	// distance t the bound grows to 2(d_max + t).
-	wedges := 0.0
-	for u := 0; u < n; u++ {
-		d := float64(g.Degree(int32(u)))
-		wedges += d * (d - 1) / 2
-	}
 	sWedge := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 		ls := 2 * (dmax + float64(t))
 		if max := float64(n) * 2; ls > max {
@@ -69,7 +69,6 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 
 	// Moment 3: triangle count. Local sensitivity at distance t is
 	// bounded by the max common-neighbor count + t ≤ d_max + t.
-	tri := stats.TrianglesParallel(g, prm.Workers, prm.Budget)
 	sTri := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 		ls := dmax + float64(t)
 		if max := float64(n); ls > max {

@@ -51,10 +51,8 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// job is one grid run owned by the manager. All mutable fields are
-// guarded by mu; done is replaced with a fresh channel on every
-// transition back to queued, so one "generation" of waiters is released
-// per terminal transition.
+// job is one grid run owned by the manager. The fields above the blank
+// line never change; the rest are guarded by jobManager.mu.
 type job struct {
 	id        string
 	digest    string
@@ -62,16 +60,19 @@ type job struct {
 	manifest  string      // the job's durable checkpoint file; for an adopted job, the file it was found in
 	recovered bool        // adopted from a manifest at startup
 
-	mu        sync.Mutex
 	state     JobState
 	errMsg    string
 	completed int
 	total     int
 	results   *core.Results
 	log       []string
-	subs      map[chan string]struct{}
 	cancel    context.CancelFunc // non-nil while running
-	done      chan struct{}      // closed on each terminal transition
+	// gen counts requeues, so an SSE subscriber ends at the terminal
+	// transition of the run it joined even if a resubmission has
+	// requeued the job before the subscriber looks again.
+	gen int
+	// wake is closed and replaced on every logged line and state change.
+	wake chan struct{}
 }
 
 // jobStatus is the wire form of a job served on GET /v1/runs/{id}.
@@ -85,9 +86,8 @@ type jobStatus struct {
 	Recovered bool     `json:"recovered,omitempty"`
 }
 
-func (j *job) status() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// statusLocked is called with jobManager.mu held.
+func (j *job) statusLocked() jobStatus {
 	return jobStatus{
 		ID:        j.id,
 		State:     j.state,
@@ -99,55 +99,18 @@ func (j *job) status() jobStatus {
 	}
 }
 
-// progress records one run progress line: it feeds the poll counters
-// (the scheduler's "[k/n]" prefix carries the authoritative completed
-// count, checkpoint-restored cells included) and fans out to SSE
-// subscribers. Slow subscribers are dropped-from, never blocked-on — a
-// stalled client must not stall the grid.
-func (j *job) progress(line string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.log) < maxLogLines {
-		j.log = append(j.log, line)
-	}
-	var k, n int
-	if strings.HasPrefix(line, "[") {
-		if _, err := fmt.Sscanf(line, "[%d/%d]", &k, &n); err == nil {
-			j.completed, j.total = k, n
-		}
-	}
-	for ch := range j.subs { //pgb:deterministic subscriber fan-out: channels are independent and sends non-blocking, so order is unobservable
-		select {
-		case ch <- line:
-		default:
-		}
-	}
+// notify wakes every SSE subscriber waiting on the job. Called with
+// jobManager.mu held.
+func (j *job) notify() {
+	close(j.wake)
+	j.wake = make(chan struct{})
 }
 
 // maxLogLines bounds the retained progress log (a full paper grid is
-// 288 cell lines plus dataset lines; 4096 leaves ample headroom).
+// 288 cell lines plus dataset lines; 4096 leaves ample headroom). SSE
+// streams the retained log, so a run with more lines streams its first
+// maxLogLines while the poll counters keep counting.
 const maxLogLines = 4096
-
-// subscribe registers an SSE subscriber: the returned snapshot replays
-// everything logged so far, the channel delivers later lines, and done
-// is the current generation's terminal signal.
-func (j *job) subscribe() (replay []string, ch chan string, done <-chan struct{}) {
-	ch = make(chan string, 256)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay = append([]string(nil), j.log...)
-	if j.subs == nil {
-		j.subs = make(map[chan string]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	return replay, ch, j.done
-}
-
-func (j *job) unsubscribe(ch chan string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.subs, ch)
-}
 
 // jobManager owns the job table, the submission queue, and the worker
 // pool.
@@ -158,6 +121,8 @@ type jobManager struct {
 	runWorkers int         // Config.Workers for each executed run
 	logf       func(string, ...any)
 
+	// mu guards jobs, terminalOrder, adopted and closed, and every job's
+	// mutable fields.
 	mu   sync.Mutex
 	jobs map[string]*job
 	// terminalOrder lists terminal job ids oldest-first; once the table
@@ -236,21 +201,19 @@ func (m *jobManager) submit(cfg core.Config) (*job, bool, error) {
 	id := jobID(digest)
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, false, errors.New("server is shutting down")
 	}
 	if j, ok := m.jobs[id]; ok {
-		// The requeue decision happens while m.mu is still held so the
-		// pruning in noteTerminal (which runs under the same lock and
-		// skips non-terminal jobs) can never evict the job between
-		// finding it here and flipping it back to queued.
-		requeue := j.markQueuedIfTerminal()
-		m.mu.Unlock()
-		if requeue {
-			return j, true, m.enqueue(j)
+		if j.state != StateFailed && j.state != StateCancelled {
+			return j, true, nil
 		}
-		return j, true, nil
+		j.state = StateQueued
+		j.errMsg = ""
+		j.gen++
+		j.notify()
+		return j, true, m.enqueueLocked(j)
 	}
 	j := &job{
 		id:       id,
@@ -259,57 +222,30 @@ func (m *jobManager) submit(cfg core.Config) (*job, bool, error) {
 		manifest: m.manifestPath(id),
 		state:    StateQueued,
 		total:    gridSize(cfg),
-		done:     make(chan struct{}),
+		wake:     make(chan struct{}),
 	}
 	m.jobs[id] = j
-	m.mu.Unlock()
-
 	// A completed identical run may be cached even though the job table
 	// has no entry (results can outlive a pruned job table in future
 	// revisions); serve it without recomputation.
 	if v, ok := m.cache.Get(digest); ok {
-		res := v.(*core.Results)
-		j.mu.Lock()
-		// Job ids are predictable content addresses, so a DELETE can race
-		// this POST between the table insert above and here, having
-		// already moved the job to cancelled and closed done — only a
-		// still-queued job may take the cached result.
-		if j.state == StateQueued {
-			j.state = StateDone
-			j.results = res
-			j.completed = j.total
-			close(j.done)
-			j.mu.Unlock()
-			m.noteTerminal(j.id)
-		} else {
-			j.mu.Unlock()
-		}
+		j.state = StateDone
+		j.results = v.(*core.Results)
+		j.completed = j.total
+		m.noteTerminalLocked(j.id)
 		return j, true, nil
 	}
-	return j, false, m.enqueue(j)
+	return j, false, m.enqueueLocked(j)
 }
 
-// markQueuedIfTerminal flips a failed or cancelled job back to queued —
-// the resubmission-resumes transition — and reports whether the caller
-// must enqueue it; done/queued/running jobs are left untouched.
-func (j *job) markQueuedIfTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateFailed && j.state != StateCancelled {
-		return false
-	}
-	j.state = StateQueued
-	j.errMsg = ""
-	j.done = make(chan struct{})
-	return true
-}
-
-func (m *jobManager) enqueue(j *job) error {
+// enqueueLocked hands a queued job to the pool without blocking, failing
+// the job when the queue is full. Called with m.mu held.
+func (m *jobManager) enqueueLocked(j *job) error {
 	select {
 	case m.queue <- j:
 		return nil
 	default:
-		m.finishJob(j, nil, errors.New("server: job queue full"))
+		m.finishLocked(j, nil, errors.New("server: job queue full"))
 		return errors.New("job queue is full")
 	}
 }
@@ -323,21 +259,21 @@ func gridSize(cfg core.Config) int {
 // checkpointed to the job's manifest, so whatever it completes before
 // failure, cancellation, or a crash is durable.
 func (m *jobManager) execute(j *job) {
-	if m.baseCtx.Err() != nil {
-		// Shutdown already began: leave the job queued — its manifest
-		// (if any) is adopted by the next server over this data dir.
-		return
-	}
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued, or a stale queue entry
-		j.mu.Unlock()
+	m.mu.Lock()
+	// Once shutdown has begun the job stays queued: its manifest (if
+	// any) is adopted by the next server over this data dir. A job that
+	// is no longer queued was cancelled while queued, or this is a stale
+	// queue entry of a job that was requeued.
+	if m.baseCtx.Err() != nil || j.state != StateQueued {
+		m.mu.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.state = StateRunning
 	j.cancel = cancel
+	j.notify()
 	cfg := j.cfg
-	j.mu.Unlock()
+	m.mu.Unlock()
 	defer cancel()
 
 	// Execution-only fields: none of these participate in the job's
@@ -348,48 +284,57 @@ func (m *jobManager) execute(j *job) {
 	cfg.Workers = m.runWorkers
 	cfg.Context = ctx
 	cfg.CheckpointPath = j.manifest
-	cfg.Progress = j.progress
+	cfg.Progress = func(line string) { m.progress(j, line) }
 	cfg.Store = m.store
 
 	m.started.Add(1)
 	m.logf("job %s: running (%d cells, manifest %s)", j.id, gridSize(cfg), cfg.CheckpointPath)
 	res, err := core.Run(cfg)
-	m.finishJob(j, res, err)
-	m.logf("job %s: %s", j.id, j.status().State)
+	m.mu.Lock()
+	m.finishLocked(j, res, err)
+	state := j.state
+	m.mu.Unlock()
+	m.logf("job %s: %s", j.id, state)
 }
 
-// finishJob moves the job to its terminal state, releases the current
-// generation of waiters, and publishes a successful result to the
-// content-addressed cache.
-func (m *jobManager) finishJob(j *job, res *core.Results, err error) {
-	j.mu.Lock()
-	if j.state.terminal() {
-		// Already terminal — e.g. the enqueue-failure path racing a
-		// DELETE that cancelled the queued job. Closing done again
-		// would panic; the first transition stands.
-		j.mu.Unlock()
-		return
+// progress records one run progress line: it is appended to the job's
+// log, which SSE subscribers read, and feeds the poll counters (the
+// scheduler's "[k/n]" prefix carries the authoritative completed count,
+// checkpoint-restored cells included).
+func (m *jobManager) progress(j *job, line string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var k, n int
+	if strings.HasPrefix(line, "[") {
+		if _, err := fmt.Sscanf(line, "[%d/%d]", &k, &n); err == nil {
+			j.completed, j.total = k, n
+		}
 	}
+	if len(j.log) < maxLogLines {
+		j.log = append(j.log, line)
+		j.notify()
+	}
+}
+
+// finishLocked moves a queued or running job to its terminal state and
+// publishes a successful result to the content-addressed cache. Called
+// with m.mu held.
+func (m *jobManager) finishLocked(j *job, res *core.Results, err error) {
 	j.cancel = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
 		j.results = res
 		j.completed = j.total
+		m.cache.Add(j.digest, res)
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
-	state := j.state
-	done := j.done
-	j.mu.Unlock()
-	close(done)
-	if state == StateDone {
-		m.cache.Add(j.digest, res)
-	}
-	m.noteTerminal(j.id)
+	j.notify()
+	m.noteTerminalLocked(j.id)
 }
 
 // maxRetainedJobs bounds the in-memory job table. Every retained done
@@ -399,13 +344,11 @@ func (m *jobManager) finishJob(j *job, res *core.Results, err error) {
 // resubmission (or restart) cannot restore.
 const maxRetainedJobs = 256
 
-// noteTerminal records a terminal transition and prunes the oldest
-// terminal jobs once the table exceeds maxRetainedJobs. Jobs that were
-// requeued since their transition are skipped (they will be re-noted
-// when they next finish).
-func (m *jobManager) noteTerminal(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// noteTerminalLocked records a terminal transition and prunes the
+// oldest terminal jobs once the table exceeds maxRetainedJobs. Jobs that
+// were requeued since their transition are skipped (they will be
+// re-noted when they next finish). Called with m.mu held.
+func (m *jobManager) noteTerminalLocked(id string) {
 	// Keep each id at most once (a cancel/resubmit cycle re-notes the
 	// same job every round): uniqueness both bounds the list — at most
 	// one entry per retained job — and keeps the oldest-first pruning
@@ -420,14 +363,7 @@ func (m *jobManager) noteTerminal(id string) {
 	for len(m.jobs) > maxRetainedJobs && len(m.terminalOrder) > 0 {
 		oldest := m.terminalOrder[0]
 		m.terminalOrder = m.terminalOrder[1:]
-		j, ok := m.jobs[oldest]
-		if !ok {
-			continue
-		}
-		j.mu.Lock()
-		terminal := j.state.terminal()
-		j.mu.Unlock()
-		if terminal {
+		if j, ok := m.jobs[oldest]; ok && j.state.terminal() {
 			delete(m.jobs, oldest)
 			m.logf("job %s: pruned from the table (manifest kept; resubmission resumes it)", oldest)
 		}
@@ -439,27 +375,37 @@ func (m *jobManager) noteTerminal(id string) {
 // finish and are checkpointed). Cancelling a done job is an error —
 // there is nothing left to stop.
 func (m *jobManager) cancelJob(j *job) error {
-	j.mu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	switch j.state {
 	case StateQueued:
 		j.state = StateCancelled
-		done := j.done
-		j.mu.Unlock()
-		close(done)
-		m.noteTerminal(j.id)
+		j.notify()
+		m.noteTerminalLocked(j.id)
 		return nil
 	case StateRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+		j.cancel()
 		return nil
 	default:
-		state := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("job is already %s", state)
+		return fmt.Errorf("job is already %s", j.state)
 	}
+}
+
+// status returns the job's wire form.
+func (m *jobManager) status(j *job) jobStatus {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return j.statusLocked()
+}
+
+// follow is one round of an SSE subscriber that has sent the first sent
+// lines of the job's log: it returns the lines logged since, the job's
+// run generation and state, and a channel closed on the job's next
+// change.
+func (m *jobManager) follow(j *job, sent int) (lines []string, gen int, state JobState, wake <-chan struct{}) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]string(nil), j.log[sent:]...), j.gen, j.state, j.wake
 }
 
 // count returns the number of retained jobs.
@@ -481,15 +427,15 @@ func (m *jobManager) get(id string) (*job, bool) {
 // determinism).
 func (m *jobManager) list() []jobStatus {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	jobs := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	m.mu.Unlock()
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id < jobs[b].id })
 	out := make([]jobStatus, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.status()
+		out[i] = j.statusLocked()
 	}
 	return out
 }
@@ -540,12 +486,13 @@ func (m *jobManager) recover() {
 			recovered: true,
 			state:     StateQueued,
 			total:     gridSize(cfg),
-			done:      make(chan struct{}),
+			wake:      make(chan struct{}),
 		}
 		m.jobs[id] = j
 		m.adopted[id] = path
+		err = m.enqueueLocked(j)
 		m.mu.Unlock()
-		if err := m.enqueue(j); err != nil {
+		if err != nil {
 			m.logf("recovery: %s: %v", path, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestJobTablePrunesOldestTerminal: once the job table holds more than
-// maxRetainedJobs, noteTerminal prunes the oldest terminal jobs and no
+// maxRetainedJobs, noteTerminalLocked prunes the oldest terminal jobs and no
 // others; a pruned configuration resubmits as a fresh queued job, and a
 // job requeued after its terminal transition survives pruning although
 // it is the oldest entry of the terminal order. With no pool workers,
@@ -49,15 +49,15 @@ func TestJobTablePrunesOldestTerminal(t *testing.T) {
 	}
 
 	fresh, absorbed, err := m.submit(config(0))
-	if err != nil || absorbed || fresh == jobs[0] || fresh.status().State != StateQueued {
+	if err != nil || absorbed || fresh == jobs[0] || m.status(fresh).State != StateQueued {
 		t.Fatalf("resubmitted pruned config: absorbed=%t err=%v fresh=%t state %s; want a fresh queued job",
-			absorbed, err, fresh != jobs[0], fresh.status().State)
+			absorbed, err, fresh != jobs[0], m.status(fresh).State)
 	}
 
 	// jobs[extra] is now the oldest terminal entry; requeue it, then
 	// push the table over its bound again.
 	requeued := jobs[extra]
-	if j, absorbed, err := m.submit(requeued.cfg); err != nil || !absorbed || j != requeued || j.status().State != StateQueued {
+	if j, absorbed, err := m.submit(requeued.cfg); err != nil || !absorbed || j != requeued || m.status(j).State != StateQueued {
 		t.Fatalf("resubmitted cancelled job: absorbed=%t err=%v same=%t; want it requeued", absorbed, err, j == requeued)
 	}
 	for i := len(jobs); i < len(jobs)+4; i++ {

@@ -644,7 +644,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	w.Header().Set("Location", "/v1/runs/"+j.id)
-	writeJSON(w, status, j.status())
+	writeJSON(w, status, s.jobs.status(j))
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
@@ -663,7 +663,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 
 func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status())
+		writeJSON(w, http.StatusOK, s.jobs.status(j))
 	}
 }
 
@@ -676,13 +676,15 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "conflict", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, s.jobs.status(j))
 }
 
-// handleRunEvents streams the job's progress as Server-Sent Events:
+// handleRunEvents streams the job's progress log as Server-Sent Events:
 // every line logged so far is replayed, later lines follow live, and a
-// terminal "state" event closes the stream. Reconnecting clients simply
-// get the full replay again — the stream is idempotent.
+// "state" event closes the stream once the run the client joined has
+// ended. A slow client is never dropped-from: it resumes from its place
+// in the log. Reconnecting clients simply get the full replay again —
+// the stream is idempotent.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -697,33 +699,27 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, ch, done := j.subscribe()
-	defer j.unsubscribe(ch)
 	emit := func(event, data string) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	}
-	for _, line := range replay {
-		emit("progress", line)
-	}
-	fl.Flush()
-	for {
-		select {
-		case line := <-ch:
+	joined := -1
+	for sent := 0; ; {
+		lines, gen, state, wake := s.jobs.follow(j, sent)
+		if joined < 0 {
+			joined = gen
+		}
+		for _, line := range lines {
 			emit("progress", line)
+		}
+		sent += len(lines)
+		if gen != joined || state.terminal() {
+			emit("state", string(state))
 			fl.Flush()
-		case <-done:
-			// Drain lines that raced the terminal transition, then
-			// report the final state.
-			for {
-				select {
-				case line := <-ch:
-					emit("progress", line)
-				default:
-					emit("state", string(j.status().State))
-					fl.Flush()
-					return
-				}
-			}
+			return
+		}
+		fl.Flush()
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}
@@ -737,9 +733,9 @@ func (s *Server) resultsOf(w http.ResponseWriter, r *http.Request) (*core.Result
 	if !ok {
 		return nil, false
 	}
-	j.mu.Lock()
+	s.jobs.mu.Lock()
 	state, res, errMsg := j.state, j.results, j.errMsg
-	j.mu.Unlock()
+	s.jobs.mu.Unlock()
 	switch {
 	case state == StateDone && res != nil:
 		return res, true

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,14 +26,49 @@ import (
 // point: each blocks its owning test's run inside a profile computation
 // until the test releases the gate, making cancel/recovery timing
 // deterministic instead of sleep-based. Registration is process-wide,
-// so each gate is used by exactly one test and released exactly once.
+// so each gate is used by exactly one test, which arms it afresh on
+// every run (go test -count=N reruns it).
 
 var (
-	gateA      = make(chan struct{}) // blocks every GateA compute until released
-	gateACalls atomic.Int64
-	gateB      = make(chan struct{}) // blocks the third GateB compute (cell 2 of 3)
-	gateBCalls atomic.Int64
+	gateA = &gate{}           // blocks every GateA compute until released
+	gateB = &gate{blockAt: 3} // blocks the third GateB compute (cell 2 of 3)
 )
+
+// gate holds a gate query's compute until the owning test calls the
+// release that arm returned: every compute when blockAt is 0, else only
+// the blockAt-th since the gate was armed.
+type gate struct {
+	blockAt int
+	mu      sync.Mutex
+	arms    int64
+	calls   int
+	ch      chan struct{}
+}
+
+// arm resets the gate for one run of its owning test and returns the
+// seed that run submits: base on the first run, a fresh one on every
+// rerun, so the run's truth profile is never already in core's
+// process-wide profile memo and the truth pass reaches the gate as the
+// test expects.
+func (g *gate) arm(base int64) (seed int64, release func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ch := make(chan struct{})
+	g.calls, g.ch = 0, ch
+	g.arms++
+	return base + 1000*(g.arms-1), func() { close(ch) }
+}
+
+func (g *gate) pass() {
+	g.mu.Lock()
+	g.calls++
+	block := g.blockAt == 0 || g.calls == g.blockAt
+	ch := g.ch
+	g.mu.Unlock()
+	if block && ch != nil {
+		<-ch
+	}
+}
 
 func init() {
 	mustRegister := func(q core.QuerySpec) {
@@ -43,17 +79,14 @@ func init() {
 	mustRegister(core.QuerySpec{
 		Symbol: "GateA",
 		Compute: func(g *graph.Graph, _ core.ProfileOptions, _ *rand.Rand) float64 {
-			gateACalls.Add(1)
-			<-gateA
+			gateA.pass()
 			return float64(g.N())
 		},
 	})
 	mustRegister(core.QuerySpec{
 		Symbol: "GateB",
 		Compute: func(g *graph.Graph, _ core.ProfileOptions, _ *rand.Rand) float64 {
-			if gateBCalls.Add(1) == 3 {
-				<-gateB
-			}
+			gateB.pass()
 			return float64(g.M())
 		},
 	})
@@ -783,10 +816,11 @@ func TestRunLifecycle(t *testing.T) {
 // cancelled, refuses its result with 410, and a resubmission resumes it
 // to completion from the manifest.
 func TestRunCancelResubmit(t *testing.T) {
+	seed, releaseA := gateA.arm(3101)
 	s, ts := newTestServer(t, t.TempDir())
 
 	var st jobStatus
-	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(3101, "GateA"), &st); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(seed, "GateA"), &st); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
 	waitState(t, ts.URL, st.ID, StateRunning)
@@ -796,7 +830,7 @@ func TestRunCancelResubmit(t *testing.T) {
 	if code, body := doRequest(t, http.MethodDelete, ts.URL+"/v1/runs/"+st.ID); code != http.StatusOK {
 		t.Fatalf("cancel status %d: %s", code, body)
 	}
-	close(gateA)
+	releaseA()
 	cancelled := waitState(t, ts.URL, st.ID, StateCancelled)
 	if cancelled.Completed != 0 {
 		t.Fatalf("cancelled-before-cells job reports %d completed cells", cancelled.Completed)
@@ -807,7 +841,7 @@ func TestRunCancelResubmit(t *testing.T) {
 
 	// Resubmission requeues the same job and resumes from its manifest.
 	var re jobStatus
-	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(3101, "GateA"), &re); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(seed, "GateA"), &re); code != http.StatusOK {
 		t.Fatalf("resubmit status %d, want 200 (absorbed)", code)
 	}
 	if re.ID != st.ID {
@@ -827,11 +861,112 @@ func TestRunCancelResubmit(t *testing.T) {
 	}
 }
 
+// stallWriter is an SSE response writer whose first Write blocks until
+// release is closed, closing stalled when it starts to block: a client
+// that stops reading while the run goes on.
+type stallWriter struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.stalled)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(p)
+}
+
+// streamStalled submits a job to a manager with no pool workers, logs
+// one line, and starts the job's SSE handler on a stallWriter. It
+// returns once the handler is blocked writing that line; done closes
+// when the handler returns.
+func streamStalled(t *testing.T, seed int64) (m *jobManager, j *job, w *stallWriter, done chan struct{}) {
+	t.Helper()
+	m = newJobManager(t.TempDir(), 0, 1, nil, lru.New[string, any](4), func(string, ...any) {})
+	t.Cleanup(m.close)
+	j, _, err := m.submit(core.Config{Seed: seed}.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.progress(j, "line 0")
+	w = &stallWriter{ResponseRecorder: httptest.NewRecorder(), stalled: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	r := httptest.NewRequest(http.MethodGet, "/v1/runs/"+j.id+"/events", nil).WithContext(ctx)
+	r.SetPathValue("id", j.id)
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		(&Server{jobs: m}).handleRunEvents(w, r)
+	}()
+	<-w.stalled
+	return m, j, w, done
+}
+
+// waitHandler waits for the SSE handler to return, failing the test if
+// it never ends the stream.
+func waitHandler(t *testing.T, done chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("SSE handler did not end the stream")
+	}
+}
+
+// TestRunEventsStalledSubscriberLosesNothing: a subscriber that stops
+// reading while the run logs hundreds of lines and finishes still gets
+// every line, in order, and then the state event.
+func TestRunEventsStalledSubscriberLosesNothing(t *testing.T) {
+	m, j, w, done := streamStalled(t, 5101)
+	const lines = 300
+	for i := 1; i < lines; i++ {
+		m.progress(j, fmt.Sprintf("line %d", i))
+	}
+	if err := m.cancelJob(j); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	waitHandler(t, done)
+
+	var want strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&want, "event: progress\ndata: line %d\n\n", i)
+	}
+	want.WriteString("event: state\ndata: cancelled\n\n")
+	if got := w.Body.String(); got != want.String() {
+		t.Fatalf("stalled subscriber got %d progress events, want %d; stream ends %q",
+			strings.Count(got, "event: progress"), lines, got[max(0, len(got)-80):])
+	}
+}
+
+// TestRunEventsEndAtJoinedRunAcrossResubmit: a subscriber that joined
+// before a cancel ends with a state event although a resubmission has
+// already requeued the job when the subscriber looks again.
+func TestRunEventsEndAtJoinedRunAcrossResubmit(t *testing.T) {
+	m, j, w, done := streamStalled(t, 5102)
+	if err := m.cancelJob(j); err != nil {
+		t.Fatal(err)
+	}
+	if re, absorbed, err := m.submit(j.cfg); err != nil || !absorbed || re != j {
+		t.Fatalf("resubmit: absorbed=%t err=%v same=%t; want the job requeued", absorbed, err, re == j)
+	}
+	close(w.release)
+	waitHandler(t, done)
+	if got := w.Body.String(); !strings.HasPrefix(got, "event: progress\ndata: line 0\n\n") || !strings.Contains(got, "event: state\n") {
+		t.Fatalf("stream = %q; want the logged line, then a state event", got)
+	}
+}
+
 // TestRunRecoveryAfterRestart is the acceptance scenario: a run is
 // cancelled after completing some cells, the server is shut down, and a
 // new server over the same data directory adopts the manifest and
 // resumes the job to completion — recomputing only the missing cells.
 func TestRunRecoveryAfterRestart(t *testing.T) {
+	seed, releaseB := gateB.arm(3201)
 	dir := t.TempDir()
 	s1, err := New(Options{DataDir: dir, Logf: t.Logf})
 	if err != nil {
@@ -840,7 +975,7 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 
 	var st jobStatus
-	if code := postJSON(t, ts1.URL+"/v1/runs", tinyRun(3201, "GateB"), &st); code != http.StatusAccepted {
+	if code := postJSON(t, ts1.URL+"/v1/runs", tinyRun(seed, "GateB"), &st); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
 	// GateB blocks its third compute: truth profile, cell 1, then cell 2
@@ -860,7 +995,7 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 	if code, body := doRequest(t, http.MethodDelete, ts1.URL+"/v1/runs/"+st.ID); code != http.StatusOK {
 		t.Fatalf("cancel status %d: %s", code, body)
 	}
-	close(gateB)
+	releaseB()
 	cancelled := waitState(t, ts1.URL, st.ID, StateCancelled)
 	if cancelled.Completed >= 3 {
 		t.Fatalf("cancelled job reports the full grid complete")

@@ -79,7 +79,10 @@ func ANFDistancesParallel(g *graph.Graph, rng *rand.Rand, workers int, budget *p
 	}
 
 	// nf[t] is the estimated neighborhood function: Σ_v |B(v, t)|.
-	nf := []float64{sumEstimates(cur, est, n)}
+	for v := 0; v < n; v++ {
+		est[v] = hllEstimate((*[anfWords]uint64)(cur[v*anfWords:]))
+	}
+	nf := []float64{sumEstimates(est)}
 
 	chunks := chunkByMass(g.Offsets(), 8*normWorkers(workers, n))
 	workers = normWorkers(workers, len(chunks)-1)
@@ -89,7 +92,7 @@ func ANFDistancesParallel(g *graph.Graph, rng *rand.Rand, workers int, budget *p
 			break
 		}
 		cur, next = next, cur
-		nf = append(nf, sumEstimates(cur, est, n))
+		nf = append(nf, sumEstimates(est))
 	}
 
 	// Telescoping: pairs at exact distance t ≈ nf[t] − nf[t−1]. The
@@ -161,13 +164,10 @@ func anfRound(g *graph.Graph, cur, next []uint64, est []float64, chunks []int, w
 // sumEstimates reduces the per-node ball estimates serially in node
 // order — float addition is not associative, so the reduction order is
 // pinned to keep the result worker-count-invariant.
-func sumEstimates(regs []uint64, est []float64, n int) float64 {
+func sumEstimates(est []float64) float64 {
 	sum := 0.0
-	for v := 0; v < n; v++ {
-		var block [anfWords]uint64
-		copy(block[:], regs[v*anfWords:v*anfWords+anfWords])
-		est[v] = hllEstimate(&block)
-		sum += est[v]
+	for _, e := range est {
+		sum += e
 	}
 	return sum
 }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,6 +66,51 @@ func TestANFParallelBitIdentical(t *testing.T) {
 			for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
 				got := ANFDistancesParallel(g, rand.New(rand.NewSource(42)), workers, budget)
 				assertDistanceStatsEqual(t, "anf", workers, got, want)
+			}
+		}
+	}
+}
+
+// anfGoldens pin the bits of ANFDistancesParallel across commits: the
+// FNV-64a digest of Diameter, AvgPath and every Distribution entry,
+// captured before the per-round estimate moved wholly into the sharded
+// round. Worker invariance alone cannot catch a change that moves every
+// worker count the same way.
+var anfGoldens = []struct {
+	name string
+	g    func() *graph.Graph
+	seed int64
+	want uint64
+}{
+	{"random400", func() *graph.Graph { return randomGraph(11, 400) }, 42, 0x3e30dbb586b3c765},
+	{"random400", func() *graph.Graph { return randomGraph(11, 400) }, 7, 0xf9645e6174e9e506},
+	{"random800", func() *graph.Graph { return randomGraph(12, 800) }, 42, 0xdc0873176c0670b5},
+	{"path5", path5, 42, 0xe7b79040a10a87eb},
+	{"star20", func() *graph.Graph { return star(20) }, 3, 0x82a24a04552909c0},
+}
+
+func anfDigest(st DistanceStats) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	put(st.Diameter)
+	put(st.AvgPath)
+	for _, p := range st.Distribution {
+		put(p)
+	}
+	return h.Sum64()
+}
+
+func TestANFGolden(t *testing.T) {
+	for _, tc := range anfGoldens {
+		g := tc.g()
+		for _, workers := range []int{1, 4} {
+			got := anfDigest(ANFDistancesParallel(g, rand.New(rand.NewSource(tc.seed)), workers, nil))
+			if got != tc.want {
+				t.Errorf("%s seed %d workers %d: digest %#016x, golden %#016x", tc.name, tc.seed, workers, got, tc.want)
 			}
 		}
 	}

@@ -37,24 +37,6 @@ func NumNodes(g *graph.Graph) float64 {
 // NumEdges is query Q2: |E|.
 func NumEdges(g *graph.Graph) float64 { return float64(g.M()) }
 
-// TrianglesParallel is query Q3: the number of triangles, Σ t_u / 3
-// over the per-node counts of perNodeTriangles — the stamped forward
-// pass, O(m^{3/2}), sharded over contiguous node ranges on up to
-// workers goroutines (0 selects GOMAXPROCS); helper workers beyond the
-// calling goroutine are drawn from budget when non-nil (the shared
-// allowance of DESIGN.md §2). The result is bit-identical at every
-// worker count: the per-node counts are exact integers and integer
-// addition is order-free.
-func TrianglesParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	s := getScratch()
-	defer s.Release()
-	cnt, _ := perNodeTriangles(g, s, workers, budget)
-	return float64(sum3(cnt))
-}
-
 // sum3 returns Σ cnt / 3: every triangle credits each of its three
 // corners once, so the sum is exactly three times the triangle count.
 func sum3(cnt []int64) int64 {
@@ -461,11 +443,14 @@ func perNodeTriangles(g *graph.Graph, s *Scratch, workers int, budget *par.Budge
 // TriangleProfileParallel answers the whole triangle query group — Q3
 // (triangle count), Q10's numerator and denominator, and Q11 (average
 // clustering, the Watts-Strogatz mean of the local coefficients) — from
-// ONE perNodeTriangles pass: the per-node counts give the global total
-// (Σ t_u = 3T, exactly, in integers) and the clustering coefficients.
-// Values are bit-identical to TrianglesParallel and the mean of
-// LocalClusteringParallel: the total is the same integer and ACC reduces
-// the same per-node floats in the same serial node order.
+// ONE perNodeTriangles pass: the stamped forward pass, O(m^{3/2}),
+// sharded over contiguous node ranges on up to workers goroutines (0
+// selects GOMAXPROCS), with helpers beyond the calling goroutine drawn
+// from budget when non-nil (DESIGN.md §2). The per-node counts give the
+// global total (Σ t_u = 3T, exactly, in integers) and the clustering
+// coefficients, so every value is bit-identical at every worker count,
+// and ACC equals the mean of LocalClusteringParallel: it reduces the
+// same per-node floats in the same serial node order.
 func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (triangles, wedges, acc float64) {
 	n := g.N()
 	if n == 0 {

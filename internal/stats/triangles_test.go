@@ -95,9 +95,6 @@ func assertTrianglesMatchRef(t *testing.T, label string, g *graph.Graph, workers
 		}
 	}
 	s.Release()
-	if got := TrianglesParallel(g, workers, nil); got != want.tri {
-		t.Fatalf("%s workers %d: TrianglesParallel = %g, reference %g", label, workers, got, want.tri)
-	}
 	cc := LocalClusteringParallel(g, workers, nil)
 	for u := range cc {
 		if cc[u] != want.cc[u] {
@@ -150,9 +147,6 @@ func TestTrianglesSerialZeroAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	g := randomGraph(8, 300)
-	if a := testing.AllocsPerRun(20, func() { TrianglesParallel(g, 1, nil) }); a != 0 {
-		t.Errorf("TrianglesParallel(workers=1): %g allocs/op, want 0", a)
-	}
 	if a := testing.AllocsPerRun(20, func() { TriangleProfileParallel(g, 1, nil) }); a != 0 {
 		t.Errorf("TriangleProfileParallel(workers=1): %g allocs/op, want 0", a)
 	}
