@@ -54,12 +54,15 @@ type dendrogram struct {
 	left    []int32 // children (internal nodes only; -1 for leaves)
 	right   []int32
 	nLeaves []int32
+	sumDeg  []int     // degree sum of the leaves under each node
 	e       []float64 // crossing edge count (internal nodes)
-	root    int32
-	g       *graph.Graph
+	// ll caches termLL(e[r], pairs(r)) for each internal node r.
+	ll   []float64
+	root int32
+	g    *graph.Graph
 	// leafA is the reusable leaf-collection scratch buffer of the
 	// per-MCMC-step edgesBetween calls; mark[u] == stamp marks u as a
-	// leaf of the call's larger side.
+	// leaf of the call's stamped side.
 	leafA []int32
 	mark  []uint32
 	stamp uint32
@@ -74,7 +77,9 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand) *dendrogram {
 		left:    make([]int32, total),
 		right:   make([]int32, total),
 		nLeaves: make([]int32, total),
+		sumDeg:  make([]int, total),
 		e:       make([]float64, total),
+		ll:      make([]float64, total),
 		g:       g,
 		leafA:   make([]int32, 0, n),
 		mark:    make([]uint32, n),
@@ -86,6 +91,7 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand) *dendrogram {
 	}
 	for i := 0; i < n; i++ {
 		d.nLeaves[i] = 1
+		d.sumDeg[i] = g.Degree(int32(i))
 	}
 	// random balanced tree over a shuffled leaf order
 	leaves := make([]int32, n)
@@ -109,10 +115,14 @@ func newDendrogram(g *graph.Graph, rng *rand.Rand) *dendrogram {
 		d.parent[l] = id
 		d.parent[r] = id
 		d.nLeaves[id] = d.nLeaves[l] + d.nLeaves[r]
+		d.sumDeg[id] = d.sumDeg[l] + d.sumDeg[r]
 		return id
 	}
 	d.root = build(0, n)
 	d.recountEdges()
+	for r := int32(n); r < int32(total); r++ {
+		d.ll[r] = termLL(d.e[r], d.pairs(r))
+	}
 	return d
 }
 
@@ -168,12 +178,26 @@ func (d *dendrogram) stampLeaves(u int32) {
 	d.mark[u] = d.stamp
 }
 
+// scanCost estimates edgesBetween's work when it stamps the leaves under
+// stamp and scans those under scan: each stamped leaf is reached by the
+// tree walk and written, each scanned leaf is collected and its
+// neighbor list read.
+func (d *dendrogram) scanCost(scan, stamp int32) int {
+	return 2*int(d.nLeaves[stamp]) + int(d.nLeaves[scan]) + d.sumDeg[scan]
+}
+
+// betweenCost is the estimated work of edgesBetween(a, s): that of its
+// cheaper side.
+func (d *dendrogram) betweenCost(a, s int32) int {
+	return min(d.scanCost(a, s), d.scanCost(s, a))
+}
+
 // edgesBetween counts graph edges between the leaf sets of subtrees a and
-// s. It stamps the larger side's leaves straight from the tree walk and
-// scans the smaller side's neighbor lists. The leaf buffer and marks are
-// reused, so a step allocates nothing.
+// s. It stamps one side's leaves straight from the tree walk and scans
+// the other side's neighbor lists, choosing the sides by scanCost. The
+// leaf buffer and marks are reused, so a step allocates nothing.
 func (d *dendrogram) edgesBetween(a, s int32) float64 {
-	if d.nLeaves[a] > d.nLeaves[s] {
+	if d.scanCost(a, s) > d.scanCost(s, a) {
 		a, s = s, a
 	}
 	d.stamp++
@@ -199,8 +223,9 @@ func (d *dendrogram) edgesBetween(a, s int32) float64 {
 // swap applies an accepted move at internal node r, whose children are
 // keep and move and whose sibling is sib: move and sib exchange parents,
 // so r becomes (keep, sib) with crossing count eR and r's parent becomes
-// (r, move) with crossing count eP. The parent's leaf set is unchanged.
-func (d *dendrogram) swap(r, keep, move, sib int32, eR, eP float64) {
+// (r, move) with crossing count eP; llR and llP are the two nodes' new
+// termLL values. The parent's leaf set is unchanged.
+func (d *dendrogram) swap(r, keep, move, sib int32, eR, eP, llR, llP float64) {
 	par := d.parent[r]
 	d.left[r] = keep
 	d.right[r] = sib
@@ -213,7 +238,10 @@ func (d *dendrogram) swap(r, keep, move, sib int32, eR, eP float64) {
 	d.parent[move] = par
 	d.e[r] = eR
 	d.e[par] = eP
+	d.ll[r] = llR
+	d.ll[par] = llP
 	d.nLeaves[r] = d.nLeaves[keep] + d.nLeaves[sib]
+	d.sumDeg[r] = d.sumDeg[keep] + d.sumDeg[sib]
 }
 
 // termLL is one internal node's log-likelihood contribution:
@@ -294,12 +322,20 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.P
 		if rng.Intn(2) == 1 {
 			swapChild, keepChild = bb, a
 		}
-		// current terms
-		pairsR := d.pairs(r)
-		pairsP := d.pairs(par)
-		oldLL := termLL(d.e[r], pairsR) + termLL(d.e[par], pairsP)
+		// current terms: pairs(r) and pairs(par) are the products the
+		// cached terms were computed from, up to operand order, and
+		// float64 multiplication commutes exactly.
+		oldLL := d.ll[r] + d.ll[par]
 		// new configuration: r' = (keepChild, sib), par' = (r', swapChild)
-		x := d.edgesBetween(keepChild, sib) // e(keep, sib)
+		// x = e(keep, sib), counted directly or as e_par − e(swap, sib)
+		// (e_par counts keep∪swap against sib), whichever is cheaper:
+		// every count is an integer below 2^53, so both are exact.
+		var x float64
+		if d.betweenCost(keepChild, sib) <= d.betweenCost(swapChild, sib) {
+			x = d.edgesBetween(keepChild, sib)
+		} else {
+			x = d.e[par] - d.edgesBetween(swapChild, sib)
+		}
 		eRnew := x
 		// e_par = e(keep∪swap, sib) = e(keep,sib) + e(swap,sib), so
 		// e(swap,sib) = e_par − x; the new parent crosses keep∪sib with
@@ -310,13 +346,13 @@ func (p *PrivHRG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.P
 		nSib := float64(d.nLeaves[sib])
 		pairsRnew := nKeep * nSib
 		pairsPnew := (nKeep + nSib) * nSwap
-		newLL := termLL(eRnew, pairsRnew) + termLL(ePnew, pairsPnew)
+		llR, llP := termLL(eRnew, pairsRnew), termLL(ePnew, pairsPnew)
 		// exponential-mechanism Metropolis acceptance
-		delta := newLL - oldLL
+		delta := llR + llP - oldLL
 		if delta < 0 && rng.Float64() >= math.Exp(eps1*delta/(2*sens)) {
 			continue
 		}
-		d.swap(r, keepChild, swapChild, sib, eRnew, ePnew)
+		d.swap(r, keepChild, swapChild, sib, eRnew, ePnew, llR, llP)
 	}
 
 	// Perturb crossing counts: sensitivity 1 (one edge maps to one LCA).

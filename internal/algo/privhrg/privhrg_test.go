@@ -154,7 +154,9 @@ func TestEdgesBetweenMatchesBruteForce(t *testing.T) {
 				t.Fatalf("step %d: edgesBetween = %g, brute force %g", step, x, want)
 			}
 		}
-		d.swap(r, keep, move, sib, x, d.e[r]+d.e[par]-x)
+		nKeep, nMove, nSib := float64(d.nLeaves[keep]), float64(d.nLeaves[move]), float64(d.nLeaves[sib])
+		eR, eP := x, d.e[r]+d.e[par]-x
+		d.swap(r, keep, move, sib, eR, eP, termLL(eR, nKeep*nSib), termLL(eP, (nKeep+nSib)*nMove))
 	}
 	big := false
 	for r := int32(n); r < int32(2*n-1); r++ {
@@ -162,6 +164,16 @@ func TestEdgesBetweenMatchesBruteForce(t *testing.T) {
 		want := bruteCrossing(d, l, rr)
 		if got := d.edgesBetween(l, rr); got != want || d.e[r] != want {
 			t.Fatalf("node %d: edgesBetween = %g, stored %g, brute force %g", r, got, d.e[r], want)
+		}
+		if got, want := d.ll[r], termLL(d.e[r], d.pairs(r)); got != want {
+			t.Fatalf("node %d: cached termLL %g, recomputed %g", r, got, want)
+		}
+		var deg int
+		for _, u := range d.collectLeaves(r, nil) {
+			deg += g.Degree(u)
+		}
+		if d.sumDeg[r] != deg {
+			t.Fatalf("node %d: degree sum %d, want %d", r, d.sumDeg[r], deg)
 		}
 		big = big || min(d.nLeaves[l], d.nLeaves[rr]) > 256
 	}

@@ -100,6 +100,21 @@ func decodeWireStd(data []byte) (int, []Edge, error) {
 	return jg.N, edges, nil
 }
 
+// ParseWirePrefix parses the canonical wire shape {"n":N,"edges":[...]}
+// at the start of data — the shape parseWire accepts — and reports the
+// bytes it consumed, up to and including the closing '}'; what follows
+// is the caller's. It lets a caller that parses a larger document by
+// hand (the server's compare body) read an inline graph in the same
+// pass. ok=false means "not this shape", never "malformed": the caller
+// then takes its encoding/json path, which alone produces errors.
+func ParseWirePrefix(data []byte) (*Graph, int, bool) {
+	n, edges, end, ok := parseWirePrefix(data)
+	if !ok {
+		return nil, 0, false
+	}
+	return FromEdges(n, edges), end, true
+}
+
 // parseWire parses exactly the canonical wire shape
 // {"n":N,"edges":[u0,v0,...]}: those two keys in that order, spelled
 // that way, holding plain decimal integers (no sign, leading zero,
@@ -108,38 +123,52 @@ func decodeWireStd(data []byte) (int, []Edge, error) {
 // ok=false means "not this shape", never "malformed": the caller then
 // takes the stdlib path.
 func parseWire(data []byte) (int, []Edge, bool) {
+	n, edges, end, ok := parseWirePrefix(data)
+	s := wireScanner{b: data, i: end}
+	s.skipSpace()
+	return n, edges, ok && s.i == len(s.b)
+}
+
+// parseWirePrefix is parseWire without the end-of-input check: it
+// returns the offset just past the object's closing '}'.
+func parseWirePrefix(data []byte) (int, []Edge, int, bool) {
 	s := wireScanner{b: data}
 	if !s.lit(`{`) || !s.lit(`"n"`) || !s.lit(`:`) {
-		return 0, nil, false
+		return 0, nil, 0, false
 	}
 	n64, ok := s.num(MaxJSONNodes)
 	if !ok || !s.lit(`,`) || !s.lit(`"edges"`) || !s.lit(`:`) || !s.lit(`[`) {
-		return 0, nil, false
+		return 0, nil, 0, false
 	}
-	// 2m-1 commas separate m pairs; the count sizes edges exactly.
-	edges := make([]Edge, 0, (bytes.Count(data[s.i:], []byte{','})+1)/2)
+	// 2m-1 commas separate m pairs; counted up to the array's ']' (the
+	// first one: the array holds only integers), they size edges
+	// exactly whatever the input holds after the graph.
+	rb := bytes.IndexByte(data[s.i:], ']')
+	if rb < 0 {
+		return 0, nil, 0, false
+	}
+	edges := make([]Edge, 0, (bytes.Count(data[s.i:s.i+rb], []byte{','})+1)/2)
 	for closed := s.lit(`]`); !closed; closed = s.lit(`]`) {
 		if len(edges) > 0 && !s.lit(`,`) {
-			return 0, nil, false
+			return 0, nil, 0, false
 		}
 		u, ok := s.num(n64 - 1)
 		if !ok || !s.lit(`,`) {
-			return 0, nil, false
+			return 0, nil, 0, false
 		}
 		v, ok := s.num(n64 - 1)
 		if !ok {
-			return 0, nil, false
+			return 0, nil, 0, false
 		}
 		edges = append(edges, Canon(int32(u), int32(v)))
 	}
 	if !s.lit(`}`) {
-		return 0, nil, false
+		return 0, nil, 0, false
 	}
-	s.skipSpace()
-	return int(n64), edges, s.i == len(s.b)
+	return int(n64), edges, s.i, true
 }
 
-// wireScanner is parseWire's cursor.
+// wireScanner is parseWirePrefix's cursor.
 type wireScanner struct {
 	b []byte
 	i int

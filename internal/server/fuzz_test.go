@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"pgb/internal/graph"
 )
 
 // FuzzCompareRequest posts arbitrary bodies to /v1/compare. No body may
@@ -96,4 +100,55 @@ func tooCostly(body string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzCompareBodyFastPath checks parseCompare against decodeJSON: every
+// body the one-pass parse accepts, the encoding/json path accepts too,
+// with an equal request — inline graphs equal in N, Offsets and Arcs.
+func FuzzCompareBodyFastPath(f *testing.F) {
+	for _, body := range []string{
+		// the shape of the benchmark's compare bodies
+		`{"truth":{"dataset":"Facebook","scale":0.1,"seed":42},"synthetic":{"graph":{"n":5,"edges":[0,1,0,2,3,4]}},"seed":7,"queries":["|V|","|E|","Tri"]}`,
+		// reordered keys, whitespace, every key
+		" { \"queries\" : [ ] ,\"distance_mode\":\"exact\",\"seed\":-3,\n\"synthetic\":{\"seed\":2,\"graph\":{\"n\":3,\"edges\":[2,1]},\"scale\":1e-1,\"dataset\":\"ER\"},\"truth\":{}}\t",
+		`{"truth":{"graph":{"n":4,"edges":[0,1]}},"truth":{"dataset":"ER"}}`,                     // duplicate key
+		`{"Truth":{"dataset":"ER"},"synthetic":{"dataset":"BA"}}`,                                // case-variant key
+		`{"truth":{"dataset":"E\u0052"},"synthetic":{"dataset":"BA"}}`,                           // escaped string
+		`{"truth":{"graph":null},"synthetic":{"dataset":"BA"},"queries":null}`,                   // null values
+		`{"truth":{"dataset":"ER","scale":2E-2},"synthetic":{"dataset":"BA","seed":1e2}}`,        // exponents
+		`{"truth":{"dataset":"ER","scale":-0,"seed":-0},"synthetic":{"dataset":"BA"},"seed":-0}`, // negative zero
+		`{"truth":{"dataset":"ER"},"synthetic":{"dataset":"BA"},"seed":9223372036854775808}`,     // int64 overflow
+		`{"truth":{"dataset":"ER"},"synthetic":{"dataset":"BA"}} {}`,                             // trailing data
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fast, ok := parseCompare(body)
+		if !ok {
+			return
+		}
+		var std compareRequest
+		if err := decodeJSON(bytes.NewReader(body), &std); err != nil {
+			t.Fatalf("parseCompare accepted %q, which decodeJSON rejects: %v", body, err)
+		}
+		for _, side := range [][2]*graphRef{{&fast.Truth, &std.Truth}, {&fast.Synthetic, &std.Synthetic}} {
+			a, b := side[0], side[1]
+			if !sameGraph(a.Graph, b.Graph) {
+				t.Fatalf("%q: parseCompare decoded graph %v, decodeJSON %v", body, a.Graph, b.Graph)
+			}
+			a.Graph, b.Graph = nil, nil
+		}
+		if !reflect.DeepEqual(fast, std) {
+			t.Fatalf("%q: parseCompare decoded %+v, decodeJSON %+v", body, fast, std)
+		}
+	})
+}
+
+// sameGraph reports whether a and b are both absent or hold the same
+// CSR.
+func sameGraph(a, b *graph.Graph) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.N() == b.N() && slices.Equal(a.Offsets(), b.Offsets()) && slices.Equal(a.Arcs(), b.Arcs())
 }

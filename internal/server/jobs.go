@@ -67,10 +67,11 @@ type job struct {
 	results   *core.Results
 	log       []string
 	cancel    context.CancelFunc // non-nil while running
-	// gen counts requeues, so an SSE subscriber ends at the terminal
-	// transition of the run it joined even if a resubmission has
-	// requeued the job before the subscriber looks again.
-	gen int
+	// ended holds the end state of every run generation a requeue has
+	// closed, oldest first, so len(ended) is the current generation. An
+	// SSE subscriber ends with the end state of the run it joined even
+	// if a resubmission has requeued the job before it looks again.
+	ended []JobState
 	// wake is closed and replaced on every logged line and state change.
 	wake chan struct{}
 }
@@ -209,9 +210,9 @@ func (m *jobManager) submit(cfg core.Config) (*job, bool, error) {
 		if j.state != StateFailed && j.state != StateCancelled {
 			return j, true, nil
 		}
+		j.ended = append(j.ended, j.state)
 		j.state = StateQueued
 		j.errMsg = ""
-		j.gen++
 		j.notify()
 		return j, true, m.enqueueLocked(j)
 	}
@@ -399,13 +400,18 @@ func (m *jobManager) status(j *job) jobStatus {
 }
 
 // follow is one round of an SSE subscriber that has sent the first sent
-// lines of the job's log: it returns the lines logged since, the job's
-// run generation and state, and a channel closed on the job's next
-// change.
-func (m *jobManager) follow(j *job, sent int) (lines []string, gen int, state JobState, wake <-chan struct{}) {
+// lines of the job's log and joined run generation joined (-1 on its
+// first round: the current one). It returns the lines logged since, the
+// generation joined, that run's state — its end state once a requeue
+// has closed it — and a channel closed on the job's next change.
+func (m *jobManager) follow(j *job, sent, joined int) (lines []string, gen int, state JobState, wake <-chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]string(nil), j.log[sent:]...), j.gen, j.state, j.wake
+	gen, state = len(j.ended), j.state
+	if joined >= 0 && joined < gen {
+		gen, state = joined, j.ended[joined]
+	}
+	return append([]string(nil), j.log[sent:]...), gen, state, j.wake
 }
 
 // count returns the number of retained jobs.

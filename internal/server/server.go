@@ -478,7 +478,8 @@ type compareRequest struct {
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// As in handleGenerate, the slot covers body decode (inline graphs
-	// build their CSR inside UnmarshalJSON), graph resolution (dataset
+	// build their CSR inside parseCompare, or inside UnmarshalJSON when
+	// the body takes decodeJSON), graph resolution (dataset
 	// references generate full graphs — and a cache hit on a body not
 	// seen before must resolve both sides to learn its fingerprints,
 	// the price of content-addressing by value rather than by request
@@ -504,10 +505,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req compareRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
-		writeBodyError(w, err)
-		return
+	// The canonical body is parsed in one pass; any other body, and
+	// every error, is decodeJSON's.
+	req, ok := parseCompare(body)
+	if !ok {
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			writeBodyError(w, err)
+			return
+		}
 	}
 	queries := core.AllQueries()
 	if len(req.Queries) > 0 {
@@ -681,8 +686,8 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 
 // handleRunEvents streams the job's progress log as Server-Sent Events:
 // every line logged so far is replayed, later lines follow live, and a
-// "state" event closes the stream once the run the client joined has
-// ended. A slow client is never dropped-from: it resumes from its place
+// "state" event carrying the end state of the run the client joined
+// closes the stream once that run has ended. A slow client is never dropped-from: it resumes from its place
 // in the log. Reconnecting clients simply get the full replay again —
 // the stream is idempotent.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
@@ -702,17 +707,14 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	emit := func(event, data string) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	}
-	joined := -1
-	for sent := 0; ; {
-		lines, gen, state, wake := s.jobs.follow(j, sent)
-		if joined < 0 {
-			joined = gen
-		}
+	for sent, joined := 0, -1; ; {
+		lines, gen, state, wake := s.jobs.follow(j, sent, joined)
+		joined = gen
 		for _, line := range lines {
 			emit("progress", line)
 		}
 		sent += len(lines)
-		if gen != joined || state.terminal() {
+		if state.terminal() {
 			emit("state", string(state))
 			fl.Flush()
 			return

@@ -944,8 +944,9 @@ func TestRunEventsStalledSubscriberLosesNothing(t *testing.T) {
 }
 
 // TestRunEventsEndAtJoinedRunAcrossResubmit: a subscriber that joined
-// before a cancel ends with a state event although a resubmission has
-// already requeued the job when the subscriber looks again.
+// before a cancel ends with the joined run's end state, cancelled,
+// although a resubmission has already requeued the job when the
+// subscriber looks again.
 func TestRunEventsEndAtJoinedRunAcrossResubmit(t *testing.T) {
 	m, j, w, done := streamStalled(t, 5102)
 	if err := m.cancelJob(j); err != nil {
@@ -956,8 +957,8 @@ func TestRunEventsEndAtJoinedRunAcrossResubmit(t *testing.T) {
 	}
 	close(w.release)
 	waitHandler(t, done)
-	if got := w.Body.String(); !strings.HasPrefix(got, "event: progress\ndata: line 0\n\n") || !strings.Contains(got, "event: state\n") {
-		t.Fatalf("stream = %q; want the logged line, then a state event", got)
+	if got := w.Body.String(); !strings.HasPrefix(got, "event: progress\ndata: line 0\n\n") || !strings.HasSuffix(got, "event: state\ndata: cancelled\n\n") {
+		t.Fatalf("stream = %q; want the logged line, then the joined run's end state, cancelled", got)
 	}
 }
 
