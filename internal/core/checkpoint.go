@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sync"
 )
 
 // checkpoint.go implements the durable run manifest behind
@@ -33,14 +32,14 @@ type manifestHeader struct {
 	Algorithms []string  `json:"algorithms"`
 	Datasets   []string  `json:"datasets"`
 	Epsilons   []float64 `json:"epsilons"`
-	// Queries holds QueryID values. Built-in queries (1..15) always
-	// round-trip; custom IDs resolve only in a process that registered
-	// the same custom queries in the same order.
-	Queries []int   `json:"queries"`
-	Reps    int     `json:"reps"`
-	Scale   float64 `json:"scale"`
-	Seed    int64   `json:"seed"`
-	Workers int     `json:"workers"`
+	// Built-in queries (1..15) always round-trip; custom IDs resolve
+	// only in a process that registered the same custom queries in the
+	// same order.
+	Queries []QueryID `json:"queries"`
+	Reps    int       `json:"reps"`
+	Scale   float64   `json:"scale"`
+	Seed    int64     `json:"seed"`
+	Workers int       `json:"workers"`
 
 	ExactPathLimit int `json:"exact_path_limit"`
 	PathSamples    int `json:"path_samples"`
@@ -61,7 +60,7 @@ type manifestCell struct {
 	Algorithm  string    `json:"alg"`
 	Dataset    string    `json:"ds"`
 	Epsilon    float64   `json:"eps"`
-	Queries    []int     `json:"queries"`
+	Queries    []QueryID `json:"queries"`
 	Errors     []float64 `json:"errors"`
 	StdDev     []float64 `json:"stddev"`
 	GenSeconds float64   `json:"gen_seconds"`
@@ -75,7 +74,7 @@ func headerFor(cfg Config) manifestHeader {
 		Algorithms:     cfg.Algorithms,
 		Datasets:       cfg.Datasets,
 		Epsilons:       cfg.Epsilons,
-		Queries:        queryInts(cfg.Queries),
+		Queries:        cfg.Queries,
 		Reps:           cfg.Reps,
 		Scale:          cfg.Scale,
 		Seed:           cfg.Seed,
@@ -106,7 +105,7 @@ func (h manifestHeader) config() (Config, error) {
 		Algorithms:   h.Algorithms,
 		Datasets:     h.Datasets,
 		Epsilons:     h.Epsilons,
-		Queries:      queryIDs(h.Queries),
+		Queries:      h.Queries,
 		Reps:         h.Reps,
 		Scale:        h.Scale,
 		Seed:         h.Seed,
@@ -147,28 +146,12 @@ func (h manifestHeader) digest() string {
 	return fmt.Sprintf("%016x", f.Sum64())
 }
 
-func queryInts(qs []QueryID) []int {
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		out[i] = int(q)
-	}
-	return out
-}
-
-func queryIDs(qs []int) []QueryID {
-	out := make([]QueryID, len(qs))
-	for i, q := range qs {
-		out[i] = QueryID(q)
-	}
-	return out
-}
-
 func (c manifestCell) result() CellResult {
 	res := CellResult{
 		Algorithm:  c.Algorithm,
 		Dataset:    c.Dataset,
 		Epsilon:    c.Epsilon,
-		Queries:    queryIDs(c.Queries),
+		Queries:    c.Queries,
 		Errors:     c.Errors,
 		StdDev:     c.StdDev,
 		GenSeconds: c.GenSeconds,
@@ -185,7 +168,7 @@ func cellRecord(res CellResult) manifestCell {
 		Algorithm:  res.Algorithm,
 		Dataset:    res.Dataset,
 		Epsilon:    res.Epsilon,
-		Queries:    queryInts(res.Queries),
+		Queries:    res.Queries,
 		Errors:     res.Errors,
 		StdDev:     res.StdDev,
 		GenSeconds: res.GenSeconds,
@@ -197,27 +180,16 @@ func cellRecord(res CellResult) manifestCell {
 	return c
 }
 
-// checkpointWriter appends cell records to an open manifest. Append is
-// safe for concurrent use by worker goroutines; each record is written
-// in a single Write call so a crash can truncate only the final line.
-type checkpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func (w *checkpointWriter) append(res CellResult) error {
+// appendRecord writes res's manifest line in a single Write call, so a
+// crash can truncate only the final line.
+func appendRecord(f *os.File, res CellResult) error {
 	line, err := json.Marshal(cellRecord(res))
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.f.Write(line)
+	_, err = f.Write(append(line, '\n'))
 	return err
 }
-
-func (w *checkpointWriter) close() error { return w.f.Close() }
 
 // loadManifest parses a manifest, stopping at the first line that is
 // incomplete (no trailing newline), does not parse, or holds a cell not
@@ -273,8 +245,9 @@ func loadManifest(path string) (manifestHeader, []manifestCell, int64, error) {
 // openCheckpoint prepares cfg's manifest for a run: a missing file
 // starts a fresh manifest, an existing one is verified against the
 // configuration digest and its completed cells are returned for the
-// scheduler to skip. cfg must already have defaults applied.
-func openCheckpoint(cfg Config) (map[cellKey]CellResult, *checkpointWriter, error) {
+// scheduler to skip, with the manifest opened for appending. cfg must
+// already be normalized.
+func openCheckpoint(cfg Config) (map[cellKey]CellResult, *os.File, error) {
 	path := cfg.CheckpointPath
 	want := headerFor(cfg)
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
@@ -291,7 +264,7 @@ func openCheckpoint(cfg Config) (map[cellKey]CellResult, *checkpointWriter, erro
 			_ = f.Close()
 			return nil, nil, err
 		}
-		return nil, &checkpointWriter{f: f}, nil
+		return nil, f, nil
 	}
 
 	h, cells, offset, err := loadManifest(path)
@@ -317,7 +290,7 @@ func openCheckpoint(cfg Config) (map[cellKey]CellResult, *checkpointWriter, erro
 		_ = f.Close()
 		return nil, nil, err
 	}
-	return done, &checkpointWriter{f: f}, nil
+	return done, f, nil
 }
 
 // CheckpointConfig reads the configuration a run manifest was written
@@ -359,5 +332,5 @@ func Resume(path string) (*Results, error) {
 // values — so the digest content-addresses the run's *results*: two
 // configs with equal digests produce identical grids.
 func ConfigDigest(cfg Config) string {
-	return headerFor(cfg.withDefaults()).Digest
+	return headerFor(cfg.Normalized()).Digest
 }

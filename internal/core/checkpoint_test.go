@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -63,21 +64,26 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 	parallel := checkpointConfig("")
 	parallel.Workers = 4
+	var pc progressCounter
+	parallel.Progress = pc.fn
 	b, err := Run(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameCellValues(t, a, b)
+	pc.checkOrder(t, 0, len(b.Cells))
 }
 
-// countComputedCells counts "cell ... done/FAILED" progress lines — the
-// cells the scheduler actually computed (restored cells emit none).
+// progressCounter records a run's progress lines. Run serialises
+// Progress calls, so fn needs no lock.
 type progressCounter struct {
 	lines []string
 }
 
 func (p *progressCounter) fn(s string) { p.lines = append(p.lines, s) }
 
+// computed counts "cell ... done/FAILED" progress lines — the cells the
+// scheduler actually computed (restored cells emit none).
 func (p *progressCounter) computed() int {
 	n := 0
 	for _, s := range p.lines {
@@ -86,6 +92,27 @@ func (p *progressCounter) computed() int {
 		}
 	}
 	return n
+}
+
+// checkOrder fails t unless the [k/n] prefixes of the cell lines run
+// consecutively from restored+1 to total: the count a line carries
+// never goes down, whatever the worker count.
+func (p *progressCounter) checkOrder(t *testing.T, restored, total int) {
+	t.Helper()
+	want := restored + 1
+	for _, s := range p.lines {
+		if !strings.Contains(s, "] cell ") {
+			continue
+		}
+		var k, n int
+		if _, err := fmt.Sscanf(s, "[%d/%d]", &k, &n); err != nil || k != want || n != total {
+			t.Fatalf("progress line %q, want prefix [%d/%d] (progress: %q)", s, want, total, p.lines)
+		}
+		want++
+	}
+	if want != total+1 {
+		t.Fatalf("cell lines end at [%d/%d], want [%d/%d] (progress: %q)", want-1, total, total, total, p.lines)
+	}
 }
 
 func TestCheckpointResumeAfterTruncation(t *testing.T) {
@@ -130,6 +157,7 @@ func TestCheckpointResumeAfterTruncation(t *testing.T) {
 	if got, want := pc.computed(), len(full.Cells)-keep; got != want {
 		t.Fatalf("resume computed %d cells, want %d (progress: %q)", got, want, pc.lines)
 	}
+	pc.checkOrder(t, keep, len(full.Cells))
 
 	// A second resume finds the manifest complete and computes nothing.
 	var pc2 progressCounter
@@ -185,6 +213,62 @@ func TestCheckpointTornTailWithoutNewline(t *testing.T) {
 	}
 	if len(cells) != len(full.Cells) {
 		t.Fatalf("manifest has %d records after torn-tail resume, want %d", len(cells), len(full.Cells))
+	}
+}
+
+// TestRunStopsAtFailedAppend: a failed manifest append aborts the run
+// with the write error, starts no further cell, and nothing is appended
+// after it — not even by a cell that was in flight when it failed.
+func TestRunStopsAtFailedAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cfg := checkpointConfig(path)
+	cfg.Workers = 1
+	var pc progressCounter
+	cfg.Progress = pc.fn
+	r, pending, err := newGridRun(cfg, mechanisms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reopened read-only, the manifest fails every append.
+	if err := r.manifest.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	r.manifest = ro
+	_, err = r.execute(pending)
+	if want := "core: writing checkpoint " + path + " (run aborted)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run error = %v, want %q", err, want)
+	}
+	if got := pc.computed(); got != 1 {
+		t.Fatalf("computed %d cells, want 1: none may start after the failed append (progress: %q)", got, pc.lines)
+	}
+
+	// A cell that was in flight finishes into a manifest that would take
+	// the write again, and appends nothing.
+	rw, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	r.manifest = rw
+	r.finish(pending[1], r.results[pending[0].Index])
+	if !r.stopped() {
+		t.Fatal("run not stopped after a failed append")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(header) {
+		t.Fatalf("manifest changed after the failed append:\n%s", after[len(header):])
 	}
 }
 
@@ -271,20 +355,20 @@ func TestCheckpointDigestIgnoresWorkers(t *testing.T) {
 	a.Workers = 1
 	b := checkpointConfig("")
 	b.Workers = 8
-	ha, hb := headerFor(a.withDefaults()), headerFor(b.withDefaults())
+	ha, hb := headerFor(a.Normalized()), headerFor(b.Normalized())
 	if ha.Digest != hb.Digest {
 		t.Fatalf("digest varies with Workers: %s vs %s", ha.Digest, hb.Digest)
 	}
 	c := checkpointConfig("")
 	c.Epsilons = []float64{0.5}
-	if headerFor(c.withDefaults()).Digest == ha.Digest {
+	if headerFor(c.Normalized()).Digest == ha.Digest {
 		t.Fatal("digest blind to epsilon grid")
 	}
 	// Query ORDER matters: Errors/StdDev are positional in config order,
 	// so a reordered selection must not resume an old manifest.
 	d := checkpointConfig("")
 	d.Queries = []QueryID{QTriangles, QNumEdges, QDegreeDistribution}
-	if headerFor(d.withDefaults()).Digest == ha.Digest {
+	if headerFor(d.Normalized()).Digest == ha.Digest {
 		t.Fatal("digest blind to query order")
 	}
 }

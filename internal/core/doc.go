@@ -12,11 +12,12 @@
 //   - profile.go computes a graph's Profile (all query answers in one
 //     pass set) on a worker pool with deterministic per-pass RNG
 //     streams, memoizing true-graph profiles by fingerprint.
-//   - runner.go (Config, Run, runCell) evaluates cells;
+//   - runner.go (Config, Run, gridRun.runCell) evaluates cells;
 //     scheduler.go executes the grid on a bounded pool of
-//     Config.Workers goroutines; checkpoint.go streams finished cells
-//     to a durable JSONL manifest and resumes interrupted runs
-//     (CheckpointConfig, Resume).
+//     Config.Workers goroutines and finishes each cell — result slot,
+//     manifest record, progress line — under one lock; checkpoint.go
+//     streams finished cells to a durable JSONL manifest and resumes
+//     interrupted runs (CheckpointConfig, Resume).
 //   - tables.go, export.go, html.go, types.go and guidelines.go render
 //     Results into each artifact of the paper. Every best count goes
 //     through one tally in tables.go, and the text and HTML tables share

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"pgb/internal/gen"
@@ -198,13 +199,31 @@ func TestComputeProfileSubsetSkipsGroups(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomQuery(t *testing.T) {
-	id, err := RegisterQuery(QuerySpec{
-		Symbol: "TestMaxDeg",
-		Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
-			return float64(g.MaxDegree())
-		},
+// The query registry lives as long as the process, so each test
+// registers its custom query once: a rerun in the same process
+// (go test -count=2) reuses the first run's ID.
+var (
+	registerMaxDeg = sync.OnceValues(func() (QueryID, error) {
+		return RegisterQuery(QuerySpec{
+			Symbol: "TestMaxDeg",
+			Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
+				return float64(g.MaxDegree())
+			},
+		})
 	})
+	registerDensity = sync.OnceValues(func() (QueryID, error) {
+		return RegisterQuery(QuerySpec{
+			Symbol: "TestDensity",
+			Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
+				n := float64(g.N())
+				return 2 * float64(g.M()) / (n * (n - 1))
+			},
+		})
+	})
+)
+
+func TestRegisterCustomQuery(t *testing.T) {
+	id, err := registerMaxDeg()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +260,7 @@ func TestRegisterCustomQuery(t *testing.T) {
 // full grid: a config restricted to two built-ins plus a custom query
 // must produce cells, tables, and CSV rows for exactly that selection.
 func TestRunWithQuerySubsetAndCustomQuery(t *testing.T) {
-	id, err := RegisterQuery(QuerySpec{
-		Symbol: "TestDensity",
-		Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
-			n := float64(g.N())
-			return 2 * float64(g.M()) / (n * (n - 1))
-		},
-	})
+	id, err := registerDensity()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pgb/internal/algo"
@@ -18,7 +16,7 @@ import (
 )
 
 // Config parameterises a benchmark run. The zero value is completed by
-// withDefaults to the paper's grid: six algorithms, eight datasets, six
+// Normalized to the paper's grid: six algorithms, eight datasets, six
 // privacy budgets, the fifteen queries, ten repetitions, full-size graphs.
 type Config struct {
 	Algorithms []string
@@ -73,14 +71,15 @@ type Config struct {
 	// graph is bit-identical to the generated one (same fingerprint), so
 	// where the bytes come from can never change a cell value.
 	Store graph.Store
-
-	// budget is the run-wide worker allowance Workers resolves to,
-	// created by Run and shared by the cell scheduler and every profile
-	// computation (pass pools and graph kernels) underneath it.
-	budget *par.Budget
 }
 
-func (c Config) withDefaults() Config {
+// Normalized returns the configuration with every defaultable field
+// resolved, exactly as Run resolves it: the grid a zero-value field
+// denotes is made explicit (paper algorithms/datasets/budgets/queries,
+// ten repetitions, scale 1, seed 42). Callers that need to reason about
+// a run before executing it — digesting it, sizing its grid — should
+// normalize first so their view matches Run's.
+func (c Config) Normalized() Config {
 	if len(c.Algorithms) == 0 {
 		c.Algorithms = AlgorithmNames()
 	}
@@ -107,21 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Workers = par.Workers(c.Workers)
 	return c
-}
-
-// Normalized returns the configuration with every defaultable field
-// resolved, exactly as Run resolves it: the grid a zero-value field
-// denotes is made explicit (paper algorithms/datasets/budgets/queries,
-// ten repetitions, scale 1, seed 42). Callers that need to reason about
-// a run before executing it — digesting it, sizing its grid — should
-// normalize first so their view matches Run's.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-// profileOptions is the per-cell profile configuration: the selected
-// queries and distance estimator at default tuning, drawing parallelism
-// from the run's single worker budget.
-func (c Config) profileOptions() ProfileOptions {
-	return ProfileOptions{Queries: c.Queries, DistanceMode: c.DistanceMode, Workers: c.Workers, Budget: c.budget}
 }
 
 // CellResult is the outcome of one (algorithm, dataset, ε) cell,
@@ -187,18 +171,36 @@ func Run(cfg Config) (*Results, error) { return run(cfg, mechanisms) }
 // of the mechanism table. The ablations use it to sweep their variant
 // rows through the same grid engine.
 func run(cfg Config, axis []mechanism) (*Results, error) {
-	cfg = cfg.withDefaults()
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
+	r, pending, err := newGridRun(cfg, axis)
+	if err != nil {
+		return nil, err
 	}
-	// One worker allowance for the whole run: the cell scheduler, the
-	// profile pass pools, and the graph kernels all draw helpers from it
-	// (the calling goroutine is the one worker outside the budget).
-	cfg.budget = par.NewBudget(cfg.Workers - 1)
+	if r.manifest != nil {
+		defer r.manifest.Close()
+	}
+	return r.execute(pending)
+}
+
+// newGridRun validates cfg's grid against axis and, with a checkpoint
+// path set, opens the manifest and restores the cells it records. It
+// returns the run and the cells still to compute, in grid order.
+func newGridRun(cfg Config, axis []mechanism) (*gridRun, []gridCell, error) {
+	cfg = cfg.Normalized()
+	r := &gridRun{
+		cfg:  cfg,
+		axis: axis,
+		ctx:  cfg.Context,
+		// One worker allowance for the whole run: the cell workers, the
+		// profile pass pools, and the graph kernels all draw helpers from
+		// it (the calling goroutine is the one worker outside the budget).
+		budget: par.NewBudget(cfg.Workers - 1),
+	}
+	if r.ctx == nil {
+		r.ctx = context.Background()
+	}
 	for _, q := range cfg.Queries {
 		if _, ok := registry.spec(q); !ok {
-			return nil, fmt.Errorf("core: unknown query id %d in config", int(q))
+			return nil, nil, fmt.Errorf("core: unknown query id %d in config", int(q))
 		}
 	}
 	// Every grid axis is validated before any work starts: a typo'd
@@ -206,49 +208,60 @@ func run(cfg Config, axis []mechanism) (*Results, error) {
 	// surfacing as one error cell per (dataset, epsilon).
 	for _, name := range cfg.Algorithms {
 		if _, err := lookup(axis, name); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	for _, eps := range cfg.Epsilons {
 		if err := dp.CheckEpsilon(eps); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
 	cells := gridCells(cfg)
+	r.results = make([]CellResult, len(cells))
 
-	var (
-		done map[cellKey]CellResult
-		ckpt *checkpointWriter
-	)
+	var done map[cellKey]CellResult
 	if cfg.CheckpointPath != "" {
 		var err error
-		done, ckpt, err = openCheckpoint(cfg)
+		done, r.manifest, err = openCheckpoint(cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		defer ckpt.close()
 		if cfg.Progress != nil && len(done) > 0 {
 			cfg.Progress(fmt.Sprintf("checkpoint %s: %d/%d cells already complete", cfg.CheckpointPath, len(done), len(cells)))
 		}
 	}
+	pending := make([]gridCell, 0, len(cells))
+	for _, c := range cells {
+		if res, ok := done[c.key()]; ok {
+			r.results[c.Index] = res
+			r.completed++
+			continue
+		}
+		pending = append(pending, c)
+	}
+	return r, pending, nil
+}
 
+// execute loads the run's datasets, computes pending and returns the
+// whole grid. A failed manifest append or a cancelled context fails the
+// run; every cell finished before either is already in the manifest.
+func (r *gridRun) execute(pending []gridCell) (*Results, error) {
+	cfg := r.cfg
 	// Datasets whose cells were all restored from the checkpoint never
 	// reach runCell, so their (expensive) true profile is not needed —
 	// the graph is still generated for its summary statistics.
 	needProfile := make(map[string]bool, len(cfg.Datasets))
-	for _, c := range cells {
-		if _, ok := done[c.key()]; !ok {
-			needProfile[c.Dataset] = true
-		}
+	for _, c := range pending {
+		needProfile[c.Dataset] = true
 	}
 
-	popt := cfg.profileOptions()
+	popt := r.profileOptions()
 	dss := make(map[string]*datasetEntry, len(cfg.Datasets))
 	summaries := make(map[string]datasets.Summary, len(cfg.Datasets))
 	for _, name := range cfg.Datasets {
 		// Dataset generation and the true profile are the expensive
 		// pre-grid work; honour cancellation between datasets too.
-		if err := ctx.Err(); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: run cancelled: %w", err)
 		}
 		spec, err := datasets.ByName(name)
@@ -275,65 +288,54 @@ func run(cfg Config, axis []mechanism) (*Results, error) {
 		}
 	}
 
-	// A failed checkpoint write aborts the run: computing cells whose
-	// results cannot be persisted would waste the rest of the grid.
-	var onDone func(gridCell, CellResult)
-	var writeErr error
-	var abort atomic.Bool
-	if ckpt != nil {
-		var mu sync.Mutex
-		onDone = func(_ gridCell, res CellResult) {
-			if err := ckpt.append(res); err != nil {
-				mu.Lock()
-				if writeErr == nil {
-					writeErr = err
-				}
-				mu.Unlock()
-				abort.Store(true)
-			}
-		}
+	r.runCells(pending, dss)
+	if r.writeErr != nil {
+		return nil, fmt.Errorf("core: writing checkpoint %s (run aborted): %w", cfg.CheckpointPath, r.writeErr)
 	}
-	results := runGrid(cfg, axis, cells, dss, done, onDone, &abort)
-	if writeErr != nil {
-		return nil, fmt.Errorf("core: writing checkpoint %s (run aborted): %w", cfg.CheckpointPath, writeErr)
-	}
-	if err := ctx.Err(); err != nil {
-		// Every cell finished before the cancellation was observed is
-		// already in the manifest (when checkpointing); the run resumes
-		// from there. Partial in-memory results are withheld: a partial
-		// grid would silently skew every best-count aggregation.
+	if err := r.ctx.Err(); err != nil {
+		// Partial in-memory results are withheld: a partial grid would
+		// silently skew every best-count aggregation. The run resumes
+		// from its manifest.
 		return nil, fmt.Errorf("core: run cancelled: %w", err)
 	}
-	return &Results{Config: cfg, Cells: results, DatasetSummaries: summaries}, nil
+	return &Results{Config: cfg, Cells: r.results, DatasetSummaries: summaries}, nil
 }
 
-// runCell generates Reps synthetic graphs with the generator of axis row
-// algName and averages the query errors.
-func runCell(cfg Config, axis []mechanism, algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
+// profileOptions is the per-cell profile configuration: the selected
+// queries and distance estimator at default tuning, drawing parallelism
+// from the run's single worker budget.
+func (r *gridRun) profileOptions() ProfileOptions {
+	return ProfileOptions{Queries: r.cfg.Queries, DistanceMode: r.cfg.DistanceMode, Workers: r.cfg.Workers, Budget: r.budget}
+}
+
+// runCell generates Reps synthetic graphs for cell c with the generator
+// of its axis row on dataset ds and averages the query errors.
+func (r *gridRun) runCell(c gridCell, ds *datasetEntry) CellResult {
+	cfg := r.cfg
 	nq := len(cfg.Queries)
 	res := CellResult{
-		Algorithm: algName,
-		Dataset:   dsName,
-		Epsilon:   eps,
+		Algorithm: c.Algorithm,
+		Dataset:   ds.name,
+		Epsilon:   c.Epsilon,
 		Queries:   append([]QueryID(nil), cfg.Queries...),
 		Errors:    make([]float64, nq),
 		StdDev:    make([]float64, nq),
 	}
-	m, err := lookup(axis, algName)
+	m, err := lookup(r.axis, c.Algorithm)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	popt := cfg.profileOptions()
-	seed := cfg.Seed ^ hashCell(algName, dsName, eps)
+	popt := r.profileOptions()
+	seed := cfg.Seed ^ hashCell(c.Algorithm, ds.name, c.Epsilon)
 	sumErr := make([]float64, nq)
 	sumSq := make([]float64, nq)
 	var sumSec, sumBytes float64
 	for rep := 0; rep < cfg.Reps; rep++ {
 		repSeed := seed + int64(rep)*7919
 		rng := rand.New(rand.NewSource(repSeed))
-		sec, bytes, syn, gerr := MeasureGenerateWith(m.gen, g, eps, rng,
-			algo.Params{Workers: cfg.Workers, Budget: cfg.budget})
+		sec, bytes, syn, gerr := MeasureGenerateWith(m.gen, ds.g, c.Epsilon, rng,
+			algo.Params{Workers: cfg.Workers, Budget: r.budget})
 		if gerr != nil {
 			res.Err = gerr
 			return res
@@ -342,7 +344,7 @@ func runCell(cfg Config, axis []mechanism, algName, dsName string, g *graph.Grap
 		// streams are independent of how much the generator consumed.
 		synProf := ComputeProfileSeeded(syn, popt, SubSeed(repSeed, 1))
 		for i, q := range cfg.Queries {
-			v, _ := Score(q, truth, synProf)
+			v, _ := Score(q, ds.profile, synProf)
 			sumErr[i] += v
 			sumSq[i] += v * v
 		}

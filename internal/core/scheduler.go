@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"os"
 	"sync"
-	"sync/atomic"
 
 	"pgb/internal/graph"
 	"pgb/internal/par"
@@ -61,76 +62,76 @@ type datasetEntry struct {
 	profile *Profile
 }
 
-// runGrid executes cells on min(cfg.Workers, len(cells)) workers and
-// returns one CellResult per cell, in cell order. Cell workers are the
-// caller plus helpers drawn from the run-wide budget (cfg.budget) — the
-// same allowance the per-cell profile pools and graph kernels draw from,
-// so once the grid's tail leaves helpers idle, their slots flow into the
-// kernels of the cells still running. Cells found in done are restored
-// from the checkpoint without recomputation; every freshly computed cell
-// is handed to onDone (when non-nil) as soon as it finishes, concurrently
-// from worker goroutines. Once abort is set (a checkpoint write failed)
-// no further cells are dispatched; in-flight cells finish.
-func runGrid(cfg Config, axis []mechanism, cells []gridCell, dss map[string]*datasetEntry, done map[cellKey]CellResult, onDone func(gridCell, CellResult), abort *atomic.Bool) []CellResult {
-	results := make([]CellResult, len(cells))
-	pending := make([]gridCell, 0, len(cells))
-	for _, c := range cells {
-		if res, ok := done[c.key()]; ok {
-			results[c.Index] = res
-			continue
-		}
-		pending = append(pending, c)
-	}
+// gridRun is one execution of a normalized Config over a mechanism
+// axis. mu guards the fields below it; once cells run, finish is their
+// only writer.
+type gridRun struct {
+	cfg  Config
+	axis []mechanism
+	ctx  context.Context
+	// budget is the run-wide worker allowance cfg.Workers resolves to,
+	// shared by the cell workers and every profile computation (pass
+	// pools and graph kernels) underneath them.
+	budget *par.Budget
 
-	workers := cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	mu sync.Mutex
+	// results holds one slot per grid cell, in cell order.
+	results []CellResult
+	// completed counts finished cells, restored ones included.
+	completed int
+	// manifest is the open checkpoint manifest, nil without one.
+	manifest *os.File
+	// writeErr is the first failed manifest append; once set, nothing
+	// more is appended and no further cell starts.
+	writeErr error
+}
 
-	// completed counts finished cells (restored ones included) for the
-	// [k/total] progress prefix; progressMu keeps the Progress callback
-	// single-threaded, as documented on Config.
-	var completed atomic.Int64
-	completed.Store(int64(len(cells) - len(pending)))
-	total := len(cells)
-	var progressMu sync.Mutex
-
-	run := func(c gridCell) {
-		entry := dss[c.Dataset]
-		res := runCell(cfg, axis, c.Algorithm, entry.name, entry.g, entry.profile, c.Epsilon)
-		results[c.Index] = res
-		if onDone != nil {
-			onDone(c, res)
-		}
-		n := completed.Add(1)
-		if cfg.Progress != nil {
-			progressMu.Lock()
-			if res.Err != nil {
-				cfg.Progress(fmt.Sprintf("[%d/%d] cell %-10s %-10s eps=%-4g FAILED: %v", n, total, c.Algorithm, c.Dataset, c.Epsilon, res.Err))
-			} else {
-				cfg.Progress(fmt.Sprintf("[%d/%d] cell %-10s %-10s eps=%-4g done in %.2fs", n, total, c.Algorithm, c.Dataset, c.Epsilon, res.GenSeconds*float64(cfg.Reps)))
-			}
-			progressMu.Unlock()
-		}
-	}
-
-	// A cancelled Config.Context stops dispatch exactly like a failed
-	// checkpoint write: no new cells start, in-flight cells run to
-	// completion (and reach onDone), so the manifest never holds a
-	// half-computed cell.
-	ctx := cfg.Context
-	aborted := func() bool {
-		return (abort != nil && abort.Load()) || (ctx != nil && ctx.Err() != nil)
-	}
-
+// runCells computes pending on min(cfg.Workers, len(pending)) workers:
+// the caller plus helpers drawn from the run-wide budget — the same
+// allowance the per-cell profile pools and graph kernels draw from, so
+// once the grid's tail leaves helpers idle, their slots flow into the
+// kernels of the cells still running. Once the run is stopped no
+// further cell is claimed; in-flight cells finish.
+func (r *gridRun) runCells(pending []gridCell, dss map[string]*datasetEntry) {
+	workers := max(1, min(r.cfg.Workers, len(pending)))
 	claim := par.Queue(len(pending))
-	cfg.budget.Do(workers-1, func() {
-		for i, ok := claim(); ok && !aborted(); i, ok = claim() {
-			run(pending[i])
+	r.budget.Do(workers-1, func() {
+		for i, ok := claim(); ok && !r.stopped(); i, ok = claim() {
+			c := pending[i]
+			r.finish(c, r.runCell(c, dss[c.Dataset]))
 		}
 	})
-	return results
+}
+
+// stopped reports whether the run dispatches no more cells: a manifest
+// append failed, or the run's context is done. Either way the manifest
+// never holds a half-computed cell.
+func (r *gridRun) stopped() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.writeErr != nil || r.ctx.Err() != nil
+}
+
+// finish records the computed cell c in one critical section: its
+// result slot, its manifest record (unless an earlier append failed)
+// and its [k/total] progress line, so records and progress lines leave
+// in one order and k never goes down. A failed append stops the run —
+// computing cells whose results cannot be persisted would waste the
+// rest of the grid.
+func (r *gridRun) finish(c gridCell, res CellResult) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.results[c.Index] = res
+	if r.manifest != nil && r.writeErr == nil {
+		r.writeErr = appendRecord(r.manifest, res)
+	}
+	r.completed++
+	if r.cfg.Progress == nil {
+		return
+	}
+	if res.Err != nil {
+		r.cfg.Progress(fmt.Sprintf("[%d/%d] cell %-10s %-10s eps=%-4g FAILED: %v", r.completed, len(r.results), c.Algorithm, c.Dataset, c.Epsilon, res.Err))
+	} else {
+		r.cfg.Progress(fmt.Sprintf("[%d/%d] cell %-10s %-10s eps=%-4g done in %.2fs", r.completed, len(r.results), c.Algorithm, c.Dataset, c.Epsilon, res.GenSeconds*float64(r.cfg.Reps)))
+	}
 }

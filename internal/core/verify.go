@@ -18,7 +18,7 @@ import (
 // mean synthetic value for each verification query. reps ≤ 0 selects
 // the default ten repetitions, as it does for every grid command.
 func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
-	reps = Config{Reps: reps}.withDefaults().Reps
+	reps = Config{Reps: reps}.Normalized().Reps
 	spec, err := datasets.ByName("GrQC")
 	if err != nil {
 		return "", err

@@ -687,9 +687,9 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 // handleRunEvents streams the job's progress log as Server-Sent Events:
 // every line logged so far is replayed, later lines follow live, and a
 // "state" event carrying the end state of the run the client joined
-// closes the stream once that run has ended. A slow client is never dropped-from: it resumes from its place
-// in the log. Reconnecting clients simply get the full replay again —
-// the stream is idempotent.
+// closes the stream once that run has ended. A slow client is never
+// dropped: it resumes from its place in the log. Reconnecting clients
+// simply get the full replay again — the stream is idempotent.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {

@@ -3,6 +3,7 @@ package pgb_test
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"pgb"
@@ -71,11 +72,34 @@ func TestNewGraphFromEdges(t *testing.T) {
 	}
 }
 
-func TestRegisterQueryAndCompareQueries(t *testing.T) {
-	id, err := pgb.RegisterQuery(pgb.CustomQuery{
-		Symbol:  "PubMaxDeg",
-		Compute: func(g *pgb.Graph, _ *rand.Rand) float64 { return float64(g.MaxDegree()) },
+// The query registry lives as long as the process, so the test
+// registers its custom queries once: a rerun in the same process
+// (go test -count=2) reuses the first run's IDs.
+var (
+	registerPubMaxDeg = sync.OnceValues(func() (pgb.QueryID, error) {
+		return pgb.RegisterQuery(pgb.CustomQuery{
+			Symbol:  "PubMaxDeg",
+			Compute: func(g *pgb.Graph, _ *rand.Rand) float64 { return float64(g.MaxDegree()) },
+		})
 	})
+	registerPubSim = sync.OnceValues(func() (pgb.QueryID, error) {
+		return pgb.RegisterQuery(pgb.CustomQuery{
+			Symbol:       "PubSim",
+			Metric:       "SIM",
+			HigherBetter: true,
+			Compute:      func(g *pgb.Graph, _ *rand.Rand) float64 { return float64(g.M()) },
+			Score: func(truth, syn float64) float64 {
+				if truth == 0 {
+					return 0
+				}
+				return syn / truth
+			},
+		})
+	})
+)
+
+func TestRegisterQueryAndCompareQueries(t *testing.T) {
+	id, err := registerPubMaxDeg()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +134,7 @@ func TestRegisterQueryAndCompareQueries(t *testing.T) {
 
 	// Similarity-style custom queries must carry HigherBetter through to
 	// reports (and so to best-count rankings).
-	simID, err := pgb.RegisterQuery(pgb.CustomQuery{
-		Symbol:       "PubSim",
-		Metric:       "SIM",
-		HigherBetter: true,
-		Compute:      func(g *pgb.Graph, _ *rand.Rand) float64 { return float64(g.M()) },
-		Score: func(truth, syn float64) float64 {
-			if truth == 0 {
-				return 0
-			}
-			return syn / truth
-		},
-	})
+	simID, err := registerPubSim()
 	if err != nil {
 		t.Fatal(err)
 	}
