@@ -430,7 +430,7 @@ func cmdGenerate(args []string) error {
 	case "csv":
 		return core.WriteEdgeCSV(os.Stdout, syn)
 	case "dot":
-		return graph.WriteDOT(os.Stdout, syn, nil)
+		return graph.WriteDOT(os.Stdout, syn)
 	default:
 		return fmt.Errorf("unknown -format %q (want edgelist, csv or dot)", *format)
 	}

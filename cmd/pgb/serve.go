@@ -26,7 +26,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dataDir := addDataDirFlag(fs, "pgb-serve-data")
-	workers := addJobsFlag(fs, 1, "concurrent grid-run jobs (the async worker pool)")
+	workers := addJobsFlag(fs, 1, "concurrent grid-run jobs (the async worker pool), and separately concurrent /v1/generate and /v1/compare computations")
 	runWorkers := fs.Int("run-jobs", 1, "parallelism budget inside each run (grid cells + kernels)")
 	cacheN := fs.Int("cache", 128, "content-addressed result cache entries")
 	snapDir := addSnapshotFlag(fs, "")

@@ -12,6 +12,7 @@
 package dpdk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -69,13 +70,13 @@ func Default() *DPdK { return New(Options{Model: DK2}) }
 // serial order.
 func (d *DPdK) Generate(g *graph.Graph, eps float64, rng *rand.Rand, _ algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
-	if err := acct.Spend(eps); err != nil {
-		return nil, err
-	}
 	if d.opt.Model == DK1 {
+		if err := acct.Spend(eps); err != nil {
+			return nil, err
+		}
 		return d.generate1K(g, eps, rng), nil
 	}
-	return d.generate2K(g, eps, rng), nil
+	return d.generate2K(g, acct, eps, rng)
 }
 
 // generate1K perturbs the degree histogram and realises a sampled
@@ -122,9 +123,15 @@ func (d *DPdK) generate1K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Gr
 // slice of the budget buys a low-sensitivity edge total that anchors the
 // noisy matrix: per-entry noise has huge variance in aggregate (hundreds
 // of entries × O(d_max) scale), so without the anchor the synthetic edge
-// count would drift by multiples of m at small ε.
-func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
+// count would drift by multiples of m at small ε. Both shares are spent
+// through acct, so a budget whose share underflows to 0 is an error.
+func (d *DPdK) generate2K(g *graph.Graph, acct *dp.Accountant, eps float64, rng *rand.Rand) (*graph.Graph, error) {
 	epsTotal := eps * 0.1 // noisy edge count, global sensitivity 1
+	for _, share := range []float64{epsTotal, eps - epsTotal} {
+		if err := acct.Spend(share); err != nil {
+			return nil, fmt.Errorf("dpdk: splitting budget %g: %w", eps, err)
+		}
+	}
 	eps = eps - epsTotal
 	mNoisy := dp.LaplaceMechanism(rng, float64(g.M()), 1, epsTotal)
 	if mNoisy < 0 {
@@ -175,7 +182,10 @@ func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Gr
 		// bounded by 4·(d_max + t + 1) (an edge flip moves the two endpoint
 		// degrees, relocating at most their incident JDM entries).
 		dmax := float64(maxDeg)
-		beta := dp.Beta(eps, delta)
+		beta, err := dp.Beta(eps, delta)
+		if err != nil {
+			return nil, err
+		}
 		s := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 			ls := 4 * (dmax + float64(t) + 1)
 			cap4n := 4 * float64(n)
@@ -212,5 +222,5 @@ func (d *DPdK) generate2K(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Gr
 			entries[i].Count *= f
 		}
 	}
-	return gen.BuildFrom2KEntries(entries, n, rng)
+	return gen.BuildFrom2KEntries(entries, n, rng), nil
 }

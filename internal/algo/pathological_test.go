@@ -1,11 +1,13 @@
 package algo_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pgb/internal/algo"
+	"pgb/internal/core"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -77,5 +79,39 @@ func TestQuickGeneratorsAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Budgets at the edges of what dp.CheckEpsilon accepts — subnormal ε,
+// whose stage shares and smooth-sensitivity β underflow to 0, and the
+// largest finite ε — must end in an error or a valid graph, never a
+// panic: a panic in a served run kills the process, and a restart that
+// re-adopts the run panics again.
+func TestExtremeEpsilonNeverPanics(t *testing.T) {
+	g := testGraph(5)
+	for _, name := range append(core.AlgorithmNames(), "DER", "LDPGen", "RNL") {
+		a, err := core.NewAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{5e-324, 1.5e-323, 3e-323, 5e-323, 1e-300, math.MaxFloat64} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s at eps=%g panicked: %v", name, eps, p)
+					}
+				}()
+				syn, err := a.Generate(g, eps, rand.New(rand.NewSource(1)), algo.Params{})
+				if err != nil {
+					return
+				}
+				if syn.N() != g.N() {
+					t.Errorf("%s at eps=%g: output has %d nodes, want %d", name, eps, syn.N(), g.N())
+				}
+				if err := syn.Validate(); err != nil {
+					t.Errorf("%s at eps=%g: invalid output: %v", name, eps, err)
+				}
+			}()
+		}
 	}
 }

@@ -46,7 +46,10 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo
 	}
 	n := g.N()
 	dmax := float64(g.MaxDegree())
-	beta := dp.Beta(epsEach, delta)
+	beta, err := dp.Beta(epsEach, delta)
+	if err != nil {
+		return nil, err
+	}
 
 	// Moment 1: edge count — global sensitivity 1.
 	edges := dp.LaplaceMechanism(rng, float64(g.M()), 1, epsEach)

@@ -260,9 +260,9 @@ func TestVerifyDPdK(t *testing.T) {
 }
 
 // TestVerifyDPdKGolden pins Table XI's exact text.
-// testdata/table11.golden was captured when the exact iFUB diameter
-// was still a profile option; the table now computes it beside the
-// profile and must print the same bytes.
+// testdata/table11.golden was captured when the exact diameter was an
+// iFUB profile option; the table now computes it beside the profile
+// with the MS-BFS sweep and must print the same bytes.
 func TestVerifyDPdKGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/table11.golden")
 	if err != nil {

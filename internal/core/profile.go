@@ -171,7 +171,7 @@ func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profi
 type profileTask struct {
 	pass  profilePass
 	graph int // index into the graphs being profiled
-	cost  CostClass
+	cost  costClass
 	seed  int64
 	run   func(p *Profile, rng *rand.Rand)
 	out   *Profile // the fields of pass, once run has written them
@@ -251,10 +251,10 @@ func profiles(gs []*graph.Graph, seeds []int64, opt ProfileOptions, cached bool)
 // writes the pass's fields into a profile. workers and budget
 // parameterise the kernels inside the heavy passes — the same allowance
 // the pool itself draws from.
-func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, budget *par.Budget) (CostClass, func(p *Profile, rng *rand.Rand)) {
+func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, budget *par.Budget) (costClass, func(p *Profile, rng *rand.Rand)) {
 	switch ps.group {
 	case GroupStructure:
-		return CostLight, func(p *Profile, _ *rand.Rand) {
+		return costLight, func(p *Profile, _ *rand.Rand) {
 			p.NumNodes = stats.NumNodes(g)
 			p.NumEdges = stats.NumEdges(g)
 			p.AvgDegree = stats.AvgDegree(g)
@@ -263,7 +263,7 @@ func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, b
 			p.Assortativity = stats.Assortativity(g)
 		}
 	case GroupTriangles:
-		return CostHeavy, func(p *Profile, _ *rand.Rand) {
+		return costHeavy, func(p *Profile, _ *rand.Rand) {
 			// One forward-orientation pass yields Q3, Q10 and Q11 together.
 			tri, wedges, acc := stats.TriangleProfileParallel(g, workers, budget)
 			p.Triangles = tri
@@ -272,11 +272,11 @@ func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, b
 		}
 	case GroupDistances:
 		// ANF replaces the BFS sweep with O(diameter) register rounds — a
-		// bounded iterative pass, so it schedules as CostMedium rather than
-		// CostHeavy.
-		cost := CostHeavy
+		// bounded iterative pass, so it schedules as costMedium rather than
+		// costHeavy.
+		cost := costHeavy
 		if opt.DistanceMode == DistanceANF {
-			cost = CostMedium
+			cost = costMedium
 		}
 		return cost, func(p *Profile, rng *rand.Rand) {
 			var ds stats.DistanceStats
@@ -293,19 +293,20 @@ func passTask(g *graph.Graph, opt ProfileOptions, ps profilePass, workers int, b
 			p.DistanceDist = ds.Distribution
 		}
 	case GroupCommunity:
-		return CostHeavy, func(p *Profile, rng *rand.Rand) {
+		return costHeavy, func(p *Profile, rng *rand.Rand) {
 			cd := community.Louvain(g, rng)
 			p.CommunityLabels = cd.Labels
 			p.Modularity = cd.Modularity
 		}
 	case GroupCentrality:
-		return CostMedium, func(p *Profile, _ *rand.Rand) {
+		return costMedium, func(p *Profile, _ *rand.Rand) {
 			p.EVC = stats.EigenvectorCentrality(g, evcIterations, 0)
 		}
 	}
-	// Custom passes receive the caller's opt, whole.
+	// Custom passes receive the caller's opt, whole. Their cost is
+	// unknown, so they schedule as heavy.
 	s, _ := registry.spec(ps.query)
-	return s.Cost, func(p *Profile, rng *rand.Rand) {
+	return costHeavy, func(p *Profile, rng *rand.Rand) {
 		p.Custom = map[QueryID]float64{s.ID: s.Compute(g, opt, rng)}
 	}
 }

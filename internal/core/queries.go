@@ -67,21 +67,21 @@ const (
 	GroupCustom                    // user-registered queries, one sub-pass each
 )
 
-// CostClass declares the relative weight of a query's compute pass. The
-// profile worker pool dispatches heavy passes first so the critical path
-// is not left for last.
-type CostClass int
+// costClass is the relative weight of a profile pass. The profile
+// worker pool dispatches heavy passes first so the critical path is not
+// left for last.
+type costClass int
 
 // Cost classes from cheapest to most expensive.
 const (
-	CostLight  CostClass = iota // linear scans over nodes/edges
-	CostMedium                  // bounded iterative passes (power iteration)
-	CostHeavy                   // super-linear passes (BFS sweep, Louvain, triangles)
+	costLight  costClass = iota // linear scans over nodes/edges
+	costMedium                  // bounded iterative passes (power iteration)
+	costHeavy                   // super-linear passes (BFS sweep, Louvain, triangles) and custom queries
 )
 
 // QuerySpec is one self-describing query: identity and presentation
 // (Symbol, Metric, HigherBetter), where its answer comes from (Group,
-// Cost, Compute), and how it is evaluated against a baseline (Score,
+// Compute), and how it is evaluated against a baseline (Score,
 // Scalar). Built-in queries are materialised by their group's pass and
 // leave Compute nil; custom queries supply Compute and store their answer
 // in Profile.Custom.
@@ -97,7 +97,6 @@ type QuerySpec struct {
 	// defined only for graphs of equal node count (CheckNodeCounts).
 	PerNode bool
 	Group   GroupID
-	Cost    CostClass
 	// Score evaluates the synthetic profile against the truth profile.
 	Score func(truth, syn *Profile) float64
 	// Scalar extracts the query's raw per-graph value; ok=false for
@@ -109,9 +108,9 @@ type QuerySpec struct {
 }
 
 // relQuery builds the spec for a scalar query scored by relative error.
-func relQuery(id QueryID, symbol string, group GroupID, cost CostClass, get func(*Profile) float64) QuerySpec {
+func relQuery(id QueryID, symbol string, group GroupID, get func(*Profile) float64) QuerySpec {
 	return QuerySpec{
-		ID: id, Symbol: symbol, Metric: "RE", Group: group, Cost: cost,
+		ID: id, Symbol: symbol, Metric: "RE", Group: group,
 		Score:  func(t, s *Profile) float64 { return metrics.RelativeError(get(t), get(s)) },
 		Scalar: func(p *Profile) (float64, bool) { return get(p), true },
 	}
@@ -121,31 +120,31 @@ func relQuery(id QueryID, symbol string, group GroupID, cost CostClass, get func
 // queries — the only place in the codebase that enumerates them.
 func builtinQuerySpecs() []QuerySpec {
 	return []QuerySpec{
-		relQuery(QNumNodes, "|V|", GroupStructure, CostLight, func(p *Profile) float64 { return p.NumNodes }),
-		relQuery(QNumEdges, "|E|", GroupStructure, CostLight, func(p *Profile) float64 { return p.NumEdges }),
-		relQuery(QTriangles, "Tri", GroupTriangles, CostHeavy, func(p *Profile) float64 { return p.Triangles }),
-		relQuery(QAvgDegree, "d_avg", GroupStructure, CostLight, func(p *Profile) float64 { return p.AvgDegree }),
-		relQuery(QDegreeVariance, "d_var", GroupStructure, CostLight, func(p *Profile) float64 { return p.DegreeVariance }),
+		relQuery(QNumNodes, "|V|", GroupStructure, func(p *Profile) float64 { return p.NumNodes }),
+		relQuery(QNumEdges, "|E|", GroupStructure, func(p *Profile) float64 { return p.NumEdges }),
+		relQuery(QTriangles, "Tri", GroupTriangles, func(p *Profile) float64 { return p.Triangles }),
+		relQuery(QAvgDegree, "d_avg", GroupStructure, func(p *Profile) float64 { return p.AvgDegree }),
+		relQuery(QDegreeVariance, "d_var", GroupStructure, func(p *Profile) float64 { return p.DegreeVariance }),
 		{
-			ID: QDegreeDistribution, Symbol: "DegDist", Metric: "KL", Group: GroupStructure, Cost: CostLight,
+			ID: QDegreeDistribution, Symbol: "DegDist", Metric: "KL", Group: GroupStructure,
 			Score: func(t, s *Profile) float64 { return metrics.KLDivergence(t.DegreeDist, s.DegreeDist) },
 		},
-		relQuery(QDiameter, "Diam", GroupDistances, CostHeavy, func(p *Profile) float64 { return p.Diameter }),
-		relQuery(QAvgPath, "AvgPath", GroupDistances, CostHeavy, func(p *Profile) float64 { return p.AvgPath }),
+		relQuery(QDiameter, "Diam", GroupDistances, func(p *Profile) float64 { return p.Diameter }),
+		relQuery(QAvgPath, "AvgPath", GroupDistances, func(p *Profile) float64 { return p.AvgPath }),
 		{
-			ID: QDistanceDistribution, Symbol: "DistDist", Metric: "KL", Group: GroupDistances, Cost: CostHeavy,
+			ID: QDistanceDistribution, Symbol: "DistDist", Metric: "KL", Group: GroupDistances,
 			Score: func(t, s *Profile) float64 { return metrics.KLDivergence(t.DistanceDist, s.DistanceDist) },
 		},
-		relQuery(QGlobalClustering, "GCC", GroupTriangles, CostHeavy, func(p *Profile) float64 { return p.GCC }),
-		relQuery(QAvgClustering, "ACC", GroupTriangles, CostHeavy, func(p *Profile) float64 { return p.ACC }),
+		relQuery(QGlobalClustering, "GCC", GroupTriangles, func(p *Profile) float64 { return p.GCC }),
+		relQuery(QAvgClustering, "ACC", GroupTriangles, func(p *Profile) float64 { return p.ACC }),
 		{
-			ID: QCommunityDetection, Symbol: "CD", Metric: "NMI", HigherBetter: true, PerNode: true, Group: GroupCommunity, Cost: CostHeavy,
+			ID: QCommunityDetection, Symbol: "CD", Metric: "NMI", HigherBetter: true, PerNode: true, Group: GroupCommunity,
 			Score: func(t, s *Profile) float64 { return metrics.NMI(t.CommunityLabels, s.CommunityLabels) },
 		},
-		relQuery(QModularity, "Mod", GroupCommunity, CostHeavy, func(p *Profile) float64 { return p.Modularity }),
-		relQuery(QAssortativity, "Ass", GroupStructure, CostLight, func(p *Profile) float64 { return p.Assortativity }),
+		relQuery(QModularity, "Mod", GroupCommunity, func(p *Profile) float64 { return p.Modularity }),
+		relQuery(QAssortativity, "Ass", GroupStructure, func(p *Profile) float64 { return p.Assortativity }),
 		{
-			ID: QEigenvectorCentrality, Symbol: "EVC", Metric: "MAE", PerNode: true, Group: GroupCentrality, Cost: CostMedium,
+			ID: QEigenvectorCentrality, Symbol: "EVC", Metric: "MAE", PerNode: true, Group: GroupCentrality,
 			Score: func(t, s *Profile) float64 { return metrics.MeanAbsoluteError(t.EVC, s.EVC) },
 		},
 	}
@@ -197,10 +196,6 @@ func (r *queryRegistry) register(s QuerySpec) (QueryID, error) {
 	s.Group = GroupCustom
 	if s.Metric == "" {
 		s.Metric = "RE"
-	}
-	if s.Cost == CostLight {
-		// Unknown user code: schedule pessimistically unless told otherwise.
-		s.Cost = CostHeavy
 	}
 	if s.Scalar == nil {
 		s.Scalar = func(p *Profile) (float64, bool) {

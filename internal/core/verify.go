@@ -24,7 +24,7 @@ func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
 		return "", err
 	}
 	g := spec.Load(scale, seed)
-	truth := verificationRow(g, seed+1, true)
+	truth := verificationRow(g, seed+1)
 	alg, err := NewAlgorithm("DP-dK")
 	if err != nil {
 		return "", err
@@ -40,7 +40,7 @@ func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			row := verificationRow(syn, SubSeed(genSeed, 1), false)
+			row := verificationRow(syn, SubSeed(genSeed, 1))
 			for k, v := range row {
 				acc[k] += v
 			}
@@ -74,23 +74,15 @@ func verificationQueries() []string {
 // verificationRow answers the appendix's query subset through the
 // registry: one profile computation restricted to the needed passes,
 // scalars extracted per spec. Table XI compares absolute diameters, so
-// Diam is not the profile's estimate but the exact iFUB diameter of the
-// largest component; iFUB draws its start from the RNG, but its value
-// does not depend on it. The truth graph's profile is cached; synthetic
-// one-shot graphs skip the cache.
-func verificationRow(g *graph.Graph, seed int64, cache bool) map[string]float64 {
+// Diam is not the profile's estimate but the exact diameter of the
+// largest component.
+func verificationRow(g *graph.Graph, seed int64) map[string]float64 {
 	qs, err := ParseQueries(verificationQueries())
 	if err != nil {
 		panic(err) // verification symbols are built-ins; unreachable
 	}
 	qs = slices.DeleteFunc(qs, func(q QueryID) bool { return q == QDiameter })
-	opt := ProfileOptions{Queries: qs}
-	var prof *Profile
-	if cache {
-		prof = ComputeProfileCached(g, opt, seed)
-	} else {
-		prof = ComputeProfileSeeded(g, opt, seed)
-	}
+	prof := ComputeProfileSeeded(g, ProfileOptions{Queries: qs}, seed)
 	row := make(map[string]float64, len(qs))
 	for _, q := range qs {
 		spec, _ := QuerySpecOf(q)
@@ -98,7 +90,7 @@ func verificationRow(g *graph.Graph, seed int64, cache bool) map[string]float64 
 			row[spec.Symbol] = v
 		}
 	}
-	row[QDiameter.String()] = float64(stats.ExactDiameter(g, rand.New(rand.NewSource(seed))))
+	row[QDiameter.String()] = float64(stats.ExactDiameter(g))
 	return row
 }
 

@@ -115,11 +115,17 @@ func SmoothLaplace(rng *rand.Rand, value, smoothSens, epsilon float64) float64 {
 }
 
 // Beta returns the smooth-sensitivity damping parameter β = ε/(2 ln(2/δ)).
-func Beta(epsilon, delta float64) float64 {
+// A positive ε small enough that β underflows to 0 is an error, since
+// SmoothSensitivity needs β > 0.
+func Beta(epsilon, delta float64) (float64, error) {
 	if delta <= 0 || delta >= 1 {
 		panic("dp: delta must be in (0,1)")
 	}
-	return epsilon / (2 * math.Log(2/delta))
+	beta := epsilon / (2 * math.Log(2/delta))
+	if !(beta > 0) {
+		return 0, fmt.Errorf("dp: smooth-sensitivity beta underflows to 0 at epsilon %g", epsilon)
+	}
+	return beta, nil
 }
 
 // CheckEpsilon accepts only a finite ε > 0 — the one validity test of a

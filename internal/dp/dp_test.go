@@ -191,10 +191,23 @@ func TestSmoothSensitivityGrowth(t *testing.T) {
 }
 
 func TestBeta(t *testing.T) {
-	b := Beta(1, 0.01)
+	b, err := Beta(1, 0.01)
 	want := 1 / (2 * math.Log(200))
-	if math.Abs(b-want) > 1e-12 {
-		t.Fatalf("Beta = %g, want %g", b, want)
+	if err != nil || math.Abs(b-want) > 1e-12 {
+		t.Fatalf("Beta = %g, %v, want %g", b, err, want)
+	}
+}
+
+// A subnormal ε passes CheckEpsilon but its β underflows to 0, which
+// SmoothSensitivity refuses; Beta reports it as an error.
+func TestBetaUnderflowIsError(t *testing.T) {
+	for _, eps := range []float64{5e-324, 2e-323} {
+		if CheckEpsilon(eps) != nil {
+			t.Fatalf("CheckEpsilon(%g) refused a positive budget", eps)
+		}
+		if b, err := Beta(eps, 0.01); err == nil {
+			t.Fatalf("Beta(%g) = %g with no error", eps, b)
+		}
 	}
 }
 

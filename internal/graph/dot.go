@@ -6,26 +6,17 @@ import (
 	"io"
 )
 
-// WriteDOT writes the graph in Graphviz DOT format, optionally coloring
-// nodes by a community label vector (nil for uncolored). Intended for
-// eyeballing small synthetic graphs next to their originals; the palette
-// cycles for partitions with more than twelve communities.
-func WriteDOT(w io.Writer, g *Graph, labels []int) error {
+// WriteDOT writes the graph in Graphviz DOT format, every node filled
+// one colour. Intended for eyeballing small synthetic graphs next to
+// their originals.
+func WriteDOT(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "graph pgb {"); err != nil {
 		return err
 	}
 	fmt.Fprintln(bw, "  node [shape=circle, style=filled, width=0.25, label=\"\"];")
-	palette := []string{
-		"#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
-		"#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
-	}
 	for u := 0; u < g.N(); u++ {
-		color := palette[0]
-		if labels != nil && u < len(labels) {
-			color = palette[labels[u]%len(palette)]
-		}
-		fmt.Fprintf(bw, "  n%d [fillcolor=\"%s\"];\n", u, color)
+		fmt.Fprintf(bw, "  n%d [fillcolor=\"#1f77b4\"];\n", u)
 	}
 	for e := range g.EdgeSeq() {
 		fmt.Fprintf(bw, "  n%d -- n%d;\n", e.U, e.V)

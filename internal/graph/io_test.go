@@ -48,24 +48,18 @@ func TestWriteEdgeListGolden(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g, []int{0, 0, 1}); err != nil {
+	if err := WriteDOT(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"graph pgb {", "n0 -- n1", "n1 -- n2", "fillcolor"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteDOTNilLabels(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "n0 -- n1") {
-		t.Fatal("edge missing")
+	const want = "graph pgb {\n" +
+		"  node [shape=circle, style=filled, width=0.25, label=\"\"];\n" +
+		"  n0 [fillcolor=\"#1f77b4\"];\n" +
+		"  n1 [fillcolor=\"#1f77b4\"];\n" +
+		"  n2 [fillcolor=\"#1f77b4\"];\n" +
+		"  n0 -- n1;\n" +
+		"  n1 -- n2;\n" +
+		"}\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteDOT =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -68,6 +68,59 @@ func FuzzCompareRequest(f *testing.F) {
 	})
 }
 
+// FuzzGenerateRequest posts arbitrary bodies to /v1/generate. No body
+// may panic the handler, the only 5xx is a 500 generation_failed (a
+// mechanism refusing a budget it cannot spend), and every body answered
+// 200 is answered again with the same bytes: generation is a pure
+// function of the request.
+func FuzzGenerateRequest(f *testing.F) {
+	f.Add(`{"algorithm":"TmF","eps":1,"seed":7,"source":{"dataset":"ER","scale":0.02}}`)
+	f.Add(`{"algorithm":"DP-dK","eps":5e-324,"source":{"graph":{"n":5,"edges":[0,1,1,2,2,3,3,4]}}}`)
+	f.Add(`{"algorithm":"PrivSKG","eps":1.5e-323,"seed":3,"source":{"dataset":"BA","scale":0.02}}`)
+	f.Add(`{"algorithm":"RNL","eps":1.7976931348623157e308,"seed":-3,"source":{"graph":{"n":4,"edges":[0,1]}}}`)
+	f.Add(`{"algorithm":"PrivHRG","eps":0.5,"source":{"graph":{"n":0,"edges":[]}}}`)
+	f.Add(`{"algorithm":"LDPGen","eps":2,"source":{"graph":{"n":3,"edges":[0,1]},"dataset":"ER"}}`)
+	f.Add(`{"algorithm":"DER","eps":1,"source":{"dataset":"ER","scale":2}}`)
+	f.Add(`{"algorithm":"DGG","eps":0,"source":{"dataset":"ER","scale":0.02}}`)
+	f.Add(`{"algorithm":"nope","eps":1,"source":{"dataset":"ER","scale":0.02}}`)
+	f.Add(`{"algorithm":"PrivGraph","eps":1,"source":{"dataset":"ER","scale":0.02}} x`)
+	f.Add(``)
+
+	s, err := New(Options{DataDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/generate", strings.NewReader(body)))
+		return w
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		if tooCostly(body) {
+			t.Skip("names work beyond the fuzz target's bounds")
+		}
+		w := post(body)
+		if w.Code >= 500 {
+			var e struct {
+				Error apiError `json:"error"`
+			}
+			if w.Code != http.StatusInternalServerError || json.Unmarshal(w.Body.Bytes(), &e) != nil || e.Error.Code != "generation_failed" {
+				t.Fatalf("status %d for %q: %s", w.Code, body, w.Body)
+			}
+			return
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		if again := post(body); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), w.Body.Bytes()) {
+			t.Fatalf("%q again: status %d\n%s\nwant\n%s", body, again.Code, again.Body, w.Body)
+		}
+	})
+}
+
 // tooCostly reports whether a body the fuzzer made asks for work beyond
 // a fuzz iteration: a dataset above the default scale 0.1, an inline
 // graph of more than 4096 nodes, or one of this package's gate queries,
@@ -84,12 +137,13 @@ func tooCostly(body string) bool {
 	var probe struct {
 		Truth     ref      `json:"truth"`
 		Synthetic ref      `json:"synthetic"`
+		Source    ref      `json:"source"` // a /v1/generate body's
 		Queries   []string `json:"queries"`
 	}
 	if json.Unmarshal([]byte(body), &probe) != nil {
 		return false
 	}
-	for _, r := range []ref{probe.Truth, probe.Synthetic} {
+	for _, r := range []ref{probe.Truth, probe.Synthetic, probe.Source} {
 		if r.Scale > 0.1 || (r.Graph != nil && r.Graph.N > 4096) {
 			return true
 		}

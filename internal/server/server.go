@@ -54,9 +54,9 @@ type Options struct {
 	// every manifest already present (crash recovery). Default
 	// "pgb-serve-data".
 	DataDir string
-	// Workers sizes the async job worker pool — how many grid runs
-	// execute concurrently. Default 1: on the reference 1-CPU container
-	// one run at a time is the honest capacity.
+	// Workers bounds two things separately: how many grid-run jobs the
+	// async worker pool executes at once, and how many synchronous
+	// /v1/generate and /v1/compare computations run at once. Default 1.
 	Workers int
 	// WorkersPerRun is the Config.Workers each executed run gets (grid
 	// cells × kernel helpers, one shared budget). Default 1.

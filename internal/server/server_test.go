@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -1038,5 +1039,54 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 		if c.Err != "" {
 			t.Fatalf("recovered cell %d failed: %s", i, c.Err)
 		}
+	}
+}
+
+// A budget CheckEpsilon accepts can still be too small for a mechanism
+// to spend: DP-dK's edge-count share of ε = 5e-324 underflows to 0. A
+// server that adopts a manifest with that budget must stay up and finish
+// the run with the cell's error recorded, not panic on every restart.
+func TestAdoptedSubnormalEpsilonRunRecordsCellError(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{
+		Algorithms: []string{"DP-dK"},
+		Datasets:   []string{"ER"},
+		Epsilons:   []float64{5e-324},
+		Queries:    []core.QueryID{core.QNumEdges},
+		Reps:       1,
+		Scale:      0.02,
+		Seed:       3301,
+	}.Normalized()
+
+	// A run cancelled before its first dataset leaves the header-only
+	// manifest a crashed server would leave behind.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run := cfg
+	run.Context = ctx
+	run.CheckpointPath = filepath.Join(dir, jobID(core.ConfigDigest(cfg))+".jsonl")
+	if _, err := core.Run(run); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v, want context.Canceled", err)
+	}
+
+	_, ts := newTestServer(t, dir)
+	id := jobID(core.ConfigDigest(cfg))
+	done := waitState(t, ts.URL, id, StateDone)
+	if !done.Recovered || done.Completed != 1 {
+		t.Fatalf("adopted job = %+v; want recovered with its one cell complete", done)
+	}
+	var res struct {
+		Cells []struct {
+			Err string `json:"err"`
+		} `json:"cells"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/runs/"+id+"/result", &res); code != http.StatusOK || len(res.Cells) != 1 {
+		t.Fatalf("result = %d, %d cells; want 200 and one cell", code, len(res.Cells))
+	}
+	if !strings.Contains(res.Cells[0].Err, "privacy budget must be positive") {
+		t.Fatalf("cell err = %q; want the refused budget share", res.Cells[0].Err)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("health after the run = %d", code)
 	}
 }

@@ -1,120 +1,11 @@
 package stats
 
-import (
-	"math/rand"
+import "pgb/internal/graph"
 
-	"pgb/internal/graph"
-)
-
-// ExactDiameter computes the exact diameter of the graph's largest
-// connected component using the iFUB algorithm (iterative Fringe Upper
-// Bound; Crescenzi et al. 2013): a double-sweep BFS finds a high-
-// eccentricity root, then nodes are processed by decreasing BFS level,
-// tightening a lower bound until it meets the level-derived upper bound.
-// On real-world graphs iFUB typically needs only a handful of BFS runs —
-// far cheaper than all-pairs — while remaining exact, unlike the sampled
-// lower bound used for the bulk benchmark runs. All BFS sweeps, including
-// the per-level eccentricity probes, share one pooled Scratch, so the
-// whole computation allocates O(1) arrays regardless of how many sweeps
-// iFUB ends up needing.
-func ExactDiameter(g *graph.Graph, rng *rand.Rand) int {
-	n := g.N()
-	if n == 0 || g.M() == 0 {
-		return 0
-	}
-	comp := g.LargestComponent()
-	start := comp[rng.Intn(len(comp))]
-
-	sc := getScratch()
-	defer sc.Release()
-	queue := sc.queue(n)
-
-	// double sweep: BFS from start → farthest node a; BFS from a →
-	// farthest node b. ecc(a) is a strong diameter lower bound, and the
-	// midpoint of the a-b path is a good iFUB root. The first sweep's
-	// distances are not needed — only the farthest node a — so the same
-	// plane is immediately reused for the sweep from a.
-	distA := sc.dist(n)
-	a := bfsFarthestInto(g, start, distA, queue)
-	b := bfsFarthestInto(g, a, distA, queue)
-	lower := int(distA[b])
-
-	// root: node halfway along the a→b path — approximate by the node
-	// with minimal max(dist(a,·), dist(b,·)).
-	distB := sc.distB(n)
-	bfsFarthestInto(g, b, distB, queue)
-	root := a
-	best := int32(1 << 30)
-	for _, u := range comp {
-		da, db := distA[u], distB[u]
-		if da < 0 || db < 0 {
-			continue
-		}
-		m := da
-		if db > m {
-			m = db
-		}
-		if m < best {
-			best = m
-			root = u
-		}
-	}
-
-	// iFUB: levels of the BFS tree from root, processed top-down.
-	distRoot := sc.distC(n)
-	bfsFarthestInto(g, root, distRoot, queue)
-	maxLevel := int32(0)
-	for _, u := range comp {
-		if distRoot[u] > maxLevel {
-			maxLevel = distRoot[u]
-		}
-	}
-	levels := make([][]int32, maxLevel+1)
-	for _, u := range comp {
-		if d := distRoot[u]; d >= 0 {
-			levels[d] = append(levels[d], u)
-		}
-	}
-	// distA and distB are free again; the probe sweeps reuse distA.
-	for level := maxLevel; level >= 1; level-- {
-		// upper bound: any node below this level has eccentricity
-		// at most 2·level
-		if lower >= int(2*level) {
-			return lower
-		}
-		for _, u := range levels[level] {
-			far := bfsFarthestInto(g, u, distA, queue)
-			if ecc := int(distA[far]); ecc > lower {
-				lower = ecc
-			}
-		}
-	}
-	return lower
-}
-
-// bfsFarthestInto runs BFS from s into caller-provided dist and queue
-// arrays (both length ≥ g.N()), returning one farthest reachable node.
-// dist is fully reinitialised (-1 for unreachable), so the arrays may be
-// reused across calls without clearing.
-func bfsFarthestInto(g *graph.Graph, s int32, dist, queue []int32) int32 {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue = queue[:0]
-	queue = append(queue, s)
-	far := s
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if dist[u] > dist[far] {
-			far = u
-		}
-		for _, v := range g.Neighbors(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return far
+// ExactDiameter is the exact diameter of the graph's largest connected
+// component: the serial MS-BFS sweep (bfsDistances) from every node of
+// that component. A sweep from every node of a component reaches exactly
+// that component, so its deepest level is the component's diameter.
+func ExactDiameter(g *graph.Graph) int {
+	return int(bfsDistances(g, g.LargestComponent(), 1, nil).Diameter)
 }

@@ -20,7 +20,7 @@ func TestExactDiameterKnownGraphs(t *testing.T) {
 		{"empty", graph.New(5), 0},
 	}
 	for _, c := range cases {
-		if got := ExactDiameter(c.g, rng()); got != c.want {
+		if got := ExactDiameter(c.g); got != c.want {
 			t.Errorf("ExactDiameter(%s) = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -32,7 +32,7 @@ func TestExactDiameterRing(t *testing.T) {
 		edges[i] = graph.Canon(int32(i), int32((i+1)%60))
 	}
 	g := graph.FromEdges(60, edges)
-	if got := ExactDiameter(g, rng()); got != 30 {
+	if got := ExactDiameter(g); got != 30 {
 		t.Fatalf("ring diameter = %d, want 30", got)
 	}
 }
@@ -40,12 +40,12 @@ func TestExactDiameterRing(t *testing.T) {
 func TestExactDiameterUsesLargestComponent(t *testing.T) {
 	// component A: path of 4 (diam 3); component B: single edge
 	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 5}})
-	if got := ExactDiameter(g, rng()); got != 3 {
+	if got := ExactDiameter(g); got != 3 {
 		t.Fatalf("diameter = %d, want 3 (largest component)", got)
 	}
 }
 
-// property: iFUB matches all-pairs BFS on random graphs.
+// property: ExactDiameter matches all-pairs BFS on random graphs.
 func TestQuickExactDiameterMatchesAllPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -56,7 +56,7 @@ func TestQuickExactDiameterMatchesAllPairs(t *testing.T) {
 		}
 		g := graph.FromEdges(n, edges)
 		if g.M() == 0 {
-			return ExactDiameter(g, r) == 0
+			return ExactDiameter(g) == 0
 		}
 		// restrict all-pairs reference to the largest component
 		// (an edge with one end in it has both there)
@@ -72,7 +72,7 @@ func TestQuickExactDiameterMatchesAllPairs(t *testing.T) {
 			}
 		}
 		ref := int(ExactDistancesParallel(graph.FromEdges(len(comp), sub), 1, nil).Diameter)
-		return ExactDiameter(g, r) == ref
+		return ExactDiameter(g) == ref
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package stats
 
 import "sync"
 
-// Scratch is a reusable arena for the kernels' working arrays: BFS
-// distance/queue vectors, triangle orientation tables and stamp plane,
+// Scratch is a reusable arena for the kernels' working arrays: the
+// triangle pass's degree ranks, forward CSR and stamp plane,
 // per-node counts, histograms, HyperANF register planes, and the three
 // one-word-per-node MS-BFS bit planes (seen, frontier, next; the first
 // two share the ANF register arrays). Kernels draw one Scratch per
@@ -55,10 +55,6 @@ func grow[T any](buf []T, n int) []T {
 // arrays and may be used simultaneously; calling the same accessor twice
 // returns the same backing array.
 
-func (s *Scratch) dist(n int) []int32   { s.i32a = grow(s.i32a, n); return s.i32a }
-func (s *Scratch) distB(n int) []int32  { s.i32c = grow(s.i32c, n); return s.i32c }
-func (s *Scratch) distC(n int) []int32  { s.i32d = grow(s.i32d, n); return s.i32d }
-func (s *Scratch) queue(n int) []int32  { s.i32b = grow(s.i32b, n); return s.i32b }
 func (s *Scratch) rank(n int) []int32   { s.i32a = grow(s.i32a, n); return s.i32a }
 func (s *Scratch) origOf(n int) []int32 { s.i32b = grow(s.i32b, n); return s.i32b }
 func (s *Scratch) fwdNbr(n int) []int32 { s.i32c = grow(s.i32c, n); return s.i32c }

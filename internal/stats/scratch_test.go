@@ -17,7 +17,7 @@ import (
 func TestScratchPoolConcurrentKernels(t *testing.T) {
 	g := randomGraph(6, 300)
 	wantTri, _, wantACC := TriangleProfileParallel(g, 1, nil)
-	wantDiam := ExactDiameter(g, rand.New(rand.NewSource(3)))
+	wantDiam := ExactDiameter(g)
 	wantANF := ANFDistancesParallel(g, rand.New(rand.NewSource(17)), 1, nil)
 
 	const goroutines = 8
@@ -32,7 +32,7 @@ func TestScratchPoolConcurrentKernels(t *testing.T) {
 					t.Errorf("goroutine %d: (triangles, ACC) (%g, %g) != (%g, %g)", id, tri, acc, wantTri, wantACC)
 					return
 				}
-				if got := ExactDiameter(g, rand.New(rand.NewSource(3))); got != wantDiam {
+				if got := ExactDiameter(g); got != wantDiam {
 					t.Errorf("goroutine %d: diameter %d != %d", id, got, wantDiam)
 					return
 				}
