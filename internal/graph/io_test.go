@@ -63,3 +63,27 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatalf("WriteDOT =\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestWriteDOTNilLabels: with no community labels to colour by, every
+// node, isolated ones included, is drawn in the one default fill and
+// each edge is printed once.
+func TestWriteDOTNilLabels(t *testing.T) {
+	g := FromEdges(4, []Edge{{U: 1, V: 0}})
+	var buf bytes.Buffer
+	if err := WriteDOT(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for u := 0; u < g.N(); u++ {
+		want := fmt.Sprintf("  n%d [fillcolor=\"#1f77b4\"];\n", u)
+		if !strings.Contains(out, want) {
+			t.Fatalf("DOT output missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "fillcolor="); n != g.N() {
+		t.Fatalf("%d fillcolor attributes, want %d:\n%s", n, g.N(), out)
+	}
+	if n := strings.Count(out, " -- "); n != 1 || !strings.Contains(out, "  n0 -- n1;\n") {
+		t.Fatalf("want exactly the edge n0 -- n1:\n%s", out)
+	}
+}
