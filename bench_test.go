@@ -5,10 +5,6 @@
 //
 // Mapping (see DESIGN.md §6):
 //
-//	BenchmarkTable7Grid        — Table VII / Table XII grid cells
-//	BenchmarkAlgorithms/*      — Table IX (time) and Table X (-benchmem)
-//	BenchmarkFig2Cells/*       — Fig. 2 error series cells
-//	BenchmarkQueries/*         — query-evaluation cost (harness overhead)
 //	BenchmarkComputeProfile/*  — serial vs parallel profile on a 6k-node graph
 //	BenchmarkRunGrid/*         — whole-grid serial vs parallel scheduling
 //	BenchmarkTriangles/*       — triangle kernel, serial vs sharded, two scales
@@ -20,7 +16,6 @@
 //	BenchmarkDGGConstruction   — BTER vs Chung-Lu construction (DGG)
 //	BenchmarkPrivGraphSplit    — PrivGraph budget-split ablation
 //	BenchmarkPrivHRGMCMC       — PrivHRG MCMC-length ablation
-//	BenchmarkDatasets          — dataset stand-in generation cost
 //	BenchmarkServerCompare     — one end-to-end pgb serve /v1/compare request
 //	BenchmarkCompareAlloc      — /v1/compare allocation profile (no HTTP client)
 //
@@ -66,29 +61,6 @@ func benchGraph(b *testing.B, name string) *graph.Graph {
 	return spec.Load(benchScale, 42)
 }
 
-// BenchmarkAlgorithms measures one generation per (algorithm, dataset)
-// pair at ε = 1 — the Table IX / Table X measurement unit.
-func BenchmarkAlgorithms(b *testing.B) {
-	for _, algName := range append(core.AlgorithmNames(), "DER") {
-		for _, dsName := range []string{"Minnesota", "Facebook", "Gnutella", "ER"} {
-			b.Run(fmt.Sprintf("%s/%s", algName, dsName), func(b *testing.B) {
-				g := benchGraph(b, dsName)
-				alg, err := core.NewAlgorithm(algName)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rng := rand.New(rand.NewSource(int64(i)))
-					if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkGenerate measures one generation per algorithm at ε = 1 on
 // a 4k-node BA graph — the per-algorithm unit the CI gate pins (README
 // "Benchmarking in CI") so generator regressions trip it. The list is
@@ -111,55 +83,6 @@ func BenchmarkGenerate(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(i)))
 				if _, err := alg.Generate(g, 1, rng, algo.Params{}); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable7Grid runs one full benchmark cell (generation + all
-// fifteen queries) — the unit of Tables VII and XII.
-func BenchmarkTable7Grid(b *testing.B) {
-	g := benchGraph(b, "Facebook")
-	rng := rand.New(rand.NewSource(1))
-	truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
-	alg, err := core.NewAlgorithm("PrivGraph")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rand.New(rand.NewSource(int64(i)))
-		syn, err := alg.Generate(g, 1, r, algo.Params{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
-		for _, q := range core.AllQueries() {
-			core.Score(q, truth, prof)
-		}
-	}
-}
-
-// BenchmarkFig2Cells measures the five Fig. 2 queries on the four Fig. 2
-// graphs (per-cell cost of the figure's series).
-func BenchmarkFig2Cells(b *testing.B) {
-	for _, dsName := range core.Fig2Datasets() {
-		b.Run(dsName, func(b *testing.B) {
-			g := benchGraph(b, dsName)
-			rng := rand.New(rand.NewSource(2))
-			truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
-			alg, _ := core.NewAlgorithm("TmF")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := rand.New(rand.NewSource(int64(i)))
-				syn, err := alg.Generate(g, 1, r, algo.Params{Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
-				for _, q := range core.Fig2Queries() {
-					core.Score(q, truth, prof)
 				}
 			}
 		})
@@ -340,21 +263,6 @@ func rewire(g *graph.Graph, frac float64, rng *rand.Rand) *graph.Graph {
 	return set.Build()
 }
 
-// BenchmarkQueries isolates the cost of the fifteen-query profile, the
-// harness overhead shared by every cell.
-func BenchmarkQueries(b *testing.B) {
-	for _, dsName := range []string{"Minnesota", "Facebook", "ER"} {
-		b.Run(dsName, func(b *testing.B) {
-			g := benchGraph(b, dsName)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i)))
-				core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
-			}
-		})
-	}
-}
-
 // BenchmarkTmFFilterAblation compares TmF's linear-cost high-pass filter
 // against the naive O(n²) full-matrix perturbation it replaces (DESIGN.md
 // §7; the paper's "linear cost" contribution).
@@ -452,19 +360,6 @@ func BenchmarkPrivHRGMCMC(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
 				if _, err := alg.Generate(g, 1, rng, algo.Params{Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDatasets measures stand-in generation (Table VI setup cost).
-func BenchmarkDatasets(b *testing.B) {
-	for _, name := range pgb.Datasets() {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pgb.Load(pgb.Source{Dataset: name, Scale: benchScale, Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}

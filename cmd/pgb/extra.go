@@ -3,9 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 
-	"pgb/internal/algo"
+	"pgb"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 )
@@ -27,16 +26,11 @@ func cmdReport(args []string) error {
 		return err
 	}
 	g := spec.Load(*scale, *seed)
-	alg, err := core.NewAlgorithm(*algName)
+	syn, err := pgb.Generate(*algName, g, *eps, *seed+2)
 	if err != nil {
 		return err
 	}
-	truth := core.ComputeProfileCached(g, core.ProfileOptions{}, *seed+1)
-	rng := rand.New(rand.NewSource(*seed + 2))
-	syn, err := alg.Generate(g, *eps, rng, algo.Params{})
-	if err != nil {
-		return err
-	}
+	truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, *seed+1)
 	prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, core.SubSeed(*seed+2, 1))
 	fmt.Printf("%s on %s (n=%d, m=%d → m=%d) at eps=%g\n\n",
 		*algName, *dsName, g.N(), g.M(), syn.M(), *eps)

@@ -37,12 +37,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 
-	"pgb/internal/algo"
+	"pgb"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
@@ -415,12 +414,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	g := spec.Load(*scale, *seed)
-	alg, err := core.NewAlgorithm(*algName)
-	if err != nil {
-		return err
-	}
-	syn, err := alg.Generate(g, *eps, rand.New(rand.NewSource(*seed+1)), algo.Params{})
+	syn, err := pgb.Generate(*algName, spec.Load(*scale, *seed), *eps, *seed+1)
 	if err != nil {
 		return err
 	}

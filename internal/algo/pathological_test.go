@@ -8,6 +8,7 @@ import (
 
 	"pgb/internal/algo"
 	"pgb/internal/core"
+	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -112,6 +113,36 @@ func TestExtremeEpsilonNeverPanics(t *testing.T) {
 					t.Errorf("%s at eps=%g: invalid output: %v", name, eps, err)
 				}
 			}()
+		}
+	}
+}
+
+// The smallest budgets dp.CheckEpsilon accepts are ones every mechanism
+// can spend: at the smallest normal float64 and above, all nine return
+// a valid graph on a 30-node graph. So the floor refuses no budget a
+// mechanism could have spent.
+func TestSmallestAcceptedEpsilonGenerates(t *testing.T) {
+	g := gen.PlantedPartition(30, 3, 0.4, 0.05, rand.New(rand.NewSource(7)))
+	for _, name := range append(core.AlgorithmNames(), "DER", "LDPGen", "RNL") {
+		a, err := core.NewAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{0x1p-1022, 1e-300, 1e-100, 1e-10} {
+			if err := dp.CheckEpsilon(eps); err != nil {
+				t.Fatalf("CheckEpsilon(%g) = %v", eps, err)
+			}
+			syn, err := a.Generate(g, eps, rand.New(rand.NewSource(1)), algo.Params{})
+			if err != nil {
+				t.Errorf("%s at eps=%g: %v", name, eps, err)
+				continue
+			}
+			if syn.N() != g.N() {
+				t.Errorf("%s at eps=%g: output has %d nodes, want %d", name, eps, syn.N(), g.N())
+			}
+			if err := syn.Validate(); err != nil {
+				t.Errorf("%s at eps=%g: invalid output: %v", name, eps, err)
+			}
 		}
 	}
 }

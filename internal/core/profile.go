@@ -149,21 +149,14 @@ func SubSeed(seed int64, stream uint64) int64 {
 // worker-count-invariant, so the result is identical for a fixed seed
 // regardless of parallelism.
 func ComputeProfileSeeded(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	return profiles([]*graph.Graph{g}, []int64{seed}, opt, false)[0]
+	return profiles([]*graph.Graph{g}, []int64{seed}, opt, nil)[0]
 }
 
-// ComputeProfileCached is ComputeProfileSeeded behind a process-wide
-// memo of individual passes, keyed by graph fingerprint, pass, the
-// options the pass reads, and the seed when the pass draws randomness.
-// A fresh seed therefore recomputes only the seed-consuming passes
-// (Louvain, custom queries, and non-exact distances) on their usual
-// sub-seeds, so the result equals ComputeProfileSeeded's. Use it for
-// graphs whose profile is requested repeatedly — the benchmark runner's
-// true graphs, both sides of CompareGraphs, and the verification
-// appendix. The returned profile shares its slices with the memo:
-// callers must treat it as read-only.
+// ComputeProfileCached is ComputeProfileSeeded; a memo is a ProfileMemo.
+//
+//pgb:export kept for pgb/bench until ROADMAP item 1's benchmark-tagged PR
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
-	return profiles([]*graph.Graph{g}, []int64{seed}, opt, true)[0]
+	return ComputeProfileSeeded(g, opt, seed)
 }
 
 // profileTask is one pass of one graph: the unit the profile pool
@@ -181,8 +174,8 @@ type profileTask struct {
 }
 
 // profiles computes the profile of each graph gs[i] on seed seeds[i]
-// from one pool in which every pass of every graph is one task. When
-// cached, each task is first looked up in the pass memo, only the misses
+// from one pool in which every pass of every graph is one task. With a
+// non-nil memo, each task is first looked up in it, only the misses
 // run, and their results are stored afterwards. The misses run heaviest
 // first, deterministic within a cost class, on the calling goroutine
 // plus helpers drawn from one allowance — opt.Budget, or a new one of
@@ -190,7 +183,7 @@ type profileTask struct {
 // Each pass owns its RNG stream and every pass writes only its own
 // fields (copyPass lists them), so the profiles do not depend on the
 // schedule and tasks need no locking.
-func profiles(gs []*graph.Graph, seeds []int64, opt ProfileOptions, cached bool) []*Profile {
+func profiles(gs []*graph.Graph, seeds []int64, opt ProfileOptions, memo *ProfileMemo) []*Profile {
 	workers := par.Workers(opt.Workers)
 	budget := opt.Budget
 	if budget == nil && workers > 1 {
@@ -203,11 +196,11 @@ func profiles(gs []*graph.Graph, seeds []int64, opt ProfileOptions, cached bool)
 		out[i] = &Profile{}
 		for _, ps := range passes {
 			t := profileTask{pass: ps, graph: i, seed: SubSeed(seeds[i], ps.order())}
-			if cached {
+			if memo != nil {
 				key, seeded := opt.passKey(g.Fingerprint(), g.N(), ps, seeds[i])
-				t.memo, t.key = seedFreePasses, key
+				t.memo, t.key = memo.seedFree, key
 				if seeded {
-					t.memo = seededPasses
+					t.memo = memo.seeded
 				}
 				if hit, ok := t.memo.Get(key); ok {
 					copyPass(out[i], hit, ps)
@@ -428,23 +421,23 @@ func (o ProfileOptions) passKey(fp uint64, n int, ps profilePass, seed int64) (k
 	return k, seeded
 }
 
-// The profile memo is two LRUs, split by passKey's seeded decision. Each
-// served compare or grid truth with a fresh seed inserts seeded entries
-// (Louvain at least) that are rarely asked for again; in one LRU they
-// would evict the seed-free passes that every later request of the same
-// graph reuses. Seeded entries therefore churn only among themselves,
-// with the 64 entries the single LRU had, while 256 seed-free entries
-// hold the served mix's baselines and re-sent synthetic graphs. Both
-// sides of a served compare and every truth graph go through the memo;
-// the grid's synthetic cells are one-shot and stay uncached.
-var (
-	seedFreePasses = lru.New[passKey, *Profile](256)
-	seededPasses   = lru.New[passKey, *Profile](64)
-)
+// ProfileMemo memoizes profile passes across calls for whoever owns it.
+// Its two LRUs split passes by passKey's seeded decision, so seeded
+// entries a fresh seed inserts (Louvain at least) churn among 64 and
+// never evict the 256 seed-free ones later requests of a graph reuse.
+// Profiles built from it share its slices: treat them as read-only.
+type ProfileMemo struct {
+	seedFree, seeded *lru.Cache[passKey, *Profile]
+}
 
-// ProfileCacheStats reports the profile memo's counters and size, summed
-// over its two LRUs; every pass lookup counts one hit or one miss.
-func ProfileCacheStats() lru.Stats {
-	a, b := seedFreePasses.Stats(), seededPasses.Stats()
+// NewProfileMemo returns an empty memo.
+func NewProfileMemo() *ProfileMemo {
+	return &ProfileMemo{seedFree: lru.New[passKey, *Profile](256), seeded: lru.New[passKey, *Profile](64)}
+}
+
+// Stats reports the memo's counters and size, summed over its two LRUs;
+// every pass lookup counts one hit or one miss.
+func (m *ProfileMemo) Stats() lru.Stats {
+	a, b := m.seedFree.Stats(), m.seeded.Stats()
 	return lru.Stats{Hits: a.Hits + b.Hits, Misses: a.Misses + b.Misses, Entries: a.Entries + b.Entries}
 }

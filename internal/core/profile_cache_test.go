@@ -12,10 +12,6 @@ import (
 	"pgb/internal/par"
 )
 
-// memoRuns makes each run of a memo test use seeds no earlier run in
-// the process has cached (go test -count=N reruns in one process).
-var memoRuns int64
-
 // recordQueries is a custom query that remembers the opt.Queries its
 // Compute was given, so tests can check that the memo's restricted
 // computation hands custom passes the caller's options.
@@ -54,12 +50,17 @@ func takeRecorded() [][]QueryID {
 	return seen
 }
 
-// cachedDelta runs ComputeProfileCached and reports the memo's hit and
+// memoized profiles g through memo.
+func memoized(memo *ProfileMemo, g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
+	return profiles([]*graph.Graph{g}, []int64{seed}, opt, memo)[0]
+}
+
+// cachedDelta profiles g through memo and reports the memo's hit and
 // miss counts for that call.
-func cachedDelta(g *graph.Graph, opt ProfileOptions, seed int64) (p *Profile, hits, misses uint64) {
-	before := ProfileCacheStats()
-	p = ComputeProfileCached(g, opt, seed)
-	after := ProfileCacheStats()
+func cachedDelta(memo *ProfileMemo, g *graph.Graph, opt ProfileOptions, seed int64) (p *Profile, hits, misses uint64) {
+	before := memo.Stats()
+	p = memoized(memo, g, opt, seed)
+	after := memo.Stats()
 	return p, after.Hits - before.Hits, after.Misses - before.Misses
 }
 
@@ -67,17 +68,17 @@ func cachedDelta(g *graph.Graph, opt ProfileOptions, seed int64) (p *Profile, hi
 // answer equals the uncached profile, a new seed reruns only the passes
 // that draw randomness, and different options or graphs miss.
 func TestProfileCacheMemoizes(t *testing.T) {
-	memoRuns++
-	base := 1000 * memoRuns
+	const base = 1000
+	memo := NewProfileMemo()
 	g := gen.GNM(200, 600, rng(51)) // auto mode: exact BFS, no randomness
 	all := ProfileOptions{Queries: AllQueries()}
 	sampled := ProfileOptions{Queries: AllQueries(), DistanceMode: DistanceSampled}
-	g2 := gen.GNM(200, 600, rng(52+base)) // new each run: seed-free passes outlive a run
+	g2 := gen.GNM(200, 600, rng(52))
 	if g2.Fingerprint() == g.Fingerprint() {
 		t.Fatal("test graphs share a fingerprint")
 	}
 
-	ComputeProfileCached(g, all, base) // warm
+	memoized(memo, g, all, base) // warm
 	for _, step := range []struct {
 		name         string
 		g            *graph.Graph
@@ -92,7 +93,7 @@ func TestProfileCacheMemoizes(t *testing.T) {
 		{"different graph", g2, all, base, 0, 5},
 		{"repeat after the others", g, all, base + 1, 5, 0},
 	} {
-		got, hits, misses := cachedDelta(step.g, step.opt, step.seed)
+		got, hits, misses := cachedDelta(memo, step.g, step.opt, step.seed)
 		if hits != step.hits || misses != step.misses {
 			t.Errorf("%s: %d hits, %d misses; want %d, %d", step.name, hits, misses, step.hits, step.misses)
 		}
@@ -108,8 +109,8 @@ func TestProfileCacheMemoizes(t *testing.T) {
 // ComputeProfileSeeded's profile. A custom pass sees the caller's
 // opt.Queries, not the memo's restricted list.
 func TestProfileCachedMatchesSeeded(t *testing.T) {
-	memoRuns++
-	base := 1000 * memoRuns
+	const base = 1000
+	memo := NewProfileMemo()
 	custom := recordQueriesID(t)
 	takeRecorded()
 	graphs := []*graph.Graph{
@@ -124,7 +125,7 @@ func TestProfileCachedMatchesSeeded(t *testing.T) {
 			} {
 				opt := ProfileOptions{Queries: queries, DistanceMode: mode}
 				for _, seed := range []int64{base, base + 1, base} {
-					got := ComputeProfileCached(g, opt, seed)
+					got := memoized(memo, g, opt, seed)
 					for _, seen := range takeRecorded() {
 						if !reflect.DeepEqual(seen, queries) {
 							t.Fatalf("n=%d mode=%q: custom pass got Queries %v, want the caller's %v", g.N(), mode, seen, queries)
@@ -152,6 +153,7 @@ func FuzzProfileCachedMatchesSeeded(f *testing.F) {
 	f.Add([]byte{30, 0, 1, 2, 3, 4, 5, 6, 7, 1, 9, 9, 4}, int64(-7), uint8(3))
 	f.Add([]byte{}, int64(0), uint8(4))
 	modes := []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"}
+	memo := NewProfileMemo()
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, rawMode uint8) {
 		n := 0
 		if len(data) > 0 {
@@ -164,7 +166,7 @@ func FuzzProfileCachedMatchesSeeded(f *testing.F) {
 		g := graph.FromEdges(n, edges)
 		opt := ProfileOptions{DistanceMode: modes[int(rawMode)%len(modes)], Queries: AllQueries()}
 		for _, s := range []int64{seed, seed + 1} {
-			if got, want := ComputeProfileCached(g, opt, s), ComputeProfileSeeded(g, opt, s); !reflect.DeepEqual(got, want) {
+			if got, want := memoized(memo, g, opt, s), ComputeProfileSeeded(g, opt, s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d m=%d mode=%q seed=%d: cached profile differs from ComputeProfileSeeded", g.N(), g.M(), opt.DistanceMode, s)
 			}
 		}
@@ -189,11 +191,10 @@ func compareUncached(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []
 // TestCompareGraphsWorkerInvariant: CompareGraphs profiles its two sides
 // at once, on a shared budget, yet its rows are the serial uncached rows
 // at Workers 1, 2 and 4 and under an externally owned budget, for the
-// full and the structural query set, and when both sides are one graph.
-// Each run compares graphs no earlier run cached, so every pass runs
-// under the configuration being checked.
+// full and the structural query set, and when both sides are one graph,
+// without a memo and with an empty one, so every pass runs under the
+// configuration being checked.
 func TestCompareGraphsWorkerInvariant(t *testing.T) {
-	memoRuns++
 	structural := []QueryID{QNumNodes, QNumEdges, QTriangles, QAvgDegree, QDegreeVariance,
 		QDegreeDistribution, QGlobalClustering, QAvgClustering, QAssortativity, QEigenvectorCentrality}
 	configs := []struct {
@@ -205,7 +206,7 @@ func TestCompareGraphsWorkerInvariant(t *testing.T) {
 		{"workers=4", ProfileOptions{Workers: 4}},
 		{"budget", ProfileOptions{Workers: 3, Budget: par.NewBudget(2)}},
 	}
-	graphSeed := 5000 * memoRuns
+	graphSeed := int64(5000)
 	for _, set := range []struct {
 		name    string
 		queries []QueryID
@@ -220,10 +221,11 @@ func TestCompareGraphsWorkerInvariant(t *testing.T) {
 				}
 				opt := c.opt
 				opt.Queries = set.queries
-				got := CompareGraphs(truth, syn, graphSeed, opt)
 				want := compareUncached(truth, syn, graphSeed, ProfileOptions{Queries: set.queries, Workers: 1})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %s same=%t: rows differ from the serial uncached rows:\n got %+v\nwant %+v", set.name, c.name, same, got, want)
+				for _, memo := range []*ProfileMemo{nil, NewProfileMemo()} {
+					if got := CompareGraphs(truth, syn, graphSeed, opt, memo); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s same=%t memo=%t: rows differ from the serial uncached rows:\n got %+v\nwant %+v", set.name, c.name, same, memo != nil, got, want)
+					}
 				}
 			}
 		}
@@ -236,8 +238,8 @@ func TestCompareGraphsWorkerInvariant(t *testing.T) {
 // of exactPathLimit. A fresh-seed repeat misses only the seeded passes
 // of each side: Louvain, and distances unless they run exact BFS.
 func TestCompareGraphsMatchesUncached(t *testing.T) {
-	memoRuns++
-	seed := 1000 * memoRuns
+	seed := int64(1000)
+	memo := NewProfileMemo()
 	full := AllQueries()
 	structural := []QueryID{QNumNodes, QNumEdges, QTriangles, QAvgDegree, QDegreeVariance,
 		QDegreeDistribution, QGlobalClustering, QAvgClustering, QAssortativity, QEigenvectorCentrality}
@@ -260,9 +262,9 @@ func TestCompareGraphsMatchesUncached(t *testing.T) {
 				opt := ProfileOptions{Queries: set.queries, DistanceMode: mode}
 				for rep := 0; rep < 3; rep++ {
 					seed++
-					before := ProfileCacheStats()
-					got := CompareGraphs(truth, syn, seed, opt)
-					after := ProfileCacheStats()
+					before := memo.Stats()
+					got := CompareGraphs(truth, syn, seed, opt, memo)
+					after := memo.Stats()
 					if want := compareUncached(truth, syn, seed, opt); !reflect.DeepEqual(got, want) {
 						t.Fatalf("n=%d mode=%q %s rep %d: CompareGraphs rows differ from the uncached composition:\n got %+v\nwant %+v", n, mode, set.name, rep, got, want)
 					}
@@ -283,18 +285,60 @@ func TestCompareGraphsMatchesUncached(t *testing.T) {
 // asked for again (a fresh seed per request) do not push out the
 // seed-free passes another graph keeps reusing.
 func TestSeededPassesCannotEvictSeedFree(t *testing.T) {
-	memoRuns++
-	base := 1000 * memoRuns
+	const base = 1000
+	memo := NewProfileMemo()
 	a := gen.GNM(300, 900, rng(81))
 	b := gen.GNM(300, 900, rng(82))
 	seedFree := ProfileOptions{Queries: []QueryID{QNumEdges, QGlobalClustering, QEigenvectorCentrality}}
-	ComputeProfileCached(b, seedFree, base)
+	memoized(memo, b, seedFree, base)
 	cd := ProfileOptions{Queries: []QueryID{QCommunityDetection}}
 	for i := int64(0); i < 100; i++ {
-		ComputeProfileCached(a, cd, base+i)
+		memoized(memo, a, cd, base+i)
 	}
-	if _, hits, misses := cachedDelta(b, seedFree, base+100); hits != 3 || misses != 0 {
+	if _, hits, misses := cachedDelta(memo, b, seedFree, base+100); hits != 3 || misses != 0 {
 		t.Fatalf("graph B after 100 fresh-seed CD profiles of A: %d hits, %d misses; want 3, 0", hits, misses)
+	}
+}
+
+// TestRunTruthProfilesThroughMemo: a run given a memo profiles its
+// truth graphs through it, so a second run over the same datasets and
+// seed answers every truth pass from the memo, and its cells equal
+// those of a run without one. The memo is execution-only: it leaves
+// the config digest alone.
+func TestRunTruthProfilesThroughMemo(t *testing.T) {
+	cfg := Config{
+		Algorithms: []string{"TmF"},
+		Datasets:   []string{"ER", "BA"},
+		Epsilons:   []float64{1},
+		Queries:    []QueryID{QNumEdges, QCommunityDetection},
+		Reps:       1,
+		Scale:      0.02,
+		Seed:       7,
+		Workers:    1,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewProfileMemo()
+	withMemo := cfg
+	withMemo.Profiles = memo
+	if ConfigDigest(withMemo) != ConfigDigest(cfg) {
+		t.Fatal("Profiles enters the config digest")
+	}
+	// Two datasets, two passes each (structure, Louvain): all miss, then
+	// all hit.
+	for i, wantHits := range []uint64{0, 4} {
+		before := memo.Stats()
+		got, err := Run(withMemo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := memo.Stats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != wantHits || misses != 4-wantHits {
+			t.Errorf("run %d: %d hits, %d misses; want %d, %d", i, hits, misses, wantHits, 4-wantHits)
+		}
+		assertSameCellValues(t, got, want)
 	}
 }
 
@@ -309,6 +353,7 @@ func FuzzCompareGraphsMatchesUncached(f *testing.F) {
 	f.Add([]byte{30, 0, 1, 2, 3, 4, 5, 6, 7, 1, 9, 9, 4, 20, 21}, int64(-7), uint8(3), uint8(2), false)
 	f.Add([]byte{}, int64(0), uint8(4), uint8(1), true)
 	modes := []DistanceMode{DistanceAuto, DistanceExact, DistanceSampled, DistanceANF, "bogus"}
+	memo := NewProfileMemo()
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, rawMode, rawWorkers uint8, same bool) {
 		n := 0
 		if len(data) > 0 {
@@ -330,7 +375,7 @@ func FuzzCompareGraphsMatchesUncached(f *testing.F) {
 			Queries:      AllQueries(),
 			Workers:      []int{1, 2, 4}[int(rawWorkers)%3],
 		}
-		got, want := CompareGraphs(truth, syn, seed, opt), compareUncached(truth, syn, seed, opt)
+		got, want := CompareGraphs(truth, syn, seed, opt, memo), compareUncached(truth, syn, seed, opt)
 		if len(got) != len(want) {
 			t.Fatalf("%d rows, want %d", len(got), len(want))
 		}

@@ -351,25 +351,23 @@ type CompareRow struct {
 	HigherBetter bool    `json:"higher_better,omitempty"`
 }
 
-// CompareGraphs profiles truth and syn on opt.Queries and scores each
-// query, one row per query in opt.Queries order. The two profiles draw
-// from independent sub-seeds of seed, and their passes share one pool
-// and one worker allowance. Both go through the pass memo, so a
-// baseline or a synthetic graph seen before reruns only the passes that
-// draw from the new seed; the rows equal those of ComputeProfileSeeded
-// on both sides. When the node counts differ, a PerNode query has no
-// defined score and its Error is NaN (CheckNodeCounts is the check for
-// callers that want an error).
-func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions) []CompareRow {
+// CompareGraphs profiles truth and syn on opt.Queries, from independent
+// sub-seeds of seed in one pool and one worker allowance, and scores
+// each query, one row per query in opt.Queries order. A non-nil memo
+// serves both sides, so a graph seen before reruns only the passes that
+// draw from the new seed; the rows are the same with or without it.
+// When the node counts differ, a PerNode query has no defined score and
+// its Error is NaN (CheckNodeCounts is the check that returns an error).
+func CompareGraphs(truth, syn *graph.Graph, seed int64, opt ProfileOptions, memo *ProfileMemo) []CompareRow {
 	gs, seeds := []*graph.Graph{truth, syn}, []int64{SubSeed(seed, 0), SubSeed(seed, 1)}
 	var sides []*Profile
-	if truth.Fingerprint() == syn.Fingerprint() {
+	if memo != nil && truth.Fingerprint() == syn.Fingerprint() {
 		// One graph on both sides: truth first, so the synthetic side
 		// reuses its seed-free passes from the memo instead of computing
 		// them a second time beside it.
-		sides = append(profiles(gs[:1], seeds[:1], opt, true), profiles(gs[1:], seeds[1:], opt, true)...)
+		sides = append(profiles(gs[:1], seeds[:1], opt, memo), profiles(gs[1:], seeds[1:], opt, memo)...)
 	} else {
-		sides = profiles(gs, seeds, opt, true)
+		sides = profiles(gs, seeds, opt, memo)
 	}
 	pt, ps := sides[0], sides[1]
 	rows := make([]CompareRow, 0, len(opt.Queries))

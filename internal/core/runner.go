@@ -71,6 +71,9 @@ type Config struct {
 	// graph is bit-identical to the generated one (same fingerprint), so
 	// where the bytes come from can never change a cell value.
 	Store graph.Store
+	// Profiles, when non-nil, memoizes the truth profiles across runs.
+	// Like Store it is execution-only, outside the checkpoint digest.
+	Profiles *ProfileMemo
 }
 
 // Normalized returns the configuration with every defaultable field
@@ -161,7 +164,7 @@ func (r *Results) Queries() []QueryID {
 
 // Run executes the benchmark grid on a bounded worker pool of
 // cfg.Workers goroutines. Dataset graphs and their true profiles are
-// computed once (and memoized across runs via the profile cache). With
+// computed once per run (and memoized across runs in cfg.Profiles). With
 // cfg.CheckpointPath set, every finished cell is streamed to the JSONL
 // run manifest and an interrupted run resumes from it — see Resume for
 // the one-call form.
@@ -274,7 +277,7 @@ func (r *gridRun) execute(pending []gridCell) (*Results, error) {
 		}
 		var prof *Profile
 		if needProfile[name] {
-			prof = ComputeProfileCached(g, popt, cfg.Seed+1)
+			prof = profiles([]*graph.Graph{g}, []int64{cfg.Seed + 1}, popt, cfg.Profiles)[0]
 		}
 		dss[name] = &datasetEntry{name: spec.Name, g: g, profile: prof}
 		summaries[name] = datasets.Summarize(spec, g)

@@ -128,14 +128,15 @@ func Beta(epsilon, delta float64) (float64, error) {
 	return beta, nil
 }
 
-// CheckEpsilon accepts only a finite ε > 0 — the one validity test of a
-// privacy budget, shared by the accountant, the public API and the
-// server, which prefix the message with their own context. It is
-// written so NaN fails: under NaN every ordered comparison is false, so
-// a plain eps <= 0 test lets it through.
+// CheckEpsilon accepts only a finite ε no smaller than the smallest
+// normal float64 — the one validity test of a privacy budget, shared by
+// the public API, the grid and the server, which prefix the message
+// with their own context. Below that floor a mechanism's shares of ε
+// underflow to 0. It is written so NaN fails: under NaN every ordered
+// comparison is false, so a plain eps < floor test lets it through.
 func CheckEpsilon(eps float64) error {
-	if !(eps > 0) {
-		return fmt.Errorf("privacy budget must be positive, got %g", eps)
+	if !(eps >= 0x1p-1022) {
+		return fmt.Errorf("privacy budget must be at least the smallest normal float64 %g, got %g", 0x1p-1022, eps)
 	}
 	if math.IsInf(eps, 1) {
 		return fmt.Errorf("privacy budget must be finite, got %g", eps)
@@ -157,11 +158,12 @@ func NewAccountant(epsilon float64) *Accountant {
 	return &Accountant{total: epsilon}
 }
 
-// Spend consumes eps from the budget. A spend that fails CheckEpsilon is
-// refused, so a NaN or infinite budget never reaches the noise scales.
+// Spend consumes eps from the budget. A share that is not a finite
+// eps > 0 is refused, so it never reaches the noise scales; a share of a
+// budget CheckEpsilon accepts may itself be subnormal.
 func (a *Accountant) Spend(eps float64) error {
-	if err := CheckEpsilon(eps); err != nil {
-		return fmt.Errorf("dp: %w", err)
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("dp: privacy budget share must be finite and positive, got %g", eps)
 	}
 	// Tolerate float rounding at the boundary.
 	if a.spent+eps > a.total*(1+1e-9) {

@@ -3,6 +3,8 @@ package dp
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -198,13 +200,11 @@ func TestBeta(t *testing.T) {
 	}
 }
 
-// A subnormal ε passes CheckEpsilon but its β underflows to 0, which
-// SmoothSensitivity refuses; Beta reports it as an error.
+// A subnormal ε, which a share of a small budget can be, makes β
+// underflow to 0, which SmoothSensitivity refuses; Beta reports it as
+// an error.
 func TestBetaUnderflowIsError(t *testing.T) {
 	for _, eps := range []float64{5e-324, 2e-323} {
-		if CheckEpsilon(eps) != nil {
-			t.Fatalf("CheckEpsilon(%g) refused a positive budget", eps)
-		}
 		if b, err := Beta(eps, 0.01); err == nil {
 			t.Fatalf("Beta(%g) = %g with no error", eps, b)
 		}
@@ -264,7 +264,7 @@ func TestAccountantRejectsNonPositive(t *testing.T) {
 }
 
 func TestCheckEpsilon(t *testing.T) {
-	for _, eps := range []float64{1e-9, 0.1, 1, 1e6} {
+	for _, eps := range []float64{0x1p-1022, 1e-300, 1e-9, 0.1, 1, 1e6, math.MaxFloat64} {
 		if err := CheckEpsilon(eps); err != nil {
 			t.Errorf("CheckEpsilon(%g) = %v", eps, err)
 		}
@@ -273,6 +273,22 @@ func TestCheckEpsilon(t *testing.T) {
 		if err := CheckEpsilon(eps); err == nil {
 			t.Errorf("CheckEpsilon(%g) accepted", eps)
 		}
+	}
+	// Subnormal budgets are refused, and the error names the budget.
+	for _, eps := range []float64{5e-324, 2e-323, 0x1p-1023, math.Nextafter(0x1p-1022, 0)} {
+		err := CheckEpsilon(eps)
+		if err == nil || !strings.Contains(err.Error(), strconv.FormatFloat(eps, 'g', -1, 64)) {
+			t.Errorf("CheckEpsilon(%g) = %v, want an error naming %g", eps, err, eps)
+		}
+	}
+}
+
+// The accountant spends subnormal shares of a budget CheckEpsilon
+// accepted: the floor is the budget's, not each share's.
+func TestAccountantSpendsSubnormalShare(t *testing.T) {
+	a := NewAccountant(0x1p-1022)
+	if err := a.Spend(0.1 * 0x1p-1022); err != nil {
+		t.Fatalf("subnormal share refused: %v", err)
 	}
 }
 

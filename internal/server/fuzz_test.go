@@ -121,6 +121,83 @@ func FuzzGenerateRequest(f *testing.F) {
 	})
 }
 
+// FuzzRunRequest posts arbitrary bodies to /v1/runs. No body may panic
+// the handler, the only 5xx is a 503 unavailable (a full job queue),
+// and every body answered 200 or 202 is answered again with the same
+// job id: a run is addressed by its configuration.
+func FuzzRunRequest(f *testing.F) {
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"queries":["|E|","CD"],"scale":0.02,"reps":1}`)
+	f.Add(`{"algorithms":["DGG","TmF"],"datasets":["BA","ER"],"epsilons":[0.5,2],"scale":0.01,"reps":1,"seed":-4,"distance_mode":"anf"}`)
+	f.Add(`{"algorithms":["DP-dK"],"datasets":["ER"],"epsilons":[5e-324],"scale":0.02,"reps":1}`)
+	f.Add(`{"algorithms":["PrivSKG"],"datasets":["Facebook"],"epsilons":[2.2250738585072014e-308],"scale":0.02,"reps":1}`)
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"scale":0.02,"reps":1,"distance_mode":"bogus"}`)
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"scale":0.02,"reps":1,"queries":["NoSuchQ"]}`)
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"scale":-0.5,"reps":1}`)
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"scale":0.02,"reps":1} x`)
+	f.Add(`{"algorithms":["TmF"],"datasets":["ER"],"epsilons":[1],"scale":0.02,"reps":1,"extra":1}`)
+	f.Add(``)
+
+	s, err := New(Options{DataDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		return w
+	}
+	unavailable := func(w *httptest.ResponseRecorder) bool {
+		var e struct {
+			Error apiError `json:"error"`
+		}
+		return w.Code == http.StatusServiceUnavailable && json.Unmarshal(w.Body.Bytes(), &e) == nil && e.Error.Code == "unavailable"
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		if tooCostly(body) || gridTooCostly(body) {
+			t.Skip("names work beyond the fuzz target's bounds")
+		}
+		w := post(body)
+		if w.Code >= 500 && !unavailable(w) {
+			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body)
+		}
+		if w.Code != http.StatusOK && w.Code != http.StatusAccepted {
+			return
+		}
+		var first jobStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &first); err != nil || first.ID == "" {
+			t.Fatalf("%d for %q with an unreadable status (%v): %s", w.Code, body, err, w.Body)
+		}
+		again := post(body)
+		if unavailable(again) {
+			return // a resubmitted failed run found the queue full
+		}
+		var second jobStatus
+		if again.Code != http.StatusOK || json.Unmarshal(again.Body.Bytes(), &second) != nil || second.ID != first.ID {
+			t.Fatalf("%q again: status %d %s, want 200 with id %s", body, again.Code, again.Body, first.ID)
+		}
+	})
+}
+
+// gridTooCostly reports whether a /v1/runs body the fuzzer made names a
+// grid beyond a fuzz iteration once normalized: an absent scale is 1,
+// absent reps are 10 and an empty axis is all its values, so it skips a
+// scale above 0.02, more than one repetition, or an algorithm, dataset
+// or budget axis that is empty or longer than two. Like tooCostly it
+// probes with a lenient decode; a body that fails it is rejected before
+// any work.
+func gridTooCostly(body string) bool {
+	var probe runRequest
+	if json.Unmarshal([]byte(body), &probe) != nil {
+		return false
+	}
+	axes := []int{len(probe.Algorithms), len(probe.Datasets), len(probe.Epsilons)}
+	return probe.Scale == 0 || probe.Scale > 0.02 || probe.Reps != 1 ||
+		slices.ContainsFunc(axes, func(n int) bool { return n == 0 || n > 2 })
+}
+
 // tooCostly reports whether a body the fuzzer made asks for work beyond
 // a fuzz iteration: a dataset above the default scale 0.1, an inline
 // graph of more than 4096 nodes, or one of this package's gate queries,

@@ -118,8 +118,9 @@ const maxLogLines = 4096
 type jobManager struct {
 	dataDir    string
 	cache      *lru.Cache[string, any]
-	store      graph.Store // dataset resolution for executed runs (snapshot-first)
-	runWorkers int         // Config.Workers for each executed run
+	store      graph.Store       // dataset resolution for executed runs (snapshot-first)
+	profiles   *core.ProfileMemo // truth-profile memo of executed runs
+	runWorkers int               // Config.Workers for each executed run
 	logf       func(string, ...any)
 
 	// mu guards jobs, terminalOrder, adopted and closed, and every job's
@@ -151,11 +152,12 @@ type jobManager struct {
 	baseCancel context.CancelFunc
 }
 
-func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, cache *lru.Cache[string, any], logf func(string, ...any)) *jobManager {
+func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, cache *lru.Cache[string, any], profiles *core.ProfileMemo, logf func(string, ...any)) *jobManager {
 	m := &jobManager{
 		dataDir:    dataDir,
 		cache:      cache,
 		store:      store,
+		profiles:   profiles,
 		runWorkers: runWorkers,
 		logf:       logf,
 		jobs:       make(map[string]*job),
@@ -287,6 +289,7 @@ func (m *jobManager) execute(j *job) {
 	cfg.CheckpointPath = j.manifest
 	cfg.Progress = func(line string) { m.progress(j, line) }
 	cfg.Store = m.store
+	cfg.Profiles = m.profiles
 
 	m.started.Add(1)
 	m.logf("job %s: running (%d cells, manifest %s)", j.id, gridSize(cfg), cfg.CheckpointPath)

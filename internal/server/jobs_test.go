@@ -17,7 +17,7 @@ import (
 // it is the oldest entry of the terminal order. With no pool workers,
 // every submitted job stays queued until the test cancels it.
 func TestJobTablePrunesOldestTerminal(t *testing.T) {
-	m := newJobManager(t.TempDir(), 0, 1, nil, lru.New[string, any](4), func(string, ...any) {})
+	m := newJobManager(t.TempDir(), 0, 1, nil, lru.New[string, any](4), nil, func(string, ...any) {})
 	defer m.close()
 	config := func(i int) core.Config {
 		return core.Config{Seed: int64(1000 + i)}.Normalized()
@@ -101,7 +101,7 @@ func TestPrunedAdoptedJobKeepsItsManifest(t *testing.T) {
 		t.Fatalf("cancelled run: %v, want context.Canceled", err)
 	}
 
-	m := newJobManager(dir, 0, 1, nil, lru.New[string, any](4), func(string, ...any) {})
+	m := newJobManager(dir, 0, 1, nil, lru.New[string, any](4), nil, func(string, ...any) {})
 	defer m.close()
 	m.recover()
 	id := jobID(core.ConfigDigest(cfg))

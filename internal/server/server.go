@@ -107,8 +107,9 @@ type Server struct {
 	// bodies maps the SHA-256 of a compare body that succeeded to its
 	// result key in cache, so a byte-identical repeat is answered
 	// before it is decoded.
-	bodies *lru.Cache[[sha256.Size]byte, string]
-	jobs   *jobManager
+	bodies   *lru.Cache[[sha256.Size]byte, string]
+	profiles *core.ProfileMemo
+	jobs     *jobManager
 	// sem bounds concurrent synchronous computations (generate/compare)
 	// so request handlers cannot oversubscribe the box under the job
 	// pool.
@@ -128,13 +129,14 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
 	s := &Server{
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		cache:   lru.New[string, any](opts.CacheEntries),
-		bodies:  lru.New[[sha256.Size]byte, string](opts.CacheEntries),
-		sem:     make(chan struct{}, opts.Workers),
-		store:   opts.Store,
-		dsCache: newDatasetCache(),
+		opts:     opts,
+		mux:      http.NewServeMux(),
+		cache:    lru.New[string, any](opts.CacheEntries),
+		bodies:   lru.New[[sha256.Size]byte, string](opts.CacheEntries),
+		profiles: core.NewProfileMemo(),
+		sem:      make(chan struct{}, opts.Workers),
+		store:    opts.Store,
+		dsCache:  newDatasetCache(),
 	}
 	if s.store == nil {
 		st, err := graph.OpenSnapshotStore(filepath.Join(opts.DataDir, "snapshots"))
@@ -144,7 +146,7 @@ func New(opts Options) (*Server, error) {
 		s.store = st
 		s.ownStore = st
 	}
-	s.jobs = newJobManager(opts.DataDir, opts.Workers, opts.WorkersPerRun, s.store, s.cache, opts.Logf)
+	s.jobs = newJobManager(opts.DataDir, opts.Workers, opts.WorkersPerRun, s.store, s.cache, s.profiles, opts.Logf)
 	s.routes()
 	s.jobs.recover()
 	return s, nil
@@ -377,7 +379,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"runs_executed":     s.jobs.started.Load(),
 		"compares_executed": s.compares.Load(),
 		"cache_entries":     s.cache.Len(),
-		"profile_cache":     core.ProfileCacheStats(),
+		"profile_cache":     s.profiles.Stats(),
 		"result_cache":      s.cache.Stats(),
 		"request_memo":      s.bodies.Stats(),
 		"dataset_cache":     s.dsCache.stats(),
@@ -564,7 +566,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	s.compares.Add(1)
 
-	rows := core.CompareGraphs(truth, syn, req.Seed, core.ProfileOptions{Queries: queries, DistanceMode: mode})
+	rows := core.CompareGraphs(truth, syn, req.Seed, core.ProfileOptions{Queries: queries, DistanceMode: mode}, s.profiles)
 	s.cache.Add(key, rows)
 	s.bodies.Add(digest, key)
 	writeJSON(w, http.StatusOK, map[string]any{"rows": rows, "cached": false})

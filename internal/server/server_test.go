@@ -28,7 +28,9 @@ import (
 // until the test releases the gate, making cancel/recovery timing
 // deterministic instead of sleep-based. Registration is process-wide,
 // so each gate is used by exactly one test, which arms it afresh on
-// every run (go test -count=N reruns it).
+// every run (go test -count=N reruns it). Each run submits the same
+// seed: its server's profile memo is new, so the truth pass reaches the
+// gate every time.
 
 var (
 	gateA = &gate{}           // blocks every GateA compute until released
@@ -41,23 +43,18 @@ var (
 type gate struct {
 	blockAt int
 	mu      sync.Mutex
-	arms    int64
 	calls   int
 	ch      chan struct{}
 }
 
 // arm resets the gate for one run of its owning test and returns the
-// seed that run submits: base on the first run, a fresh one on every
-// rerun, so the run's truth profile is never already in core's
-// process-wide profile memo and the truth pass reaches the gate as the
-// test expects.
-func (g *gate) arm(base int64) (seed int64, release func()) {
+// function that releases it.
+func (g *gate) arm() (release func()) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ch := make(chan struct{})
 	g.calls, g.ch = 0, ch
-	g.arms++
-	return base + 1000*(g.arms-1), func() { close(ch) }
+	return func() { close(ch) }
 }
 
 func (g *gate) pass() {
@@ -318,6 +315,9 @@ func TestStructuredErrors(t *testing.T) {
 		{"/v1/runs", `{"algorithms":["NoSuchAlg"]}`, "unknown_algorithm"},
 		{"/v1/runs", `{"datasets":["NoSuchDS"]}`, "unknown_dataset"},
 		{"/v1/runs", `{"epsilons":[0]}`, "invalid_argument"},
+		// a subnormal budget no mechanism split can spend
+		{"/v1/runs", `{"algorithms":["DP-dK"],"datasets":["ER"],"epsilons":[5e-324],"scale":0.02,"reps":1}`, "invalid_argument"},
+		{"/v1/generate", `{"algorithm":"DP-dK","eps":5e-324,"source":{"graph":{"n":5,"edges":[0,1,1,2,2,3,3,4]}}}`, "invalid_argument"},
 		{"/v1/runs", `{"scale":1.5}`, "invalid_argument"},
 	}
 	for _, tc := range cases {
@@ -578,6 +578,52 @@ func TestCompareReusesSyntheticPasses(t *testing.T) {
 	}
 }
 
+// TestServersDoNotShareProfileMemo: each Server owns its profile memo.
+// A run and a compare that fill one server's memo leave a second server
+// in the same process cold: the same run and compare there miss every
+// pass, exactly as on the first, and the first server's counters stay
+// where they were.
+func TestServersDoNotShareProfileMemo(t *testing.T) {
+	profileCache := func(ts *httptest.Server) lru.Stats {
+		var h struct {
+			ProfileCache lru.Stats `json:"profile_cache"`
+		}
+		getJSON(t, ts.URL+"/healthz", &h)
+		return h.ProfileCache
+	}
+	compare := map[string]any{
+		"truth":     map[string]any{"dataset": "ER", "scale": 0.02, "seed": 2401},
+		"synthetic": map[string]any{"dataset": "BA", "scale": 0.02, "seed": 2401},
+		"seed":      3,
+		"queries":   []string{"|E|", "GCC", "CD"},
+	}
+	_, first := newTestServer(t, t.TempDir())
+	_, second := newTestServer(t, t.TempDir())
+	var filled lru.Stats
+	for i, ts := range []*httptest.Server{first, second} {
+		var st jobStatus
+		if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(2402), &st); code != http.StatusAccepted {
+			t.Fatalf("server %d: submit status %d", i, code)
+		}
+		waitState(t, ts.URL, st.ID, StateDone)
+		if code := postJSON(t, ts.URL+"/v1/compare", compare, nil); code != http.StatusOK {
+			t.Fatalf("server %d: compare status %d", i, code)
+		}
+		got := profileCache(ts)
+		if got.Hits != 0 || got.Misses == 0 {
+			t.Fatalf("server %d: profile_cache %+v, want misses and no hits", i, got)
+		}
+		if i == 0 {
+			filled = got
+		} else if got != filled {
+			t.Fatalf("second server: profile_cache %+v, want the first server's %+v", got, filled)
+		}
+	}
+	if got := profileCache(first); got != filled {
+		t.Fatalf("first server: profile_cache %+v after the second server's work, want %+v", got, filled)
+	}
+}
+
 // postRaw posts body to url as is and returns the status and the
 // response bytes.
 func postRaw(t *testing.T, url, body string) (int, []byte) {
@@ -817,11 +863,11 @@ func TestRunLifecycle(t *testing.T) {
 // cancelled, refuses its result with 410, and a resubmission resumes it
 // to completion from the manifest.
 func TestRunCancelResubmit(t *testing.T) {
-	seed, releaseA := gateA.arm(3101)
+	releaseA := gateA.arm()
 	s, ts := newTestServer(t, t.TempDir())
 
 	var st jobStatus
-	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(seed, "GateA"), &st); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(3101, "GateA"), &st); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
 	waitState(t, ts.URL, st.ID, StateRunning)
@@ -842,7 +888,7 @@ func TestRunCancelResubmit(t *testing.T) {
 
 	// Resubmission requeues the same job and resumes from its manifest.
 	var re jobStatus
-	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(seed, "GateA"), &re); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/runs", tinyRun(3101, "GateA"), &re); code != http.StatusOK {
 		t.Fatalf("resubmit status %d, want 200 (absorbed)", code)
 	}
 	if re.ID != st.ID {
@@ -886,7 +932,7 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 // when the handler returns.
 func streamStalled(t *testing.T, seed int64) (m *jobManager, j *job, w *stallWriter, done chan struct{}) {
 	t.Helper()
-	m = newJobManager(t.TempDir(), 0, 1, nil, lru.New[string, any](4), func(string, ...any) {})
+	m = newJobManager(t.TempDir(), 0, 1, nil, lru.New[string, any](4), nil, func(string, ...any) {})
 	t.Cleanup(m.close)
 	j, _, err := m.submit(core.Config{Seed: seed}.Normalized())
 	if err != nil {
@@ -968,7 +1014,7 @@ func TestRunEventsEndAtJoinedRunAcrossResubmit(t *testing.T) {
 // new server over the same data directory adopts the manifest and
 // resumes the job to completion — recomputing only the missing cells.
 func TestRunRecoveryAfterRestart(t *testing.T) {
-	seed, releaseB := gateB.arm(3201)
+	releaseB := gateB.arm()
 	dir := t.TempDir()
 	s1, err := New(Options{DataDir: dir, Logf: t.Logf})
 	if err != nil {
@@ -977,7 +1023,7 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 
 	var st jobStatus
-	if code := postJSON(t, ts1.URL+"/v1/runs", tinyRun(seed, "GateB"), &st); code != http.StatusAccepted {
+	if code := postJSON(t, ts1.URL+"/v1/runs", tinyRun(3201, "GateB"), &st); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
 	// GateB blocks its third compute: truth profile, cell 1, then cell 2
@@ -1042,49 +1088,55 @@ func TestRunRecoveryAfterRestart(t *testing.T) {
 	}
 }
 
-// A budget CheckEpsilon accepts can still be too small for a mechanism
-// to spend: DP-dK's edge-count share of ε = 5e-324 underflows to 0. A
-// server that adopts a manifest with that budget must stay up and finish
-// the run with the cell's error recorded, not panic on every restart.
-func TestAdoptedSubnormalEpsilonRunRecordsCellError(t *testing.T) {
-	dir := t.TempDir()
+// A manifest written before CheckEpsilon refused subnormal budgets can
+// still carry one (ε = 5e-324, whose DP-dK edge-count share underflows
+// to 0). A server that adopts it must stay up and fail the job before
+// any work starts, with an error that names the budget, not panic on
+// every restart.
+func TestAdoptedSubnormalEpsilonRunFails(t *testing.T) {
 	cfg := core.Config{
 		Algorithms: []string{"DP-dK"},
 		Datasets:   []string{"ER"},
-		Epsilons:   []float64{5e-324},
+		Epsilons:   []float64{1},
 		Queries:    []core.QueryID{core.QNumEdges},
 		Reps:       1,
 		Scale:      0.02,
 		Seed:       3301,
 	}.Normalized()
+	subnormal := cfg
+	subnormal.Epsilons = []float64{5e-324}
 
 	// A run cancelled before its first dataset leaves the header-only
-	// manifest a crashed server would leave behind.
+	// manifest a crashed server would leave behind; its budget and
+	// digest are then rewritten to the subnormal run's.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	run := cfg
 	run.Context = ctx
-	run.CheckpointPath = filepath.Join(dir, jobID(core.ConfigDigest(cfg))+".jsonl")
+	run.CheckpointPath = filepath.Join(t.TempDir(), "header.jsonl")
 	if _, err := core.Run(run); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v, want context.Canceled", err)
 	}
+	header, err := os.ReadFile(run.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]string{{`"epsilons":[1]`, `"epsilons":[5e-324]`}, {core.ConfigDigest(cfg), core.ConfigDigest(subnormal)}} {
+		if !bytes.Contains(header, []byte(r[0])) {
+			t.Fatalf("manifest header %s has no %s", header, r[0])
+		}
+		header = bytes.Replace(header, []byte(r[0]), []byte(r[1]), 1)
+	}
+	dir := t.TempDir()
+	id := jobID(core.ConfigDigest(subnormal))
+	if err := os.WriteFile(filepath.Join(dir, id+".jsonl"), header, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	_, ts := newTestServer(t, dir)
-	id := jobID(core.ConfigDigest(cfg))
-	done := waitState(t, ts.URL, id, StateDone)
-	if !done.Recovered || done.Completed != 1 {
-		t.Fatalf("adopted job = %+v; want recovered with its one cell complete", done)
-	}
-	var res struct {
-		Cells []struct {
-			Err string `json:"err"`
-		} `json:"cells"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/runs/"+id+"/result", &res); code != http.StatusOK || len(res.Cells) != 1 {
-		t.Fatalf("result = %d, %d cells; want 200 and one cell", code, len(res.Cells))
-	}
-	if !strings.Contains(res.Cells[0].Err, "privacy budget must be positive") {
-		t.Fatalf("cell err = %q; want the refused budget share", res.Cells[0].Err)
+	failed := waitState(t, ts.URL, id, StateFailed)
+	if !failed.Recovered || failed.Completed != 0 || !strings.Contains(failed.Error, "got 5e-324") {
+		t.Fatalf("adopted job = %+v; want recovered, no cell complete, and an error naming the budget", failed)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("health after the run = %d", code)

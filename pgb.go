@@ -211,9 +211,8 @@ func (r QueryReport) String() string {
 // synthetic graph with the paper's metric per query. The two profiles are
 // computed from independent deterministic sub-seeds of seed, so the
 // sampled-BFS distance queries (and every other randomised pass) see
-// unbiased, repetition-independent RNG streams for each graph. Both
-// profiles are memoized pass by pass, so a graph compared again reruns
-// only the passes that draw from the new seed.
+// unbiased, repetition-independent RNG streams for each graph. Every
+// call computes both profiles afresh; nothing is kept between calls.
 func Compare(truth, syn *Graph, seed int64) QueryReport {
 	return CompareQueries(truth, syn, seed, nil)
 }
@@ -233,7 +232,7 @@ func CompareQueries(truth, syn *Graph, seed int64, queries []QueryID) QueryRepor
 	if queries == nil {
 		queries = core.AllQueries()
 	}
-	return QueryReport{Rows: core.CompareGraphs(truth, syn, seed, core.ProfileOptions{Queries: queries})}
+	return QueryReport{Rows: core.CompareGraphs(truth, syn, seed, core.ProfileOptions{Queries: queries}, nil)}
 }
 
 // QueryID identifies a benchmark query: 1..15 are the paper's fifteen,
